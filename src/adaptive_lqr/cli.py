@@ -17,9 +17,7 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,7 +45,6 @@ from .simulation import DisturbanceModel, Scenario, simulate
 COMMANDS = ("solve", "simulate", "certify", "sweep")
 CERTIFY_CHECKS = ("theorem1", "lemma1", "lyapunov")
 CERTIFY_SLACK = 1e-8
-THREADS_ENV = "DUAL_LQR_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +427,7 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
     """Grid sweep: one simulate + certify per point, one CSV row per point.
 
     Rows are written in grid order; per-row failures are recorded in the
-    row's error column and never abort the sweep.  DUAL_LQR_THREADS caps
-    the number of worker threads (rows are pure functions of config + seed,
-    so the output does not depend on the thread count).
+    row's error column and never abort the sweep.
     """
     _reject_unknown(cfg, _COMMON_KEYS + _SCENARIO_KEYS + ("sweep", "t0"), "config")
     scenario_base = _parse_scenario(cfg, seed)
@@ -442,18 +437,9 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
         if t0_cfg < 0:
             raise ConfigError("field 't0' must be non-negative or 'auto'")
     betas, rho_entries, gammas, amps, mags = _parse_sweep_grids(cfg)
-    points = list(itertools.product(betas, rho_entries, gammas, amps, mags))
-
-    def compute(args):
-        idx, (b, r, g, a, mg) = args
-        return _sweep_row(scenario_base, t0_cfg, seed, idx, b, r, g, a, mg)
-
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(compute, enumerate(points)))
-    else:
-        rows = [compute(item) for item in enumerate(points)]
+    points = itertools.product(betas, rho_entries, gammas, amps, mags)
+    rows = [_sweep_row(scenario_base, t0_cfg, seed, idx, *point)
+            for idx, point in enumerate(points)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:

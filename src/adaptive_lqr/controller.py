@@ -9,7 +9,7 @@ and the step is flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .estimation import (
     solve_data_riccati,
     update_correlations,
 )
-from .riccati import DEFAULT_MAX_ITER, Gain
+from .riccati import DEFAULT_MAX_ITER, Gain, _trusted
 
 EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
 
@@ -144,11 +144,12 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
         fallback = True
     eps = excitation_sample(state.excitation, t)
     u = gain.K @ x + eps
-    new_state = replace(state, last_gain=gain, warm_p=warm)
+    new_state = _trusted(ControllerState, **{**vars(state), "last_gain": gain, "warm_p": warm})
     return u, new_state, StepDiagnostics(gain=gain.K, excitation=eps,
                                          eq6_residual=residual, fallback=fallback)
 
 
 def controller_observe(state: ControllerState, x, u, x_next) -> ControllerState:
     """Fold the observed transition (x, u, x_next) into the correlations."""
-    return replace(state, corr=update_correlations(state.corr, x, u, x_next))
+    corr = update_correlations(state.corr, x, u, x_next)
+    return _trusted(ControllerState, **{**vars(state), "corr": corr})

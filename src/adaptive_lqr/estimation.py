@@ -11,11 +11,15 @@ Riccati solver; the result is checked back against the correlation-weighted
 fixed-point equation
 
     Sigma (Q - I) Sigma = SigmaHat' min_K([I;K]' Q [I;K]) SigmaHat.
+
+Public constructors and data arguments are checked; the state returned by
+update_correlations and the estimate plant in solve_data_riccati are built
+from checked data and skip `__post_init__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .riccati import (
     solve_dare,
     sym,
     _check_matrix,
+    _trusted,
 )
 
 COND_LIMIT = 1e14
@@ -130,10 +135,12 @@ def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationSta
     u = _check_vector(u, "u", state.m)
     x_next = _check_vector(x_next, "x_next", state.n)
     z = np.concatenate([x, u])
-    return replace(state,
-                   sigma=sym(state.lam * state.sigma + np.outer(z, z)),
-                   sigma_hat=state.lam * state.sigma_hat + np.outer(x_next, z),
-                   t=state.t + 1)
+    sigma = sym(state.lam * state.sigma + np.outer(z, z))
+    sigma_hat = state.lam * state.sigma_hat + np.outer(x_next, z)
+    if not (np.isfinite(sigma).all() and np.isfinite(sigma_hat).all()):
+        raise NonFiniteInput("the data point overflows the correlations")
+    return _trusted(CorrelationState, **{**vars(state), "sigma": sigma,
+                                         "sigma_hat": sigma_hat, "t": state.t + 1})
 
 
 def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> CorrelationState:
@@ -184,11 +191,12 @@ def solve_data_riccati(state: CorrelationState, tol: float = DEFAULT_TOL,
     the correlation-weighted equation directly.
     """
     est = estimate_model(state)
+    plant = _trusted(PlantModel, A=est.a_hat, B=est.b_hat)
     try:
-        P = solve_dare(est.as_plant(), tol=tol, max_iter=max_iter, p0=p0)
+        P = solve_dare(plant, tol=tol, max_iter=max_iter, p0=p0)
     except NotStabilizable as exc:
         raise EstimateNotStabilizable(str(exc)) from exc
-    q = q_from_p(est.as_plant(), P)
+    q = q_from_p(plant, P)
     return q, gain_from_q(q)
 
 

@@ -9,6 +9,10 @@ The same fixed point in the joint state-input matrix Q = I + [A B]' P [A B]
 reads Q - I = [A B]' min_K([I;K]' Q [I;K]) [A B], with the minimizing gain
 K = -(Quu)^{-1} Qux.  Everything here is solved by fixed-point value
 iteration with re-symmetrization, so each iterate is certified PSD >= I.
+
+Public constructors and the array arguments of public functions are checked;
+the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
+gain of gain_from_q are built from checked data and skip `__post_init__`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ def sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
+def _trusted(cls, **fields):
+    """Frozen dataclass `cls` from fields in checked form, skipping `__post_init__`."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _check_matrix(M, name, shape=None):
     M = np.array(M, dtype=float)
     if M.ndim != 2:
@@ -46,6 +57,21 @@ def _check_matrix(M, name, shape=None):
         raise ShapeMismatch(f"{name} must have shape {shape}, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise NonFiniteInput(f"{name} contains non-finite entries")
+    return M
+
+
+def _check_cost_matrix(M, name, shape=None):
+    """M checked square, symmetric to 1e-12 relative and >= I; returned re-symmetrized."""
+    M = _check_matrix(M, name, shape)
+    if M.shape[0] != M.shape[1]:
+        raise ShapeMismatch(f"{name} must be square, got {M.shape}")
+    scale = max(1.0, float(np.linalg.norm(M, 2)))
+    if np.linalg.norm(M - M.T, 2) > 1e-12 * scale:
+        raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
+    # Symmetrizing makes the qux == qxu' block identity of Q exact.
+    M = sym(M)
+    if np.linalg.eigvalsh(M).min() < 1.0 - 1e-9:
+        raise DomainError(f"{name} must satisfy {name} >= I (unit stage cost)")
     return M
 
 
@@ -87,16 +113,7 @@ class ValueMatrix:
     P: np.ndarray
 
     def __post_init__(self):
-        P = _check_matrix(self.P, "P")
-        if P.shape[0] != P.shape[1]:
-            raise ShapeMismatch(f"P must be square, got {P.shape}")
-        scale = max(1.0, float(np.linalg.norm(P, 2)))
-        if np.linalg.norm(P - P.T, 2) > 1e-12 * scale:
-            raise ShapeMismatch("P is not symmetric to 1e-12 relative")
-        P = sym(P)
-        if np.linalg.eigvalsh(P).min() < 1.0 - 1e-9:
-            raise DomainError("P must satisfy P >= I (unit stage cost)")
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "P", _check_cost_matrix(self.P, "P"))
 
     @property
     def n(self) -> int:
@@ -112,15 +129,8 @@ class QMatrix:
     m: int
 
     def __post_init__(self):
-        Q = _check_matrix(self.Q, "Q", (self.n + self.m, self.n + self.m))
-        scale = max(1.0, float(np.linalg.norm(Q, 2)))
-        if np.linalg.norm(Q - Q.T, 2) > 1e-12 * scale:
-            raise ShapeMismatch("Q is not symmetric to 1e-12 relative")
-        # Symmetrizing makes the qux == qxu' block identity exact.
-        Q = sym(Q)
-        if np.linalg.eigvalsh(Q).min() < 1.0 - 1e-9:
-            raise DomainError("Q must satisfy Q >= I - 1e-9 I")
-        object.__setattr__(self, "Q", Q)
+        d = self.n + self.m
+        object.__setattr__(self, "Q", _check_cost_matrix(self.Q, "Q", (d, d)))
 
     @property
     def qxx(self) -> np.ndarray:
@@ -210,17 +220,27 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
         res = np.linalg.norm(P - Pn, 2) / norm
         P = Pn
         if res <= tol:
-            return ValueMatrix(P)
+            # Iterates stay >= I from any PSD start; a raw p0 may not be one.
+            if p0 is not None:
+                try:
+                    np.linalg.cholesky(P - (1.0 - 1e-9) * np.eye(plant.n))
+                except np.linalg.LinAlgError:
+                    raise DomainError("P must satisfy P >= I (unit stage cost)") from None
+            return _trusted(ValueMatrix, P=P)
     raise NotStabilizable(f"no convergence to tol={tol:.1e} within {max_iter} iterations")
 
 
 def q_from_p(plant: PlantModel, P) -> QMatrix:
-    """Q = I + [A B]' P [A B]."""
-    P = P.P if isinstance(P, ValueMatrix) else _check_matrix(P, "P")
+    """Q = I + [A B]' P [A B]; a raw array P is checked, a ValueMatrix is trusted."""
+    trusted = isinstance(P, ValueMatrix)
+    P = P.P if trusted else _check_matrix(P, "P")
     if P.shape != (plant.n, plant.n):
         raise ShapeMismatch(f"P must be {plant.n} x {plant.n}, got {P.shape}")
     AB = plant.ab
-    return QMatrix(np.eye(plant.n + plant.m) + AB.T @ P @ AB, plant.n, plant.m)
+    Q = np.eye(plant.n + plant.m) + AB.T @ P @ AB
+    if trusted:
+        return _trusted(QMatrix, Q=sym(Q), n=plant.n, m=plant.m)
+    return QMatrix(Q, plant.n, plant.m)
 
 
 def gain_from_q(q: QMatrix) -> Gain:
@@ -232,7 +252,7 @@ def gain_from_q(q: QMatrix) -> Gain:
     if evals[0] <= 0 or evals[0] < 1e-12 * max(1.0, evals[-1]):
         raise SingularQuu(f"Quu eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}] "
                           "is singular to working precision")
-    return Gain(-np.linalg.solve(quu, q.qux))
+    return _trusted(Gain, K=-np.linalg.solve(quu, q.qux))
 
 
 def check_membership(plant: PlantModel, beta: float, tol: float = 1e-8) -> MembershipCertificate:

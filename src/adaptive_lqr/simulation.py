@@ -9,7 +9,7 @@ run and to evaluate the robustness certificates afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -83,10 +83,8 @@ class DisturbanceModel:
         if self.kind == "zero":
             return self
         if self.kind == "external_sequence":
-            return DisturbanceModel.external(magnitude * self.sequence)
-        if self.kind == "linear_unmodeled":
-            return DisturbanceModel.linear(magnitude * self.delta_a, magnitude * self.delta_b)
-        return DisturbanceModel.filtered(magnitude * self.delta_a, magnitude * self.delta_b, self.pole)
+            return replace(self, sequence=magnitude * self.sequence)
+        return replace(self, delta_a=magnitude * self.delta_a, delta_b=magnitude * self.delta_b)
 
 
 def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
@@ -131,6 +129,14 @@ class Scenario:
         if x0.shape != (self.plant.n,):
             raise ShapeMismatch(f"x0 must have length {self.plant.n}")
         object.__setattr__(self, "x0", x0)
+        n, m, d = self.plant.n, self.plant.m, self.disturbance
+        if d.kind == "external_sequence" and d.sequence.shape[1] != n:
+            raise ShapeMismatch(f"disturbance.sequence must have {n} columns, got {d.sequence.shape[1]}")
+        if d.kind in ("linear_unmodeled", "filtered_unmodeled"):
+            if d.delta_a.shape != (n, n):
+                raise ShapeMismatch(f"disturbance.delta_a must be {n} x {n}, got {d.delta_a.shape}")
+            if d.delta_b.shape != (n, m):
+                raise ShapeMismatch(f"disturbance.delta_b must be {n} x {m}, got {d.delta_b.shape}")
         if self.excitation is None:
             object.__setattr__(self, "excitation", ExcitationSchedule.none(self.plant.m))
 
@@ -165,21 +171,9 @@ class TrajectoryLog:
         return float(np.sum(self.x[t0:] ** 2) + np.sum(self.u[t0:] ** 2))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "t": self.t.tolist(),
-            "x": self.x.tolist(),
-            "u": self.u.tolist(),
-            "eps": self.eps.tolist(),
-            "w": self.w.tolist(),
-            "k": self.k.tolist(),
-            "rho": self.rho.tolist(),
-            "eq6_residual": self.eq6_residual.tolist(),
-            "fallback": [bool(b) for b in self.fallback],
-            "x_final": self.x_final.tolist(),
-            "overflowed": bool(self.overflowed),
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+                for k, v in values.items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrajectoryLog":
@@ -233,17 +227,9 @@ class TrajectoryLog:
 
 
 def logs_equal(a: TrajectoryLog, b: TrajectoryLog) -> bool:
-    """Exact equality of two logs, entry by entry."""
-    return (
-        a.n == b.n and a.m == b.m and a.overflowed == b.overflowed
-        and np.array_equal(a.t, b.t) and np.array_equal(a.x, b.x)
-        and np.array_equal(a.u, b.u) and np.array_equal(a.eps, b.eps)
-        and np.array_equal(a.w, b.w) and np.array_equal(a.k, b.k)
-        and np.array_equal(a.rho, b.rho, equal_nan=True)
-        and np.array_equal(a.eq6_residual, b.eq6_residual, equal_nan=True)
-        and np.array_equal(a.fallback, b.fallback)
-        and np.array_equal(a.x_final, b.x_final)
-    )
+    """Exact equality of two logs, entry by entry (NaN equals NaN)."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+               for f in fields(TrajectoryLog))
 
 
 def simulate(scenario: Scenario) -> TrajectoryLog:
@@ -263,8 +249,7 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
     )
     x = scenario.x0.copy()
     dist_state = None
-    rows_t, rows_x, rows_u, rows_eps, rows_w = [], [], [], [], []
-    rows_k, rows_rho, rows_res, rows_fb = [], [], [], []
+    rows = []
     overflowed = False
     for t in range(scenario.horizon):
         try:
@@ -274,31 +259,25 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
         u, ctrl, diag = controller_step(ctrl, x)
         w, dist_state = disturbance_eval(scenario.disturbance, t, x, u, dist_state)
         x_next = plant.A @ x + plant.B @ u + w
-        rows_t.append(t)
-        rows_x.append(x)
-        rows_u.append(u)
-        rows_eps.append(diag.excitation)
-        rows_w.append(w)
-        rows_k.append(diag.gain)
-        rows_rho.append(rho_t)
-        rows_res.append(diag.eq6_residual)
-        rows_fb.append(diag.fallback)
+        rows.append((t, x, u, diag.excitation, w, diag.gain, rho_t, diag.eq6_residual, diag.fallback))
         ctrl = controller_observe(ctrl, x, u, x_next)
         x = x_next
         if np.linalg.norm(x) > STATE_CAP:
             overflowed = True
             break
+    ts, xs, us, eps, ws, ks, rhos, residuals, fallbacks = zip(*rows)
+    steps = len(rows)
     return TrajectoryLog(
         n=n, m=m,
-        t=np.asarray(rows_t, dtype=int),
-        x=np.asarray(rows_x, dtype=float).reshape(len(rows_t), n),
-        u=np.asarray(rows_u, dtype=float).reshape(len(rows_t), m),
-        eps=np.asarray(rows_eps, dtype=float).reshape(len(rows_t), m),
-        w=np.asarray(rows_w, dtype=float).reshape(len(rows_t), n),
-        k=np.asarray(rows_k, dtype=float).reshape(len(rows_t), m, n),
-        rho=np.asarray(rows_rho, dtype=float),
-        eq6_residual=np.asarray(rows_res, dtype=float),
-        fallback=np.asarray(rows_fb, dtype=bool),
+        t=np.asarray(ts, dtype=int),
+        x=np.asarray(xs, dtype=float).reshape(steps, n),
+        u=np.asarray(us, dtype=float).reshape(steps, m),
+        eps=np.asarray(eps, dtype=float).reshape(steps, m),
+        w=np.asarray(ws, dtype=float).reshape(steps, n),
+        k=np.asarray(ks, dtype=float).reshape(steps, m, n),
+        rho=np.asarray(rhos, dtype=float),
+        eq6_residual=np.asarray(residuals, dtype=float),
+        fallback=np.asarray(fallbacks, dtype=bool),
         x_final=x,
         overflowed=overflowed,
     )

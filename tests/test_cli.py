@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from adaptive_lqr import (
     CertificateReport,
@@ -96,6 +97,22 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"beta": 2.0, "gamma": 1.0, "instances": 1})
         assert main(["certify", cfg]) == 1
         assert "DomainError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("field, disturbance", [
+        ("sequence", {"kind": "external_sequence", "sequence": [[0.1, 0.1, 0.1]] * 5}),
+        ("delta_a", {"kind": "linear_unmodeled", "delta_a": [[0.1]], "delta_b": [[0.0]]}),
+        ("delta_b", {"kind": "filtered_unmodeled", "delta_a": [[0.1, 0.0], [0.0, 0.1]],
+                     "delta_b": [[0.0, 0.0], [0.0, 0.0]], "pole": 0.5}),
+    ])
+    def test_disturbance_shape_against_plant(self, tmp_path, capsys, command, field, disturbance):
+        payload = {"plant": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0]]},
+                   "horizon": 20, "disturbance": disturbance}
+        if command == "sweep":
+            payload["sweep"] = {"beta": [1.5, 2.0]}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"disturbance.{field}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -276,21 +293,6 @@ class TestSweepCommand:
         })
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["sweep", cfg, "--out-dir", str(out_a)]) == 0
-        assert main(["sweep", cfg, "--out-dir", str(out_b)]) == 0
-        assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
-
-    def test_threaded_sweep_identical_output(self, tmp_path, monkeypatch):
-        cfg = sweep_config(tmp_path, sweep={
-            "beta": [1.5, 2.0],
-            "rho_scale": [0.5],
-            "gamma": [40.0],
-            "excitation_amplitude": [10.0, 50.0],
-            "disturbance_magnitude": [0.0],
-        })
-        out_a, out_b = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.delenv("DUAL_LQR_THREADS", raising=False)
-        assert main(["sweep", cfg, "--out-dir", str(out_a)]) == 0
-        monkeypatch.setenv("DUAL_LQR_THREADS", "3")
         assert main(["sweep", cfg, "--out-dir", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 

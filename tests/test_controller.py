@@ -4,6 +4,7 @@ import pytest
 from adaptive_lqr import (
     CorrelationState,
     ExcitationSchedule,
+    Gain,
     PlantModel,
     ShapeMismatch,
     controller_observe,
@@ -104,6 +105,12 @@ class TestControllerStep:
         u, _, diag = controller_step(ctrl, [1.0])
         assert np.array_equal(u, diag.excitation)   # K is zero with no data
         assert np.array_equal(diag.excitation, excitation_sample(sched, 0))
+
+    @pytest.mark.parametrize("field", ["last_gain", "fallback_gain"])
+    def test_replace_with_wrong_gain_shape_rejected(self, field):
+        ctrl = initial_controller(2, 1)
+        with pytest.raises(ShapeMismatch):
+            replace(ctrl, **{field: Gain(np.zeros((2, 1)))})
 
 
 class TestControllerObserve:

@@ -7,6 +7,7 @@ from adaptive_lqr import (
     IllConditioned,
     NonFiniteInput,
     PlantModel,
+    ShapeMismatch,
     batch_correlations,
     data_riccati_residual,
     disturbance_correlation,
@@ -52,6 +53,21 @@ class TestUpdateCorrelations:
         state = initial_correlation(1, 1)
         with pytest.raises(NonFiniteInput):
             update_correlations(state, [np.nan], [0.0], [0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_data_point_rejected(self):
+        state = initial_correlation(1, 1)
+        with pytest.raises(NonFiniteInput):
+            update_correlations(state, [1e200], [0.0], [0.0])
+
+    @pytest.mark.parametrize("sigma, lam", [
+        ([[2.0, 0.1], [0.0, 1.0]], 0.99),
+        ([[2.0, 0.1], [0.1, 1.0]], 0.0),
+        ([[2.0, 0.1], [0.1, 1.0]], 1.5),
+    ], ids=["asymmetric_sigma", "lambda_zero", "lambda_above_one"])
+    def test_constructor_checks_kept(self, sigma, lam):
+        with pytest.raises(ShapeMismatch):
+            make_state(sigma, [[0.4, 0.2]], lam=lam)
 
     def test_initial_conditions(self):
         state = initial_correlation(2, 1, lam=0.9)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptive_lqr import (
+    DomainError,
     Gain,
     NotStabilizable,
     PlantModel,
@@ -9,6 +10,7 @@ from adaptive_lqr import (
     HypothesisViolated,
     ShapeMismatch,
     SingularQuu,
+    ValueMatrix,
     check_membership,
     dare_residual,
     gain_from_q,
@@ -49,6 +51,13 @@ class TestSolveDare:
         plant = PlantModel([[0.8, 0.1], [0.0, 0.6]], [[1.0], [0.5]])
         P = solve_dare(plant, tol=1e-12)
         assert dare_residual(plant, P) <= 1e-12
+
+    def test_warm_start_at_a_non_stabilizing_fixed_point_rejected(self):
+        # p0 at the negative root of p^2 - p/4 - 1 = 0 (a = 0.5, b = 1) is a
+        # fixed point, so the iteration stops there at once with P < I.
+        p_neg = (0.25 - np.sqrt(0.25**2 + 4.0)) / 2.0
+        with pytest.raises(DomainError):
+            solve_dare(PlantModel([[0.5]], [[1.0]]), p0=[[p_neg]])
 
     def test_invariants_on_500_random_plants(self):
         # Residual, P >= I, monotone value iteration from the identity, and
@@ -96,6 +105,18 @@ class TestQFromP:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             q_from_p(PlantModel([[0.5]], [[1.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ValueMatrix([[2.0, 0.1], [0.0, 2.0]]), ShapeMismatch),
+        (lambda: ValueMatrix(0.5 * np.eye(2)), DomainError),
+        (lambda: QMatrix(0.5 * np.eye(3), n=2, m=1), DomainError),
+        (lambda: q_from_p(PlantModel(np.eye(2), [[1.0], [0.0]]), [[2.0, 0.5], [0.0, 2.0]]),
+         ShapeMismatch),
+    ], ids=["value_asymmetric", "value_below_identity", "q_below_identity",
+            "q_from_raw_asymmetric_p"])
+    def test_boundary_checks_kept(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_block_layout_exact_transpose(self):
         rng = np.random.default_rng(3)

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from adaptive_lqr import (
+    ControllerState,
+    CorrelationState,
     DisturbanceModel,
     ExcitationSchedule,
+    Gain,
     PlantModel,
+    QMatrix,
     Scenario,
     ShapeMismatch,
     TrajectoryLog,
+    ValueMatrix,
     disturbance_eval,
     gain_from_q,
     logs_equal,
@@ -138,6 +143,48 @@ class TestSimulate:
         # Early consistency is poor, later excellent (noiseless data).
         assert log.rho[0] > log.rho[-1]
         assert log.rho[-1] <= 1e-4
+
+    @pytest.mark.parametrize("dist", [
+        DisturbanceModel.external(np.zeros((5, 3))),
+        DisturbanceModel.linear([[0.1]], [[0.0]]),
+        DisturbanceModel.filtered(np.zeros((2, 2)), np.zeros((2, 2)), pole=0.5),
+    ], ids=["sequence_columns", "delta_a", "delta_b"])
+    def test_disturbance_shape_checked_against_plant(self, dist):
+        plant = PlantModel([[0.5, 0.0], [0.0, 0.5]], [[1.0], [0.0]])
+        with pytest.raises(ShapeMismatch):
+            scenario(plant, 10, dist=dist)
+
+    def test_trusted_objects_survive_their_constructors(self, monkeypatch):
+        # Every object the per-step path builds without validation must pass
+        # its public constructor unchanged.
+        import adaptive_lqr.estimation as estimation
+        import adaptive_lqr.simulation as simulation
+        import adaptive_lqr.controller as controller
+        trusted = (ValueMatrix, QMatrix, Gain, CorrelationState, ControllerState)
+        built = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                built.extend(o for o in (out if isinstance(out, tuple) else (out,))
+                             if isinstance(o, trusted))
+                return out
+            return wrapped
+
+        for module, name in ((estimation, "solve_dare"), (controller, "solve_data_riccati"),
+                             (controller, "update_correlations"),
+                             (simulation, "controller_step"), (simulation, "controller_observe")):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        plant = PlantModel([[0.9, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 0.5]],
+                           [[1.0, 0.0], [0.2, 0.5], [0.0, 1.0]])
+        dist = DisturbanceModel.filtered(0.05 * np.eye(3), 0.02 * np.ones((3, 2)), pole=0.3)
+        exc = ExcitationSchedule.decaying(2, amplitude=5.0, decay_rate=0.98, seed=6)
+        assert len(simulate(scenario(plant, 200, dist=dist, exc=exc))) == 200
+        assert {type(obj) for obj in built} == set(trusted)
+        for obj in built:
+            rebuilt = type(obj)(**vars(obj))
+            assert all(getattr(rebuilt, k) is v or np.array_equal(getattr(rebuilt, k), v)
+                       for k, v in vars(obj).items())
 
     def test_worst_case_disturbance_maximizer(self):
         # max_w |x+|^2_P - g^2 |w|^2 at fixed (x, u) against a grid search.
