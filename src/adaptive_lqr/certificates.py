@@ -20,6 +20,7 @@ from .riccati import (
     PlantModel,
     QMatrix,
     ValueMatrix,
+    _membership,
     check_membership,
     gain_from_q,
     q_from_p,
@@ -90,11 +91,10 @@ def _hyp(margin: float, slack: float = PSD_SLACK) -> HypothesisCheck:
     return HypothesisCheck(margin=margin, holds=margin >= -slack)
 
 
-def _membership_hypothesis(plant: PlantModel, beta: float) -> tuple[HypothesisCheck, MembershipCertificate]:
-    cert = check_membership(plant, beta)
+def _membership_hypothesis(cert: MembershipCertificate) -> HypothesisCheck:
     if cert.Q is None:
-        return _hyp(UNDEFINED_MARGIN), cert
-    return _hyp(beta**2 - cert.max_eig_Q), cert
+        return _hyp(UNDEFINED_MARGIN)
+    return _hyp(cert.beta**2 - cert.max_eig_Q)
 
 
 def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rho: float,
@@ -109,13 +109,20 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     with P the true plant's optimal cost matrix.  Hypotheses record the
     contraction condition 2 beta^2 rho (rho+2) < 1, membership of the true
     plant, and (when correlation data is supplied) that rho bounds the
-    estimate error.
+    estimate error.  Membership is tested on P verified by a warm solve from
+    it (one step at the fixed point); a P the warm solve cannot confirm is
+    replaced by a cold solve, so the verdict is check_membership's.
     """
     c = 2.0 * beta**2 * rho * (rho + 2.0)
     # Strict hypothesis: the conclusion divides by 1 - c.
     hyps = {"contraction": HypothesisCheck(margin=_finite(1.0 - c), holds=1.0 - c > 1e-12)}
-    member_hyp, cert = _membership_hypothesis(plant, beta)
-    hyps["membership"] = member_hyp
+    try:
+        verified = solve_dare(plant, p0=P.P)
+    except (DomainError, NotStabilizable):
+        cert = check_membership(plant, beta)
+    else:
+        cert = _membership(plant, verified, beta)
+    hyps["membership"] = _membership_hypothesis(cert)
     details = {"beta": float(beta), "rho": float(rho), "contraction_value": _finite(c),
                "max_eig_Q": _finite(cert.max_eig_Q), "dare_residual": _finite(cert.residual)}
     if sigma is not None and sigma_hat is not None:
@@ -178,20 +185,19 @@ def corollary_bound_check(log: TrajectoryLog, plant: PlantModel, t0: int,
     alpha = alpha_of(beta, rho, gamma)
     if alpha <= 0:
         raise DomainError(f"alpha = {alpha:.6g} must be positive")
-    P = solve_dare(plant).P
+    P = solve_dare(plant)
     xs = log.x[t0:]
     kxs = np.einsum("tij,tj->ti", log.k[t0:], xs)
     lhs = float(np.sum(xs**2) + np.sum(kxs**2))
     drive = log.eps[t0:] @ plant.B.T + log.w[t0:]
     drive_energy = float(np.sum(drive**2))
-    initial_energy = float(xs[0] @ P @ xs[0])
+    initial_energy = float(xs[0] @ P.P @ xs[0])
     rhs = initial_energy / alpha + gamma**2 / alpha * drive_energy
-    member_hyp, cert = _membership_hypothesis(plant, beta)
     max_rho = float(np.max(log.rho[t0:]))
     hyps = {
         "gamma_exceeds_beta": _hyp(gamma - beta, slack=0.0),
         "alpha_positive": _hyp(alpha, slack=0.0),
-        "membership": member_hyp,
+        "membership": _membership_hypothesis(_membership(plant, P, beta)),
         "data_consistency": _hyp(rho - max_rho),
     }
     details = {"lhs": _finite(lhs), "rhs": _finite(rhs), "alpha": float(alpha),

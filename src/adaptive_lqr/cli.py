@@ -39,7 +39,7 @@ from .certificates import (
 )
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
-from .riccati import PlantModel, check_membership, dare_residual, gain_from_q, solve_dare
+from .riccati import PlantModel, _membership, gain_from_q, solve_dare
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -232,14 +232,12 @@ def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
         _write_json(out_dir / "summary.json", {"error": f"NotStabilizable: {exc}"})
         print(f"not stabilizable: {exc}", file=sys.stderr)
         return 2
-    q = q_from_p(plant, P)
-    k = gain_from_q(q)
-    member = check_membership(plant, beta)
+    member = _membership(plant, P, beta)
     _write_json(out_dir / "summary.json", {
         "p": P.P.tolist(),
-        "q": q.Q.tolist(),
-        "k": k.K.tolist(),
-        "residual": dare_residual(plant, P),
+        "q": member.Q.Q.tolist(),
+        "k": gain_from_q(member.Q).K.tolist(),
+        "residual": member.residual,
         "beta": beta,
         "member": member.member,
         "max_eig_q": member.max_eig_Q,

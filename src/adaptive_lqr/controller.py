@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimateNotStabilizable, IllConditioned, ShapeMismatch
+from .errors import DomainError, EstimateNotStabilizable, IllConditioned, ShapeMismatch
 from .estimation import (
     CorrelationState,
+    _check_vector,
     data_riccati_residual,
     initial_correlation,
     solve_data_riccati,
@@ -41,10 +42,11 @@ class ExcitationSchedule:
             raise ShapeMismatch(f"kind must be one of {EXCITATION_KINDS}, got {self.kind!r}")
         if self.m < 1:
             raise ShapeMismatch("m must be at least 1")
-        if self.amplitude < 0:
-            raise ShapeMismatch("amplitude must be non-negative")
+        # Sampling uniform(-amplitude, amplitude) needs the range 2 amplitude finite.
+        if not 0.0 <= 2.0 * self.amplitude < np.inf:
+            raise DomainError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if not 0.0 < self.decay_rate <= 1.0:
-            raise ShapeMismatch("decay_rate must lie in (0, 1]")
+            raise DomainError(f"decay_rate must lie in (0, 1], got {self.decay_rate}")
 
     @classmethod
     def none(cls, m: int) -> "ExcitationSchedule":
@@ -126,9 +128,7 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     flags the step.  Correlations are updated by controller_observe once
     x_{t+1} is available, not here.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (state.corr.n,):
-        raise ShapeMismatch(f"x must have length {state.corr.n}")
+    x = _check_vector(x, "x", state.corr.n)
     t = state.corr.t
     warm = state.warm_p
     try:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     EstimateNotStabilizable,
     IllConditioned,
     NonFiniteInput,
@@ -78,7 +79,7 @@ class CorrelationState:
             raise ShapeMismatch(f"sigma_hat must be n x {d} with 1 <= n < {d}, got {sigma_hat.shape}")
         sigma0 = _check_matrix(self.sigma0, "sigma0", (d, d))
         if not 0.0 < self.lam <= 1.0:
-            raise ShapeMismatch(f"lambda must lie in (0, 1], got {self.lam}")
+            raise DomainError(f"lambda must lie in (0, 1], got {self.lam}")
         if self.t < 0:
             raise ShapeMismatch("t must be non-negative")
         object.__setattr__(self, "sigma", sym(sigma))

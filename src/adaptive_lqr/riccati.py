@@ -7,8 +7,9 @@ has optimal value x0' P x0, where P is the fixed point of
 
 The same fixed point in the joint state-input matrix Q = I + [A B]' P [A B]
 reads Q - I = [A B]' min_K([I;K]' Q [I;K]) [A B], with the minimizing gain
-K = -(Quu)^{-1} Qux.  Everything here is solved by fixed-point value
-iteration with re-symmetrization, so each iterate is certified PSD >= I.
+K = -(Quu)^{-1} Qux.  A cold solve runs the structure-preserving doubling
+algorithm; a warm start and the descent from an upper bound run value
+iteration.  Every iterate is re-symmetrized.
 
 Public constructors and the array arguments of public functions are checked;
 the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
@@ -31,7 +32,7 @@ from .errors import (
     SingularQuu,
 )
 
-# Iterates above this spectral norm are treated as divergence.
+# An iterate whose largest diagonal entry exceeds this is treated as divergence.
 NORM_CAP = 1e12
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -200,32 +201,71 @@ def dare_residual(plant: PlantModel, P) -> float:
     return float(np.linalg.norm(P - riccati_step(plant, P), 2) / np.linalg.norm(P, 2))
 
 
+def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
+    """solve_dare's stopping rule |Pn - P|_F <= tol * max_i |Pn_ii|.
+
+    Raises NotStabilizable when max_i |Pn_ii| exceeds NORM_CAP or is not finite.
+    """
+    scale = np.abs(Pn.diagonal()).max()
+    if not scale <= NORM_CAP:
+        raise NotStabilizable(f"iterate diagonal {scale:.3e} exceeds cap {NORM_CAP:.1e}")
+    return np.linalg.norm(Pn - P) <= tol * scale
+
+
 def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER, p0: np.ndarray | None = None) -> ValueMatrix:
-    """Solve the fixed-point equation by value iteration.
+    """Solve the fixed-point equation.
 
-    Starts from the identity (monotone non-decreasing iterates) unless `p0`
-    is supplied as a warm start.  Raises NotStabilizable when the iterates
-    exceed NORM_CAP in spectral norm or the budget runs out before the
-    relative residual drops below `tol`.
+    Cold start (`p0` None): the structure-preserving doubling algorithm of
+    Chu, Fan & Lin (2005) from A_0 = A, G_0 = B B', H_0 = I, with one linear
+    solve of (I + G_k H_k) against [A_k G_k] per step:
+
+        A_{k+1} = A_k (I + G_k H_k)^{-1} A_k
+        G_{k+1} = G_k + A_k (I + G_k H_k)^{-1} G_k A_k'
+        H_{k+1} = H_k + A_k' H_k (I + G_k H_k)^{-1} A_k.
+
+    H_k is value iteration from the identity after 2^k - 1 steps, so the
+    iterates are monotone non-decreasing and >= I, and each doubling step
+    squares the contraction; `max_iter` counts doubling steps.
+    Warm start (`p0` given): value iteration from `p0`; `max_iter` counts
+    value-iteration steps, and a result that is not >= I, or an iterate
+    with I + B'PB singular, raises DomainError.
+
+    Both stop at the first step with |P_new - P|_F <= tol * max_i |P_new_ii|.
+    As |D|_2 <= |D|_F and |P_ii| <= |P|_2 for symmetric P, this implies the
+    relative spectral step |P_new - P|_2 / |P_new|_2 <= tol.
+    Raises NotStabilizable when an iterate's largest diagonal entry exceeds
+    NORM_CAP or the budget runs out first.
     """
     if tol <= 0 or max_iter < 1:
         raise DomainError("tol must be positive and max_iter >= 1")
-    P = np.eye(plant.n) if p0 is None else sym(_check_matrix(p0, "p0", (plant.n, plant.n)))
+    n = plant.n
+    if p0 is None:
+        eye = np.eye(n)
+        A, G, H = plant.A, plant.B @ plant.B.T, eye
+        for _ in range(max_iter):
+            W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
+            Hn = sym(H + A.T @ H @ WA)
+            if _converged(H, Hn, tol):
+                return _trusted(ValueMatrix, P=Hn)
+            A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
+        raise NotStabilizable(f"no convergence to tol={tol:.1e} within {max_iter} doubling steps")
+    P = sym(_check_matrix(p0, "p0", (n, n)))
     for _ in range(max_iter):
-        Pn = riccati_step(plant, P)
-        norm = np.linalg.norm(Pn, 2)
-        if norm > NORM_CAP:
-            raise NotStabilizable(f"iterate norm {norm:.3e} exceeds cap {NORM_CAP:.1e}")
-        res = np.linalg.norm(P - Pn, 2) / norm
+        try:
+            Pn = riccati_step(plant, P)
+        except np.linalg.LinAlgError:
+            # I + B'PB is singular only for a P that is not >= 0.
+            raise DomainError("p0 leads to a singular I + B'PB; P must satisfy P >= I") from None
+        done = _converged(P, Pn, tol)
         P = Pn
-        if res <= tol:
+        if done:
             # Iterates stay >= I from any PSD start; a raw p0 may not be one.
-            if p0 is not None:
-                try:
-                    np.linalg.cholesky(P - (1.0 - 1e-9) * np.eye(plant.n))
-                except np.linalg.LinAlgError:
-                    raise DomainError("P must satisfy P >= I (unit stage cost)") from None
+            try:
+                np.linalg.cholesky(P - (1.0 - 1e-9) * np.eye(n))
+            except np.linalg.LinAlgError:
+                raise DomainError("P must satisfy P >= I (unit stage cost)") from None
             return _trusted(ValueMatrix, P=P)
     raise NotStabilizable(f"no convergence to tol={tol:.1e} within {max_iter} iterations")
 
@@ -270,6 +310,14 @@ def check_membership(plant: PlantModel, beta: float, tol: float = 1e-8) -> Membe
         return MembershipCertificate(beta=float(beta), member=False, Q=None,
                                      max_eig_Q=np.inf, residual=np.inf,
                                      reason=f"riccati solve failed: {exc}")
+    return _membership(plant, P, beta, tol)
+
+
+def _membership(plant: PlantModel, P: ValueMatrix, beta: float,
+                tol: float = 1e-8) -> MembershipCertificate:
+    """check_membership's certificate for the plant's already solved P."""
+    if beta <= 1.0:
+        raise DomainError("beta must exceed 1")
     q = q_from_p(plant, P)
     evals = np.linalg.eigvalsh(q.Q)
     max_eig = float(evals[-1])

@@ -19,7 +19,7 @@ from .controller import (
     controller_step,
     initial_controller,
 )
-from .errors import IllConditioned, ShapeMismatch
+from .errors import DomainError, IllConditioned, ShapeMismatch
 from .estimation import rho_of
 from .riccati import PlantModel, _check_matrix
 
@@ -60,7 +60,7 @@ class DisturbanceModel:
             object.__setattr__(self, "delta_a", da)
             object.__setattr__(self, "delta_b", db)
         if self.kind == "filtered_unmodeled" and not -1.0 < self.pole < 1.0:
-            raise ShapeMismatch("pole must lie in (-1, 1)")
+            raise DomainError(f"pole must lie in (-1, 1), got {self.pole}")
 
     @classmethod
     def zero(cls) -> "DisturbanceModel":
@@ -95,8 +95,12 @@ def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
     if model.kind == "zero":
         return np.zeros(n), internal_state
     if model.kind == "external_sequence":
+        if n != model.sequence.shape[1]:
+            raise ShapeMismatch(f"x must have length {model.sequence.shape[1]}, got {n}")
         w = model.sequence[t] if t < len(model.sequence) else np.zeros(n)
         return np.asarray(w, dtype=float).copy(), internal_state
+    if (n, u.size) != model.delta_b.shape:
+        raise ShapeMismatch(f"x and u must have lengths {model.delta_b.shape}, got {(n, u.size)}")
     drive = model.delta_a @ x + model.delta_b @ u
     if model.kind == "linear_unmodeled":
         return drive, internal_state

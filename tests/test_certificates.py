@@ -13,6 +13,7 @@ from adaptive_lqr import (
     Scenario,
     admissible_rho,
     alpha_of,
+    check_membership,
     consistent_start,
     contraction_rho_root,
     corollary_bound_check,
@@ -28,6 +29,23 @@ from adaptive_lqr import (
     theorem1_instance_for_plant,
     theorem1_margin,
 )
+from adaptive_lqr import certificates, riccati
+from adaptive_lqr.riccati import ValueMatrix, _trusted
+
+
+def count_cold_solves(monkeypatch, plant):
+    """Patch solve_dare where certificates reach it; count cold solves of `plant`."""
+    calls = []
+    solve = riccati.solve_dare
+
+    def counting(p, *args, **kwargs):
+        if p is plant and kwargs.get("p0", args[2] if len(args) > 2 else None) is None:
+            calls.append(p)
+        return solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_dare", counting)
+    monkeypatch.setattr(certificates, "solve_dare", counting)
+    return calls
 
 
 class TestTheorem1Margin:
@@ -74,6 +92,34 @@ class TestTheorem1Margin:
         report = theorem1_margin(plant, P, inst.kt, 2.0, 0.001,
                                  sigma=inst.sigma, sigma_hat=inst.sigma_hat)
         assert not report.hypotheses["data_consistency"].holds
+
+    def test_given_p_not_solved_again(self, monkeypatch):
+        plant = PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]])
+        P = solve_dare(plant)
+        kbar = gain_from_q(q_from_p(plant, P))
+        calls = count_cold_solves(monkeypatch, plant)
+        report = theorem1_margin(plant, P, kbar, beta=2.0, rho=0.0)
+        assert report.hypotheses_hold and calls == []   # verified warm, not re-solved
+
+    @pytest.mark.parametrize("plant, wrong", [
+        (PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]]), lambda P: 2.0 * P),
+        (PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]]), lambda P: 0.5 * P),
+        (PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]]), lambda P: -P),
+        # The negative root of p^2 - p/4 - 1 = 0: a fixed point below I, where
+        # the warm check stops at once and must fall back to a cold solve.
+        (PlantModel([[0.5]], [[1.0]]), lambda P: [[(0.25 - np.sqrt(4.0625)) / 2.0]]),
+    ], ids=["twice", "half_below_identity", "negative", "non_stabilizing_fixed_point"])
+    @pytest.mark.parametrize("beta", [1.2, 2.0])
+    def test_wrong_p_keeps_membership_verdict(self, plant, wrong, beta):
+        # A wrong P (buildable without validation when it is not >= I) must
+        # not change the membership hypothesis or the reported max eig Q.
+        P = solve_dare(plant)
+        kbar = gain_from_q(q_from_p(plant, P))
+        ref = check_membership(plant, beta)
+        report = theorem1_margin(plant, _trusted(ValueMatrix, P=np.asarray(wrong(P.P))), kbar,
+                                 beta=beta, rho=0.0)
+        assert report.hypotheses["membership"].holds == ref.member
+        assert report.details["max_eig_Q"] == pytest.approx(ref.max_eig_Q, rel=1e-9)
 
     def test_randomized_never_falsified(self):
         rng = np.random.default_rng(90)
@@ -167,6 +213,13 @@ class TestCorollaryBound:
         report = corollary_bound_check(log, plant, 0, gamma=40.0, beta=2.0, rho=rho)
         assert not report.hypotheses["data_consistency"].holds
         assert not report.hypotheses_hold
+
+    def test_plant_solved_once(self, monkeypatch):
+        plant = PlantModel([[0.5]], [[1.0]])
+        log = simulate(quiet_scenario(plant, seed=3))
+        calls = count_cold_solves(monkeypatch, plant)
+        report = corollary_bound_check(log, plant, 0, gamma=40.0, beta=2.0, rho=0.01)
+        assert report.hypotheses["membership"].holds and len(calls) == 1
 
     def test_domain_errors(self):
         plant = PlantModel([[0.5]], [[1.0]])

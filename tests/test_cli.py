@@ -19,6 +19,7 @@ from adaptive_lqr import (
     corollary_bound_check,
     simulate,
 )
+from adaptive_lqr import cli, riccati
 from adaptive_lqr.cli import main
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -56,6 +57,21 @@ class TestSolveCommand:
     def test_not_stabilizable_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"plant": {"A": [[2.0]], "B": [[0.0]]}})
         assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_plant_solved_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = riccati.solve_dare
+
+        def counting(plant, *args, **kwargs):
+            calls.append(kwargs.get("p0"))
+            return solve(plant, *args, **kwargs)
+
+        monkeypatch.setattr(riccati, "solve_dare", counting)
+        monkeypatch.setattr(cli, "solve_dare", counting)
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5, 0.1], [0.0, 0.4]],
+                                                "B": [[1.0], [0.2]]}})
+        assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == [None]
 
     def test_round_trip_into_types(self, tmp_path):
         cfg = write_config(tmp_path, {"plant": {"A": [[0.5, 0.1], [0.0, 0.4]],
@@ -113,6 +129,21 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, payload)
         assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
         assert f"disturbance.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("field, value", [("amplitude", float("inf")),
+                                              ("amplitude", float("nan")),
+                                              ("decay_rate", 1.5)])
+    def test_excitation_scalar_out_of_range(self, tmp_path, capsys, command, field, value):
+        excitation = {"kind": "decaying", "amplitude": 1.0, "decay_rate": 0.9, field: value}
+        payload = {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 20,
+                   "excitation": excitation}
+        if command == "sweep":
+            payload["sweep"] = {"excitation_amplitude": [1.0]}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "'excitation'" in err and field in err and "Traceback" not in err
 
 
 class TestSimulateCommand:

@@ -3,8 +3,10 @@ import pytest
 
 from adaptive_lqr import (
     CorrelationState,
+    DomainError,
     ExcitationSchedule,
     Gain,
+    NonFiniteInput,
     PlantModel,
     ShapeMismatch,
     controller_observe,
@@ -63,8 +65,21 @@ class TestExcitationSample:
         with pytest.raises(ShapeMismatch):
             ExcitationSchedule(kind="gaussian", m=1)
 
+    @pytest.mark.parametrize("amplitude, decay_rate", [
+        (np.nan, 0.9), (np.inf, 0.9), (-1.0, 0.9), (1e308, 0.9), (1.0, 0.0), (1.0, np.nan),
+    ], ids=["nan", "inf", "negative", "range_overflows", "decay_zero", "decay_nan"])
+    def test_out_of_range_scalars_rejected(self, amplitude, decay_rate):
+        with pytest.raises(DomainError):
+            ExcitationSchedule.decaying(1, amplitude=amplitude, decay_rate=decay_rate)
+
 
 class TestControllerStep:
+    @pytest.mark.parametrize("x, error", [([np.nan], NonFiniteInput), ([1.0, 2.0], ShapeMismatch)],
+                             ids=["nan", "wrong_length"])
+    def test_bad_state_rejected(self, x, error):
+        with pytest.raises(error):
+            controller_step(initial_controller(1, 1), x)
+
     def test_no_data_zero_input(self):
         ctrl = initial_controller(1, 1)
         u, _, diag = controller_step(ctrl, [1.0])

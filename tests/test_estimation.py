@@ -3,6 +3,7 @@ import pytest
 
 from adaptive_lqr import (
     CorrelationState,
+    DomainError,
     EstimateNotStabilizable,
     IllConditioned,
     NonFiniteInput,
@@ -60,13 +61,13 @@ class TestUpdateCorrelations:
         with pytest.raises(NonFiniteInput):
             update_correlations(state, [1e200], [0.0], [0.0])
 
-    @pytest.mark.parametrize("sigma, lam", [
-        ([[2.0, 0.1], [0.0, 1.0]], 0.99),
-        ([[2.0, 0.1], [0.1, 1.0]], 0.0),
-        ([[2.0, 0.1], [0.1, 1.0]], 1.5),
+    @pytest.mark.parametrize("sigma, lam, error", [
+        ([[2.0, 0.1], [0.0, 1.0]], 0.99, ShapeMismatch),
+        ([[2.0, 0.1], [0.1, 1.0]], 0.0, DomainError),
+        ([[2.0, 0.1], [0.1, 1.0]], 1.5, DomainError),
     ], ids=["asymmetric_sigma", "lambda_zero", "lambda_above_one"])
-    def test_constructor_checks_kept(self, sigma, lam):
-        with pytest.raises(ShapeMismatch):
+    def test_constructor_checks_kept(self, sigma, lam, error):
+        with pytest.raises(error):
             make_state(sigma, [[0.4, 0.2]], lam=lam)
 
     def test_initial_conditions(self):

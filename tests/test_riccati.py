@@ -59,9 +59,46 @@ class TestSolveDare:
         with pytest.raises(DomainError):
             solve_dare(PlantModel([[0.5]], [[1.0]]), p0=[[p_neg]])
 
+    def test_max_iter_counts_doubling_steps_when_cold(self):
+        # Closed-loop pole ~0.9: value iteration needs over a hundred steps,
+        # the doubling cold path covers 2^k - 1 of them in k steps.
+        plant = PlantModel([[0.99]], [[0.1]])
+        P = solve_dare(plant, max_iter=10)
+        with pytest.raises(NotStabilizable):
+            solve_dare(plant, max_iter=10, p0=np.eye(1))
+        assert np.allclose(solve_dare(plant, max_iter=10_000, p0=np.eye(1)).P, P.P,
+                           rtol=1e-8, atol=0.0)
+
+    def test_stopping_rule_implies_spectral_step(self):
+        # Every step the Frobenius/diagonal rule accepts is within tol in the
+        # relative spectral norm as well.
+        rng = np.random.default_rng(17)
+        accepted = 0
+        for _ in range(20):
+            plant = random_stabilizable_plant(rng, 4, 2, max_radius=0.99)
+            P = np.eye(4)
+            for _ in range(60):
+                Pn = riccati_step(plant, P)
+                try:
+                    out = solve_dare(plant, tol=1e-6, max_iter=1, p0=P).P
+                except NotStabilizable:
+                    pass
+                else:
+                    accepted += 1
+                    assert np.array_equal(out, Pn)
+                    assert np.linalg.norm(Pn - P, 2) <= 1e-6 * np.linalg.norm(Pn, 2)
+                P = Pn
+        assert accepted > 0
+
+    def test_warm_start_with_singular_input_block_rejected(self):
+        # p0 = -1 with b = 1 makes 1 + b p b = 0.
+        with pytest.raises(DomainError):
+            solve_dare(PlantModel([[0.5]], [[1.0]]), p0=[[-1.0]])
+
     def test_invariants_on_500_random_plants(self):
         # Residual, P >= I, monotone value iteration from the identity, and
-        # agreement with the independent scipy oracle.
+        # agreement with the independent scipy oracle.  A cold solve meets
+        # its tol as an error against scipy, within 10 doubling steps.
         rng = np.random.default_rng(2024)
         for _ in range(500):
             n = int(rng.integers(1, 5))
@@ -79,6 +116,8 @@ class TestSolveDare:
             assert np.linalg.eigvalsh(P).min() >= 1.0 - 1e-9
             P_ref, _ = scipy_dare(plant)
             assert np.linalg.norm(P - P_ref, 2) <= 1e-6 * np.linalg.norm(P_ref, 2)
+            cold = solve_dare(plant, max_iter=10).P
+            assert np.linalg.norm(cold - P_ref, 2) <= 1e-10 * np.linalg.norm(P_ref, 2)
             assert np.linalg.norm(solve_dare(plant, tol=1e-11).P - P, 2) <= \
                 1e-8 * np.linalg.norm(P, 2)
 

@@ -5,6 +5,7 @@ from adaptive_lqr import (
     ControllerState,
     CorrelationState,
     DisturbanceModel,
+    DomainError,
     ExcitationSchedule,
     Gain,
     PlantModel,
@@ -35,6 +36,15 @@ class TestDisturbanceEval:
         w2, st = disturbance_eval(model, 2, [0.0], [0.0], st)
         assert w0[0] == 1.0 and w1[0] == 2.0 and w2[0] == 0.0
 
+    @pytest.mark.parametrize("model, x, u", [
+        (DisturbanceModel.external([[1.0], [2.0]]), [1.0, 1.0], [0.0]),
+        (DisturbanceModel.linear([[0.1]], [[0.0]]), [1.0, 1.0], [0.0]),
+        (DisturbanceModel.filtered([[0.1]], [[0.0]], pole=0.5), [1.0], [0.0, 0.0]),
+    ], ids=["sequence_x", "linear_x", "filtered_u"])
+    def test_shapes_checked_against_model(self, model, x, u):
+        with pytest.raises(ShapeMismatch):
+            disturbance_eval(model, 0, x, u, None)
+
     def test_linear_static_map(self):
         model = DisturbanceModel.linear([[0.1]], [[0.0]])
         w, _ = disturbance_eval(model, 3, [2.0], [17.0], None)
@@ -51,7 +61,7 @@ class TestDisturbanceEval:
         assert abs(w2[0] - 1.5) < 1e-15
 
     def test_bad_pole_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DomainError):
             DisturbanceModel.filtered([[1.0]], [[0.0]], pole=1.0)
 
 
