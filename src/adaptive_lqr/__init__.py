@@ -37,7 +37,6 @@ from .riccati import (
 from .estimation import (
     CorrelationState,
     DisturbanceCorrelation,
-    ModelEstimate,
     batch_correlations,
     data_riccati_residual,
     disturbance_correlation,

@@ -3,8 +3,8 @@
 Each check packages the measured hypothesis margins and the conclusion
 margin of one matrix or scalar inequality into a CertificateReport.  All
 positive-semidefinite comparisons are evaluated as the minimum eigenvalue
-of the re-symmetrized difference, with absolute slack 1e-8; a negative
-conclusion margin means the inequality is violated.
+of the re-symmetrized difference, with absolute slack riccati.PSD_SLACK; a
+negative conclusion margin means the inequality is violated.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotStabilizable
+from .errors import DomainError, NotConverged, NotStabilizable
 from .riccati import (
+    PSD_SLACK,
     Gain,
     MembershipCertificate,
     PlantModel,
@@ -29,7 +30,8 @@ from .riccati import (
 )
 from .simulation import TrajectoryLog
 
-PSD_SLACK = 1e-8
+# Rejection sampling gives up after this many candidate plants.
+MAX_SAMPLE_TRIES = 20000
 # Stand-in for margins that cannot be evaluated (e.g. unsolvable fixed point);
 # keeps every reported margin finite.
 UNDEFINED_MARGIN = -1e300
@@ -91,6 +93,11 @@ def _hyp(margin: float, slack: float = PSD_SLACK) -> HypothesisCheck:
     return HypothesisCheck(margin=margin, holds=margin >= -slack)
 
 
+def _check_rho(rho: float) -> None:
+    if not 0.0 <= rho < np.inf:
+        raise DomainError(f"rho must be finite and non-negative, got {rho}")
+
+
 def _membership_hypothesis(cert: MembershipCertificate) -> HypothesisCheck:
     if cert.Q is None:
         return _hyp(UNDEFINED_MARGIN)
@@ -112,7 +119,9 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     estimate error.  Membership is tested on P verified by a warm solve from
     it (one step at the fixed point); a P the warm solve cannot confirm is
     replaced by a cold solve, so the verdict is check_membership's.
+    A negative or non-finite rho raises DomainError.
     """
+    _check_rho(rho)
     c = 2.0 * beta**2 * rho * (rho + 2.0)
     # Strict hypothesis: the conclusion divides by 1 - c.
     hyps = {"contraction": HypothesisCheck(margin=_finite(1.0 - c), holds=1.0 - c > 1e-12)}
@@ -218,7 +227,10 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
       I <= Q <= beta^2 I.
     Conclusion margin: min eig of
       Sigma Q Sigma + (beta^2 rho (rho+2) - 1) Sigma^2 - SigmaHat' P SigmaHat.
+    A negative or non-finite rho raises DomainError: the second hypothesis
+    holds for -rho as for rho, the conclusion does not.
     """
+    _check_rho(rho)
     S = np.asarray(sigma, dtype=float)
     Sh = np.asarray(sigma_hat, dtype=float)
     St = np.asarray(sigma_tilde, dtype=float)
@@ -282,10 +294,10 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
     return PlantModel(A, B)
 
 
-def sample_membership_plant(rng: np.random.Generator, beta: float, n: int, m: int,
-                            max_tries: int = 20000) -> tuple[PlantModel, ValueMatrix, QMatrix]:
-    """Rejection-sample a plant whose Riccati solution satisfies Q <= beta^2 I."""
-    for _ in range(max_tries):
+def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
+                            m: int) -> tuple[PlantModel, ValueMatrix, QMatrix]:
+    """Rejection-sample a plant with Q <= beta^2 I; NotConverged after MAX_SAMPLE_TRIES tries."""
+    for _ in range(MAX_SAMPLE_TRIES):
         plant = random_plant(rng, n, m,
                              spectral_radius=rng.uniform(0.02, 0.9),
                              input_scale=rng.uniform(0.05, 1.0))
@@ -296,8 +308,8 @@ def sample_membership_plant(rng: np.random.Generator, beta: float, n: int, m: in
         q = q_from_p(plant, P)
         if np.linalg.eigvalsh(q.Q).max() <= beta**2:
             return plant, P, q
-    raise RuntimeError(f"no plant found in the beta = {beta} membership set "
-                       f"after {max_tries} tries")
+    raise NotConverged(f"no plant found in the beta = {beta} membership set "
+                       f"after {MAX_SAMPLE_TRIES} tries")
 
 
 def contraction_rho_root(beta: float) -> float:
@@ -331,8 +343,7 @@ class Theorem1Instance:
 
 
 def theorem1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
-                                P: ValueMatrix, beta: float, rho: float,
-                                solver_tol: float = 1e-12) -> Theorem1Instance:
+                                P: ValueMatrix, beta: float, rho: float) -> Theorem1Instance:
     """Correlation data at estimate distance exactly rho for a given plant.
 
     The estimate is [A B] + Delta with spectral norm rho; Kt is the gain the
@@ -343,23 +354,21 @@ def theorem1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
     delta = _perturbation(rng, n, n + m, rho)
     sigma_hat = (plant.ab + delta) @ sigma
     est = PlantModel(plant.A + delta[:, :n], plant.B + delta[:, n:])
-    kt = gain_from_q(q_from_p(est, solve_dare(est, tol=solver_tol)))
+    kt = gain_from_q(q_from_p(est, solve_dare(est, tol=1e-12)))
     return Theorem1Instance(plant=plant, P=P, sigma=sigma, sigma_hat=sigma_hat,
                             beta=beta, rho=rho, kt=kt)
 
 
-def sample_theorem1_instance(rng: np.random.Generator, beta: float, n: int, m: int,
-                             rho_fraction: float | None = None,
-                             solver_tol: float = 1e-12) -> Theorem1Instance:
+def sample_theorem1_instance(rng: np.random.Generator, beta: float, n: int,
+                             m: int) -> Theorem1Instance:
     """Random hypothesis-satisfying instance for theorem1_margin.
 
-    rho is rho_fraction (drawn uniform on [0, 0.9] if not given) of the
-    contraction root of 2 beta^2 rho (rho+2) = 1.
+    rho is a fraction drawn uniform on [0, 0.9] of the contraction root of
+    2 beta^2 rho (rho+2) = 1.
     """
     plant, P, _ = sample_membership_plant(rng, beta, n, m)
-    frac = rng.uniform(0.0, 0.9) if rho_fraction is None else rho_fraction
-    rho = frac * contraction_rho_root(beta)
-    return theorem1_instance_for_plant(rng, plant, P, beta, rho, solver_tol=solver_tol)
+    rho = rng.uniform(0.0, 0.9) * contraction_rho_root(beta)
+    return theorem1_instance_for_plant(rng, plant, P, beta, rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,10 +396,10 @@ def lemma1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
                           P=P.P, Q=q.Q, beta=beta, rho=rho)
 
 
-def sample_lemma1_instance(rng: np.random.Generator, beta: float, n: int, m: int,
-                           rho_fraction: float | None = None) -> Lemma1Instance:
-    """Random hypothesis-satisfying instance for lemma1_check."""
+def sample_lemma1_instance(rng: np.random.Generator, beta: float, n: int,
+                           m: int) -> Lemma1Instance:
+    """Random hypothesis-satisfying instance for lemma1_check (rho as in
+    sample_theorem1_instance)."""
     plant, P, q = sample_membership_plant(rng, beta, n, m)
-    frac = rng.uniform(0.0, 0.9) if rho_fraction is None else rho_fraction
-    rho = frac * contraction_rho_root(beta)
+    rho = rng.uniform(0.0, 0.9) * contraction_rho_root(beta)
     return lemma1_instance_for_plant(rng, plant, P, q, beta, rho)

@@ -39,12 +39,11 @@ from .certificates import (
 )
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
-from .riccati import PlantModel, _membership, gain_from_q, solve_dare
+from .riccati import PSD_SLACK, PlantModel, _membership, gain_from_q, solve_dare
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
 CERTIFY_CHECKS = ("theorem1", "lemma1", "lyapunov")
-CERTIFY_SLACK = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +65,8 @@ def _reject_unknown(d, allowed, ctx):
 def _as_float(val, ctx):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"field '{ctx}' must be a number")
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"field '{ctx}' must be a finite number")
     return float(val)
 
 
@@ -125,11 +126,11 @@ def _parse_excitation(cfg, m, default_seed, ctx="excitation") -> ExcitationSched
     _reject_unknown(d, ("kind", "amplitude", "decay_rate", "seed"), ctx)
     kind = _as_str(d.get("kind", "none"), f"{ctx}.kind")
     seed = default_seed if d.get("seed") is None else _as_int(d["seed"], f"{ctx}.seed")
+    amplitude = _as_float(d.get("amplitude", 0.0), f"{ctx}.amplitude")
+    decay_rate = _as_float(d.get("decay_rate", 0.9), f"{ctx}.decay_rate")
     try:
-        return ExcitationSchedule(kind=kind, m=m,
-                                  amplitude=_as_float(d.get("amplitude", 0.0), f"{ctx}.amplitude"),
-                                  decay_rate=_as_float(d.get("decay_rate", 0.9), f"{ctx}.decay_rate"),
-                                  seed=seed)
+        return ExcitationSchedule(kind=kind, m=m, amplitude=amplitude,
+                                  decay_rate=decay_rate, seed=seed)
     except AdaptiveLqError as exc:
         raise ConfigError(f"invalid '{ctx}': {exc}") from exc
 
@@ -138,6 +139,7 @@ def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
     d = _ensure_mapping(cfg.get("disturbance", {}), ctx)
     _reject_unknown(d, ("kind", "sequence", "delta_a", "delta_b", "pole"), ctx)
     kind = _as_str(d.get("kind", "zero"), f"{ctx}.kind")
+    pole = _as_float(d.get("pole", 0.0), f"{ctx}.pole")
     try:
         if kind == "zero":
             return DisturbanceModel.zero()
@@ -152,7 +154,7 @@ def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
         if kind == "linear_unmodeled":
             return DisturbanceModel.linear(da, db)
         if kind == "filtered_unmodeled":
-            return DisturbanceModel.filtered(da, db, _as_float(d.get("pole", 0.0), f"{ctx}.pole"))
+            return DisturbanceModel.filtered(da, db, pole)
     except AdaptiveLqError as exc:
         raise ConfigError(f"invalid '{ctx}': {exc}") from exc
     raise ConfigError(f"field '{ctx}.kind' must be one of zero, external_sequence, "
@@ -186,14 +188,14 @@ def _parse_scenario(cfg, seed) -> Scenario:
     excitation = _parse_excitation(cfg, m, seed)
     disturbance = _parse_disturbance(cfg)
     fallback = None if cfg.get("fallback_gain") is None else _as_matrix(cfg["fallback_gain"], "fallback_gain")
+    beta = _as_float(cfg.get("beta", 2.0), "beta")
+    gamma = _as_float(cfg.get("gamma", 20.0), "gamma")
+    controller_tol = _as_float(cfg.get("controller_tol", 1e-11), "controller_tol")
     try:
         return Scenario(plant=plant, disturbance=disturbance, x0=x0, horizon=horizon,
                         lam=lam, sigma0=sigma0_scale * np.eye(n + m), excitation=excitation,
-                        fallback_gain=fallback,
-                        beta=_as_float(cfg.get("beta", 2.0), "beta"),
-                        gamma=_as_float(cfg.get("gamma", 20.0), "gamma"),
-                        seed=seed,
-                        controller_tol=_as_float(cfg.get("controller_tol", 1e-11), "controller_tol"))
+                        fallback_gain=fallback, beta=beta, gamma=gamma,
+                        controller_tol=controller_tol)
     except AdaptiveLqError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
@@ -313,6 +315,9 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
     rho_scale = None if cfg.get("rho_scale") is None else _as_float(cfg["rho_scale"], "rho_scale")
     if rho_abs is not None and rho_scale is not None:
         raise ConfigError("give at most one of 'rho' and 'rho_scale'")
+    for name, value in (("rho", rho_abs), ("rho_scale", rho_scale)):
+        if value is not None and value < 0:
+            raise ConfigError(f"field '{name}' must be non-negative")
     rng = np.random.default_rng(seed)
     root = contraction_rho_root(beta)
 
@@ -335,6 +340,8 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
             raise ConfigError("field 'instances' must be at least 1")
         n = _as_int(cfg.get("n", 2), "n")
         m = _as_int(cfg.get("m", 1), "m")
+        if n < 1 or m < 1:
+            raise ConfigError("fields 'n' and 'm' must be at least 1")
         instances = [sample_membership_plant(rng, beta, n, m) for _ in range(count)]
 
     falsified = False
@@ -343,7 +350,7 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
         for check in checks:
             report = _certify_instance(check, rng, plant, P, q, beta, rho, gamma, idx)
             reports.append(report)
-            if report.hypotheses_hold and report.conclusion_margin < -CERTIFY_SLACK:
+            if report.hypotheses_hold and report.conclusion_margin < -PSD_SLACK:
                 falsified = True
     _write_json(out_dir / "reports.json", {"reports": [r.to_json_dict() for r in reports]})
     return 4 if falsified else 0
@@ -377,18 +384,20 @@ def _parse_sweep_grids(cfg):
     for b in betas:
         if b <= 1.0:
             raise ConfigError("sweep betas must exceed 1")
+    for i, a in enumerate(amps):
+        if a < 0:
+            raise ConfigError(f"field 'sweep.excitation_amplitude[{i}]' must be non-negative")
     rho_entries = [("abs", r) for r in rhos] or [("scale", s) for s in rho_scales]
     return betas, rho_entries, gammas, amps, mags
 
 
-def _sweep_row(scenario_base: Scenario, t0_cfg, seed: int, idx: int,
+def _sweep_row(scenario_base: Scenario, t0_cfg, idx: int,
                beta: float, rho_entry, gamma: float, amp: float, mag: float) -> list[str]:
-    row_seed = _derive_seed(seed, idx)
     excitation = replace(scenario_base.excitation, amplitude=amp,
                          seed=_derive_seed(scenario_base.excitation.seed, idx))
     scenario = replace(scenario_base,
                        disturbance=scenario_base.disturbance.scaled(mag),
-                       excitation=excitation, beta=beta, gamma=gamma, seed=row_seed)
+                       excitation=excitation, beta=beta, gamma=gamma)
     rho_star = admissible_rho(beta)
     rho = rho_entry[1] if rho_entry[0] == "abs" else rho_entry[1] * rho_star
     error = ""
@@ -436,7 +445,7 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
             raise ConfigError("field 't0' must be non-negative or 'auto'")
     betas, rho_entries, gammas, amps, mags = _parse_sweep_grids(cfg)
     points = itertools.product(betas, rho_entries, gammas, amps, mags)
-    rows = [_sweep_row(scenario_base, t0_cfg, seed, idx, *point)
+    rows = [_sweep_row(scenario_base, t0_cfg, idx, *point)
             for idx, point in enumerate(points)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -476,6 +485,8 @@ def main(argv=None) -> int:
         seed, out_dir = _parse_common(cfg, args.command)
         if args.seed is not None:
             seed = args.seed
+        if seed < 0:
+            raise ConfigError(f"field 'seed' must be non-negative, got {seed}")
         if args.out_dir is not None:
             out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

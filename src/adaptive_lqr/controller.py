@@ -22,7 +22,7 @@ from .estimation import (
     solve_data_riccati,
     update_correlations,
 )
-from .riccati import DEFAULT_MAX_ITER, Gain, _trusted
+from .riccati import Gain, _trusted
 
 EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
 
@@ -47,6 +47,8 @@ class ExcitationSchedule:
             raise DomainError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if not 0.0 < self.decay_rate <= 1.0:
             raise DomainError(f"decay_rate must lie in (0, 1], got {self.decay_rate}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def none(cls, m: int) -> "ExcitationSchedule":
@@ -93,16 +95,13 @@ class ControllerState:
     corr: CorrelationState
     last_gain: Gain
     excitation: ExcitationSchedule
-    fallback_gain: Gain
     warm_p: np.ndarray | None = None   # previous cost-to-go, warm-starts the solver
     tol: float = 1e-11
-    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         n, m = self.corr.n, self.corr.m
-        for name, g in (("last_gain", self.last_gain), ("fallback_gain", self.fallback_gain)):
-            if g.K.shape != (m, n):
-                raise ShapeMismatch(f"{name} must be {m} x {n}, got {g.K.shape}")
+        if self.last_gain.K.shape != (m, n):
+            raise ShapeMismatch(f"last_gain must be {m} x {n}, got {self.last_gain.K.shape}")
         if self.excitation.m != m:
             raise ShapeMismatch("excitation dimension does not match the input dimension")
 
@@ -110,14 +109,13 @@ class ControllerState:
 def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | None = None,
                        excitation: ExcitationSchedule | None = None,
                        fallback_gain: np.ndarray | None = None,
-                       tol: float = 1e-11, max_iter: int = DEFAULT_MAX_ITER) -> ControllerState:
-    """Controller before any data: Sigma = Sigma0, SigmaHat = 0, zero fallback gain."""
+                       tol: float = 1e-11) -> ControllerState:
+    """Controller before any data: Sigma = Sigma0, SigmaHat = 0, last gain = fallback_gain."""
     corr = initial_correlation(n, m, lam=lam, sigma0=sigma0)
     if excitation is None:
         excitation = ExcitationSchedule.none(m)
     fb = Gain(np.zeros((m, n)) if fallback_gain is None else fallback_gain)
-    return ControllerState(corr=corr, last_gain=fb, excitation=excitation,
-                           fallback_gain=fb, tol=tol, max_iter=max_iter)
+    return ControllerState(corr=corr, last_gain=fb, excitation=excitation, tol=tol)
 
 
 def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
@@ -132,8 +130,7 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     t = state.corr.t
     warm = state.warm_p
     try:
-        q, k = solve_data_riccati(state.corr, tol=state.tol, max_iter=state.max_iter,
-                                  p0=state.warm_p)
+        q, k = solve_data_riccati(state.corr, tol=state.tol, p0=state.warm_p)
         residual = data_riccati_residual(state.corr, q)
         gain = k
         warm = q.min_value()

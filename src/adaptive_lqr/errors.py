@@ -36,7 +36,7 @@ class HypothesisViolated(AdaptiveLqError):
 
 
 class NotConverged(AdaptiveLqError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver or a rejection sampler exhausted its budget."""
 
 
 class DomainError(AdaptiveLqError):

@@ -13,8 +13,8 @@ fixed-point equation
     Sigma (Q - I) Sigma = SigmaHat' min_K([I;K]' Q [I;K]) SigmaHat.
 
 Public constructors and data arguments are checked; the state returned by
-update_correlations and the estimate plant in solve_data_riccati are built
-from checked data and skip `__post_init__`.
+update_correlations and the estimate plant of estimate_model are built from
+checked data and skip `__post_init__`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .riccati import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Gain,
     PlantModel,
@@ -93,17 +92,6 @@ class CorrelationState:
     @property
     def m(self) -> int:
         return self.sigma.shape[0] - self.n
-
-
-@dataclass(frozen=True)
-class ModelEstimate:
-    """Least-squares model pair (Ahat, Bhat)."""
-
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-
-    def as_plant(self) -> PlantModel:
-        return PlantModel(self.a_hat, self.b_hat)
 
 
 @dataclass(frozen=True)
@@ -172,17 +160,16 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
                             lam=float(lam), sigma0=sigma0, t=t)
 
 
-def estimate_model(state: CorrelationState) -> ModelEstimate:
-    """Solve [Ahat Bhat] Sigma = SigmaHat by a linear solve (no explicit inverse)."""
+def estimate_model(state: CorrelationState) -> PlantModel:
+    """Model pair (Ahat, Bhat) solving [Ahat Bhat] Sigma = SigmaHat by a linear solve."""
     cond = np.linalg.cond(state.sigma)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditioned(f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
     ab = np.linalg.solve(state.sigma, state.sigma_hat.T).T
-    return ModelEstimate(a_hat=ab[:, : state.n], b_hat=ab[:, state.n :])
+    return _trusted(PlantModel, A=ab[:, : state.n], B=ab[:, state.n :])
 
 
 def solve_data_riccati(state: CorrelationState, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER,
                        p0: np.ndarray | None = None) -> tuple[QMatrix, Gain]:
     """Solve the correlation-weighted fixed-point equation via the model estimate.
 
@@ -191,10 +178,9 @@ def solve_data_riccati(state: CorrelationState, tol: float = DEFAULT_TOL,
     positive-definite Sigma; data_riccati_residual certifies the result on
     the correlation-weighted equation directly.
     """
-    est = estimate_model(state)
-    plant = _trusted(PlantModel, A=est.a_hat, B=est.b_hat)
+    plant = estimate_model(state)
     try:
-        P = solve_dare(plant, tol=tol, max_iter=max_iter, p0=p0)
+        P = solve_dare(plant, tol=tol, p0=p0)
     except NotStabilizable as exc:
         raise EstimateNotStabilizable(str(exc)) from exc
     q = q_from_p(plant, P)
@@ -237,5 +223,4 @@ def rho_of(state: CorrelationState, plant: PlantModel) -> float:
     |[A B] - SigmaHat Sigma^{-1}| in the spectral norm; equals
     |[Swx Swu] Sigma^{-1}| for the disturbance correlations of the same run.
     """
-    est = estimate_model(state)
-    return float(np.linalg.norm(plant.ab - np.hstack([est.a_hat, est.b_hat]), 2))
+    return float(np.linalg.norm(plant.ab - estimate_model(state).ab, 2))

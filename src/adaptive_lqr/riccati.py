@@ -36,6 +36,10 @@ from .errors import (
 NORM_CAP = 1e12
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# Absolute eigenvalue slack of every non-strict PSD comparison in the package.
+PSD_SLACK = 1e-8
+# Relative tolerance of solve_from_upper's hypothesis, monotonicity and stopping tests.
+UPPER_TOL = 1e-9
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -237,7 +241,7 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
     Raises NotStabilizable when an iterate's largest diagonal entry exceeds
     NORM_CAP or the budget runs out first.
     """
-    if tol <= 0 or max_iter < 1:
+    if not tol > 0 or max_iter < 1:
         raise DomainError("tol must be positive and max_iter >= 1")
     n = plant.n
     if p0 is None:
@@ -295,12 +299,12 @@ def gain_from_q(q: QMatrix) -> Gain:
     return _trusted(Gain, K=-np.linalg.solve(quu, q.qux))
 
 
-def check_membership(plant: PlantModel, beta: float, tol: float = 1e-8) -> MembershipCertificate:
+def check_membership(plant: PlantModel, beta: float) -> MembershipCertificate:
     """Test whether the plant's Riccati solution satisfies I <= Q <= beta^2 I.
 
     An unsolvable fixed point is reported as non-membership, never raised.
-    Eigenvalue comparisons use absolute slack `tol` since the set is defined
-    by non-strict inequalities.
+    Eigenvalue comparisons use absolute slack PSD_SLACK since the set is
+    defined by non-strict inequalities.
     """
     if beta <= 1.0:
         raise DomainError("beta must exceed 1")
@@ -310,33 +314,31 @@ def check_membership(plant: PlantModel, beta: float, tol: float = 1e-8) -> Membe
         return MembershipCertificate(beta=float(beta), member=False, Q=None,
                                      max_eig_Q=np.inf, residual=np.inf,
                                      reason=f"riccati solve failed: {exc}")
-    return _membership(plant, P, beta, tol)
+    return _membership(plant, P, beta)
 
 
-def _membership(plant: PlantModel, P: ValueMatrix, beta: float,
-                tol: float = 1e-8) -> MembershipCertificate:
+def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCertificate:
     """check_membership's certificate for the plant's already solved P."""
     if beta <= 1.0:
         raise DomainError("beta must exceed 1")
     q = q_from_p(plant, P)
     evals = np.linalg.eigvalsh(q.Q)
     max_eig = float(evals[-1])
-    member = max_eig <= beta**2 + tol and evals[0] >= 1.0 - tol
+    member = max_eig <= beta**2 + PSD_SLACK and evals[0] >= 1.0 - PSD_SLACK
     reason = "" if member else f"max eig {max_eig:.6g} exceeds beta^2 = {beta**2:.6g}"
     return MembershipCertificate(beta=float(beta), member=bool(member), Q=q,
                                  max_eig_Q=max_eig, residual=dare_residual(plant, P),
                                  reason=reason)
 
 
-def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain,
-                     tol: float = 1e-9, max_iter: int = DEFAULT_MAX_ITER) -> QMatrix:
+def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
     """Solve the Q-form fixed point downward from a certified upper bound.
 
     Requires the super-solution hypothesis
         [A B]' [I;Kbar]' Qbar [I;Kbar] [A B]  <=  Qbar - I
-    within `tol` (HypothesisViolated otherwise).  Value iteration then starts
-    from P0 = [I;Kbar]' Qbar [I;Kbar] and is asserted monotone non-increasing
-    each step; the limit satisfies I <= Q <= Qbar.
+    within UPPER_TOL (HypothesisViolated otherwise).  Value iteration then
+    starts from P0 = [I;Kbar]' Qbar [I;Kbar] and is asserted monotone
+    non-increasing each step; the limit satisfies I <= Q <= Qbar.
     """
     n, m = plant.n, plant.m
     if (qbar.n, qbar.m) != (n, m) or kbar.K.shape != (m, n):
@@ -345,21 +347,22 @@ def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain,
     M = IK @ plant.ab                              # (n+m) x (n+m)
     qscale = max(1.0, float(np.linalg.norm(qbar.Q, 2)))
     hyp = np.linalg.eigvalsh(sym(qbar.Q - np.eye(n + m) - M.T @ qbar.Q @ M)).min()
-    if hyp < -tol * qscale:
+    if hyp < -UPPER_TOL * qscale:
         raise HypothesisViolated(f"upper-bound hypothesis fails by {hyp:.3e}")
 
     P = sym(IK.T @ qbar.Q @ IK)
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         Pn = riccati_step(plant, P)
         drop = np.linalg.eigvalsh(sym(P - Pn)).min()
-        if drop < -tol * max(1.0, float(np.linalg.norm(P, 2))):
+        if drop < -UPPER_TOL * max(1.0, float(np.linalg.norm(P, 2))):
             raise NotConverged(f"iteration not monotone non-increasing (min eig {drop:.3e})")
         res = np.linalg.norm(P - Pn, 2) / np.linalg.norm(Pn, 2)
         P = Pn
-        if res <= tol:
+        if res <= UPPER_TOL:
             q = q_from_p(plant, P)
             above = np.linalg.eigvalsh(sym(qbar.Q - q.Q)).min()
-            if above < -tol * qscale:
+            if above < -UPPER_TOL * qscale:
                 raise NotConverged(f"limit escapes the upper bound by {above:.3e}")
             return q
-    raise NotConverged(f"no convergence to tol={tol:.1e} within {max_iter} iterations")
+    raise NotConverged(f"no convergence to tol={UPPER_TOL:.1e} "
+                       f"within {DEFAULT_MAX_ITER} iterations")

@@ -110,7 +110,7 @@ def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full description of one closed-loop run, seed included."""
+    """Full description of one closed-loop run; the excitation carries its seed."""
 
     plant: PlantModel
     disturbance: DisturbanceModel
@@ -121,9 +121,7 @@ class Scenario:
     excitation: ExcitationSchedule | None = None
     fallback_gain: np.ndarray | None = None
     beta: float = 2.0
-    rho: float | None = None
     gamma: float = 20.0
-    seed: int = 0
     controller_tol: float = 1e-11
 
     def __post_init__(self):
@@ -141,6 +139,11 @@ class Scenario:
                 raise ShapeMismatch(f"disturbance.delta_a must be {n} x {n}, got {d.delta_a.shape}")
             if d.delta_b.shape != (n, m):
                 raise ShapeMismatch(f"disturbance.delta_b must be {n} x {m}, got {d.delta_b.shape}")
+        if self.fallback_gain is not None:
+            object.__setattr__(self, "fallback_gain",
+                               _check_matrix(self.fallback_gain, "fallback_gain", (m, n)))
+        if not self.controller_tol > 0:
+            raise DomainError(f"controller_tol must be positive, got {self.controller_tol}")
         if self.excitation is None:
             object.__setattr__(self, "excitation", ExcitationSchedule.none(self.plant.m))
 

@@ -158,7 +158,7 @@ def test_criterion_5_corollary_on_simulations():
                                                   **exc_kw)
                 log = simulate(Scenario(plant=plant, disturbance=dist, x0=x0,
                                         horizon=250, excitation=exc,
-                                        beta=beta, gamma=gamma, seed=case))
+                                        beta=beta, gamma=gamma))
                 t0 = consistent_start(log, rho)
                 assert t0 is not None and t0 < len(log), \
                     f"hypotheses never hold for case {case} variant {v}"
@@ -182,8 +182,7 @@ def test_criterion_6_adaptive_convergence():
             exc = ExcitationSchedule.decaying(m, amplitude=1e4, decay_rate=0.9,
                                               seed=6000 + case)
             log = simulate(Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
-                                    x0=np.ones(n), horizon=1000, excitation=exc,
-                                    seed=case))
+                                    x0=np.ones(n), horizon=1000, excitation=exc))
             assert not log.overflowed
             err = np.linalg.norm(log.k[500:] - k_opt, axis=(1, 2))
             assert np.max(err) <= 1e-6

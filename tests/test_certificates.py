@@ -9,6 +9,7 @@ from adaptive_lqr import (
     DomainError,
     ExcitationSchedule,
     Gain,
+    NotConverged,
     PlantModel,
     Scenario,
     admissible_rho,
@@ -121,6 +122,13 @@ class TestTheorem1Margin:
         assert report.hypotheses["membership"].holds == ref.member
         assert report.details["max_eig_Q"] == pytest.approx(ref.max_eig_Q, rel=1e-9)
 
+    @pytest.mark.parametrize("rho", [-0.05, float("nan"), float("inf")])
+    def test_bad_rho_rejected(self, rho):
+        plant = PlantModel([[0.5]], [[1.0]])
+        P = solve_dare(plant)
+        with pytest.raises(DomainError):
+            theorem1_margin(plant, P, gain_from_q(q_from_p(plant, P)), beta=2.0, rho=rho)
+
     def test_randomized_never_falsified(self):
         rng = np.random.default_rng(90)
         for i in range(150):
@@ -181,8 +189,7 @@ def quiet_scenario(plant, horizon=200, amplitude=50.0, seed=0, dist=None):
                     disturbance=dist if dist is not None else DisturbanceModel.zero(),
                     x0=np.ones(plant.n), horizon=horizon,
                     excitation=ExcitationSchedule.decaying(plant.m, amplitude=amplitude,
-                                                           decay_rate=0.9, seed=seed),
-                    seed=seed)
+                                                           decay_rate=0.9, seed=seed))
 
 
 class TestCorollaryBound:
@@ -256,6 +263,14 @@ class TestLemma1:
         assert not report.hypotheses_hold
         assert np.isfinite(report.conclusion_margin)   # still evaluated
 
+    @pytest.mark.parametrize("rho", [-0.05, float("nan"), float("inf")])
+    def test_bad_rho_rejected(self, rho):
+        # tilde_bound squares rho, so a negative rho would pass the hypotheses
+        # and report a negative conclusion margin.
+        with pytest.raises(DomainError):
+            lemma1_check(np.eye(1), [[1.1]], [[0.1]], np.eye(1), [[2.0]],
+                         beta=np.sqrt(2.0), rho=rho)
+
     def test_randomized_never_falsified(self):
         rng = np.random.default_rng(91)
         for i in range(200):
@@ -311,6 +326,14 @@ class TestAdmissibleRho:
     def test_domain(self):
         with pytest.raises(DomainError):
             admissible_rho(1.0)
+
+
+class TestSampleMembershipPlant:
+    def test_exhausted_budget_raises_typed_error(self, monkeypatch):
+        # Q <= 1.001^2 I is all but empty for n = 3; the search gives up.
+        monkeypatch.setattr(certificates, "MAX_SAMPLE_TRIES", 5)
+        with pytest.raises(NotConverged, match="after 5 tries"):
+            sample_membership_plant(np.random.default_rng(0), 1.001, 3, 1)
 
 
 class TestReportSerialization:

@@ -19,7 +19,7 @@ from adaptive_lqr import (
     corollary_bound_check,
     simulate,
 )
-from adaptive_lqr import cli, riccati
+from adaptive_lqr import certificates, cli, riccati
 from adaptive_lqr.cli import main
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -143,7 +143,45 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, payload)
         assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "'excitation'" in err and field in err and "Traceback" not in err
+        # A non-finite number is rejected by the parser, which names the field
+        # path; a finite out-of-range one by the schedule, inside 'excitation'.
+        expected = f"'excitation.{field}'" if not np.isfinite(value) else "'excitation'"
+        assert expected in err and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, payload, argv, needle", [
+        ("certify", {"instances": 1, "rho": -1.0}, [], "'rho'"),
+        ("certify", {"instances": 1, "rho_scale": -0.5}, [], "'rho_scale'"),
+        ("certify", {"instances": 1}, ["--seed", "-1"], "'seed'"),
+        ("certify", {"instances": 1, "n": 0}, [], "'n'"),
+        ("certify", {"instances": 1, "m": -1}, [], "'m'"),
+        ("certify", {"instances": 1, "beta": 1.001, "n": 3}, [], "beta = 1.001"),
+        ("solve", {"tol": float("nan")}, [], "'tol'"),
+        ("simulate", {"controller_tol": float("nan")}, [], "'controller_tol'"),
+        ("simulate", {"fallback_gain": [[1.0, 2.0]]}, [], "fallback_gain"),
+        ("simulate", {"excitation": {"kind": "constant_amplitude", "amplitude": 1.0,
+                                     "seed": -1}}, [], "'excitation': seed"),
+        ("sweep", {"sweep": {"disturbance_magnitude": [1e308, float("inf")]}}, [],
+         "'sweep.disturbance_magnitude[1]'"),
+        ("sweep", {"sweep": {"excitation_amplitude": [-1.0]}}, [],
+         "'sweep.excitation_amplitude[0]'"),
+        ("sweep", {"seed": -3}, [], "'seed'"),
+    ], ids=["certify_rho_negative", "certify_rho_scale_negative", "certify_seed_negative",
+            "certify_n_zero", "certify_m_negative", "certify_sampler_budget", "solve_tol_nan",
+            "simulate_controller_tol_nan", "simulate_fallback_gain_shape",
+            "simulate_excitation_seed_negative", "sweep_magnitude_infinite",
+            "sweep_amplitude_negative", "sweep_seed_negative"])
+    def test_malformed_input_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch,
+                                                      command, payload, argv, needle):
+        # Only the sampler-budget case reaches the search; keep it short.
+        monkeypatch.setattr(certificates, "MAX_SAMPLE_TRIES", 5)
+        if command != "certify":
+            payload = {"plant": {"A": [[0.5]], "B": [[1.0]]}, **payload}
+        if command in ("simulate", "sweep"):
+            payload = {"horizon": 5, **payload}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
 
 
 class TestSimulateCommand:
@@ -350,7 +388,7 @@ class TestSweepCommand:
                                           seed=_derive_seed(8, 0))
         scenario = Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
                             x0=[1.0], horizon=250, excitation=exc,
-                            beta=2.0, gamma=40.0, seed=_derive_seed(8, 0))
+                            beta=2.0, gamma=40.0)
         log = simulate(scenario)
         rho = 0.7 * admissible_rho(2.0)
         t0 = consistent_start(log, rho)

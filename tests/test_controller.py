@@ -72,6 +72,11 @@ class TestExcitationSample:
         with pytest.raises(DomainError):
             ExcitationSchedule.decaying(1, amplitude=amplitude, decay_rate=decay_rate)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator would reject it only at the first sample, untyped.
+        with pytest.raises(DomainError):
+            ExcitationSchedule.constant(1, amplitude=1.0, seed=-1)
+
 
 class TestControllerStep:
     @pytest.mark.parametrize("x, error", [([np.nan], NonFiniteInput), ([1.0, 2.0], ShapeMismatch)],
@@ -121,7 +126,7 @@ class TestControllerStep:
         assert np.array_equal(u, diag.excitation)   # K is zero with no data
         assert np.array_equal(diag.excitation, excitation_sample(sched, 0))
 
-    @pytest.mark.parametrize("field", ["last_gain", "fallback_gain"])
+    @pytest.mark.parametrize("field", ["last_gain"])
     def test_replace_with_wrong_gain_shape_rejected(self, field):
         ctrl = initial_controller(2, 1)
         with pytest.raises(ShapeMismatch):
@@ -186,8 +191,7 @@ class TestClosedLoopProperties:
             u, ctrl, diag = controller_step(ctrl, x)
             est = estimate_model(ctrl.corr)
             try:
-                cold = gain_from_q(q_from_p(est.as_plant(),
-                                            solve_dare(est.as_plant(), tol=1e-12)))
+                cold = gain_from_q(q_from_p(est, solve_dare(est, tol=1e-12)))
                 assert np.linalg.norm(diag.gain - cold.K, 2) <= 1e-9
             except Exception:
                 assert diag.fallback

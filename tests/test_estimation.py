@@ -125,15 +125,15 @@ class TestBatchCorrelations:
 class TestEstimateModel:
     def test_zero_sigma_hat(self):
         est = estimate_model(initial_correlation(2, 1))
-        assert np.array_equal(est.a_hat, np.zeros((2, 2)))
-        assert np.array_equal(est.b_hat, np.zeros((2, 1)))
+        assert np.array_equal(est.A, np.zeros((2, 2)))
+        assert np.array_equal(est.B, np.zeros((2, 1)))
 
     def test_two_step_recovery(self):
         history = [([1.0], [0.0], [0.5]), ([0.5], [1.0], [1.25])]
         out = batch_correlations(history, 1.0, 1e-6 * np.eye(2))
         est = estimate_model(out)
-        assert abs(est.a_hat[0, 0] - 0.5) < 1e-5
-        assert abs(est.b_hat[0, 0] - 1.0) < 1e-5
+        assert abs(est.A[0, 0] - 0.5) < 1e-5
+        assert abs(est.B[0, 0] - 1.0) < 1e-5
 
     def test_consistent_system_exact_recovery(self):
         rng = np.random.default_rng(7)
@@ -145,7 +145,7 @@ class TestEstimateModel:
             sigma = G @ G.T + 0.5 * np.eye(n + m)
             state = make_state(sigma, ab @ sigma)
             est = estimate_model(state)
-            got = np.hstack([est.a_hat, est.b_hat])
+            got = np.hstack([est.A, est.B])
             assert np.linalg.norm(got - ab, 2) <= 1e-10
             # Solve residual of the defining linear system.
             resid = np.linalg.norm(got @ sigma - state.sigma_hat, 2)

@@ -43,6 +43,12 @@ class TestSolveDare:
         with pytest.raises(NotStabilizable):
             solve_dare(PlantModel([[2.0]], [[0.0]]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tol_not_positive_rejected(self, tol):
+        # A NaN tol would otherwise never stop and spend the whole budget.
+        with pytest.raises(DomainError):
+            solve_dare(PlantModel([[0.5]], [[1.0]]), tol=tol)
+
     def test_max_iter_exhaustion_raises(self):
         with pytest.raises(NotStabilizable):
             solve_dare(PlantModel([[0.9]], [[1.0]]), tol=1e-10, max_iter=2)

@@ -65,14 +65,13 @@ class TestDisturbanceEval:
             DisturbanceModel.filtered([[1.0]], [[0.0]], pole=1.0)
 
 
-def scenario(plant, horizon, x0=None, dist=None, exc=None, seed=0, **kw):
+def scenario(plant, horizon, x0=None, dist=None, exc=None, **kw):
     n, m = plant.n, plant.m
     return Scenario(plant=plant,
                     disturbance=dist if dist is not None else DisturbanceModel.zero(),
                     x0=np.ones(n) if x0 is None else x0,
                     horizon=horizon,
-                    excitation=exc if exc is not None else ExcitationSchedule.none(m),
-                    seed=seed, **kw)
+                    excitation=exc if exc is not None else ExcitationSchedule.none(m), **kw)
 
 
 class TestSimulate:
@@ -121,8 +120,8 @@ class TestSimulate:
                                              0.05 * rng.standard_normal((n, m)),
                                              pole=float(rng.uniform(-0.8, 0.8)))
             exc = ExcitationSchedule.constant(m, amplitude=0.5, seed=i)
-            full = simulate(scenario(plant, 30, dist=dist, exc=exc, seed=i))
-            short = simulate(scenario(plant, 12, dist=dist, exc=exc, seed=i))
+            full = simulate(scenario(plant, 30, dist=dist, exc=exc))
+            short = simulate(scenario(plant, 12, dist=dist, exc=exc))
             assert np.array_equal(full.w[:12], short.w)
 
     def test_gain_convergence_golden_ratio_plant(self):
@@ -163,6 +162,15 @@ class TestSimulate:
         plant = PlantModel([[0.5, 0.0], [0.0, 0.5]], [[1.0], [0.0]])
         with pytest.raises(ShapeMismatch):
             scenario(plant, 10, dist=dist)
+
+    @pytest.mark.parametrize("kw, error", [
+        ({"controller_tol": float("nan")}, DomainError),
+        ({"controller_tol": 0.0}, DomainError),
+        ({"fallback_gain": [[1.0, 2.0]]}, ShapeMismatch),
+    ], ids=["tol_nan", "tol_zero", "fallback_gain_shape"])
+    def test_controller_settings_checked(self, kw, error):
+        with pytest.raises(error):
+            scenario(PlantModel([[0.5]], [[1.0]]), 10, **kw)
 
     def test_trusted_objects_survive_their_constructors(self, monkeypatch):
         # Every object the per-step path builds without validation must pass
