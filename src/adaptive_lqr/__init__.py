@@ -36,7 +36,6 @@ from .riccati import (
 )
 from .estimation import (
     CorrelationState,
-    DisturbanceCorrelation,
     batch_correlations,
     data_riccati_residual,
     disturbance_correlation,

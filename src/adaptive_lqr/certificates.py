@@ -13,16 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotConverged, NotStabilizable
+from .errors import DomainError, NotConverged, NotStabilizable, ShapeMismatch
+from .estimation import _estimate, rho_of
 from .riccati import (
+    DEFAULT_TOL,
     PSD_SLACK,
     Gain,
     MembershipCertificate,
     PlantModel,
     QMatrix,
     ValueMatrix,
+    _check_beta,
+    _check_matrix,
+    _check_squarable,
+    _converged,
     _membership,
-    check_membership,
+    _solve_membership,
     gain_from_q,
     q_from_p,
     solve_dare,
@@ -96,6 +102,14 @@ def _hyp(margin: float, slack: float = PSD_SLACK) -> HypothesisCheck:
 def _check_rho(rho: float) -> None:
     if not 0.0 <= rho < np.inf:
         raise DomainError(f"rho must be finite and non-negative, got {rho}")
+    _check_squarable(rho, "rho")
+
+
+def _check_p_and_gain(plant: PlantModel, P: ValueMatrix, K: Gain) -> None:
+    n, m = plant.n, plant.m
+    if P.P.shape != (n, n) or K.K.shape != (m, n):
+        raise ShapeMismatch(f"P must be {n} x {n} and the gain {m} x {n}, "
+                            f"got {P.P.shape} and {K.K.shape}")
 
 
 def _membership_hypothesis(cert: MembershipCertificate) -> HypothesisCheck:
@@ -116,28 +130,38 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     with P the true plant's optimal cost matrix.  Hypotheses record the
     contraction condition 2 beta^2 rho (rho+2) < 1, membership of the true
     plant, and (when correlation data is supplied) that rho bounds the
-    estimate error.  Membership is tested on P verified by a warm solve from
-    it (one step at the fixed point); a P the warm solve cannot confirm is
-    replaced by a cold solve, so the verdict is check_membership's.
-    A negative or non-finite rho raises DomainError.
+    estimate error of the estimate SigmaHat Sigma^{-1}.  Membership is tested
+    on P verified by a warm solve from it (one step at the fixed point); a P
+    the warm solve cannot confirm is replaced by a cold solve, so the verdict
+    is check_membership's.  The conclusion is evaluated on the given P when
+    the solve confirms it to DEFAULT_TOL, otherwise on the solved P.
+    A negative or non-finite rho, or a beta or rho whose square overflows,
+    raises DomainError; a P or gain not shaped for the plant, or correlation
+    data not (n+m) x (n+m) and n x (n+m), ShapeMismatch; a Sigma too
+    ill-conditioned to estimate from, IllConditioned.
     """
     _check_rho(rho)
+    _check_squarable(beta, "beta")
+    _check_p_and_gain(plant, P, kt)
     c = 2.0 * beta**2 * rho * (rho + 2.0)
     # Strict hypothesis: the conclusion divides by 1 - c.
     hyps = {"contraction": HypothesisCheck(margin=_finite(1.0 - c), holds=1.0 - c > 1e-12)}
     try:
-        verified = solve_dare(plant, p0=P.P)
+        solved = solve_dare(plant, p0=P.P)
     except (DomainError, NotStabilizable):
-        cert = check_membership(plant, beta)
+        solved, cert = _solve_membership(plant, beta)
     else:
-        cert = _membership(plant, verified, beta)
+        cert = _membership(plant, solved, beta)
+    if solved is not None and not _converged(P.P, solved.P, DEFAULT_TOL):
+        P = solved
     hyps["membership"] = _membership_hypothesis(cert)
     details = {"beta": float(beta), "rho": float(rho), "contraction_value": _finite(c),
                "max_eig_Q": _finite(cert.max_eig_Q), "dare_residual": _finite(cert.residual)}
     if sigma is not None and sigma_hat is not None:
-        est = np.linalg.solve(np.asarray(sigma, dtype=float),
-                              np.asarray(sigma_hat, dtype=float).T).T
-        rho_data = float(np.linalg.norm(plant.ab - est, 2))
+        d = plant.n + plant.m
+        est = _estimate(_check_matrix(sigma, "sigma", (d, d)),
+                        _check_matrix(sigma_hat, "sigma_hat", (plant.n, d)))
+        rho_data = rho_of(est, plant)
         hyps["data_consistency"] = _hyp(rho - rho_data)
         details["rho_data"] = rho_data
     if 1.0 - c <= 1e-12:
@@ -157,10 +181,13 @@ def alpha_of(beta: float, rho: float, gamma: float) -> float:
 
         alpha = beta^2 + (1 / (1 - beta^2/gamma^2)) (1 - beta^2 / (1 - 2 beta^2 rho (rho+2))).
 
-    Requires gamma > beta and 2 beta^2 rho (rho+2) < 1.
+    Requires gamma > beta and 2 beta^2 rho (rho+2) < 1, and finite squares
+    of beta and gamma.
     """
     if beta <= 0 or rho < 0 or gamma <= 0:
         raise DomainError("beta and gamma must be positive, rho non-negative")
+    _check_squarable(beta, "beta")
+    _check_squarable(gamma, "gamma")
     if gamma <= beta:
         raise DomainError(f"gamma = {gamma} must exceed beta = {beta}")
     c = 2.0 * beta**2 * rho * (rho + 2.0)
@@ -188,6 +215,9 @@ def corollary_bound_check(log: TrajectoryLog, plant: PlantModel, t0: int,
     margin = RHS - LHS.  Hypotheses: gamma > beta, alpha > 0, membership of
     the true plant, and rho_t <= rho for all logged t in [t0, T).
     """
+    if (log.n, log.m) != (plant.n, plant.m):
+        raise ShapeMismatch(f"the log has n = {log.n}, m = {log.m}; "
+                            f"the plant has n = {plant.n}, m = {plant.m}")
     T = len(log)
     if not 0 <= t0 < T:
         raise DomainError(f"t0 = {t0} must lie in [0, {T})")
@@ -228,15 +258,18 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     Conclusion margin: min eig of
       Sigma Q Sigma + (beta^2 rho (rho+2) - 1) Sigma^2 - SigmaHat' P SigmaHat.
     A negative or non-finite rho raises DomainError: the second hypothesis
-    holds for -rho as for rho, the conclusion does not.
+    holds for -rho as for rho, the conclusion does not.  So does a beta or
+    rho whose square overflows.  With SigmaHat n x d, the matrices must be
+    finite and Sigma, Q d x d, SigmaTilde n x d and P n x n.
     """
     _check_rho(rho)
-    S = np.asarray(sigma, dtype=float)
-    Sh = np.asarray(sigma_hat, dtype=float)
-    St = np.asarray(sigma_tilde, dtype=float)
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    d = S.shape[0]
+    _check_squarable(beta, "beta")
+    Sh = _check_matrix(sigma_hat, "sigma_hat")
+    n, d = Sh.shape
+    S = _check_matrix(sigma, "sigma", (d, d))
+    St = _check_matrix(sigma_tilde, "sigma_tilde", (n, d))
+    P = _check_matrix(P, "P", (n, n))
+    Q = _check_matrix(Q, "Q", (d, d))
     consistency_rhs = S @ (Q - np.eye(d)) @ S
     dev = np.linalg.norm((Sh - St).T @ P @ (Sh - St) - consistency_rhs, 2)
     hyps = {
@@ -256,8 +289,9 @@ def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> Certific
     """Per-step storage decay: min eig of P - (A+BK)'P(A+BK) - I - K'K.
 
     Zero (to 1e-9) at the optimal gain; negative for any gain that fails the
-    strict decay.
+    strict decay.  A P or gain not shaped for the plant raises ShapeMismatch.
     """
+    _check_p_and_gain(plant, P, K)
     closed = plant.A + plant.B @ K.K
     margin = _min_eig(P.P - closed.T @ P.P @ closed - np.eye(plant.n) - K.K.T @ K.K)
     return CertificateReport(name="lyapunov_decay", hypotheses={}, hypotheses_hold=True,
@@ -272,8 +306,7 @@ def admissible_rho(beta: float) -> float:
     formula; any rho below the returned value satisfies the strict condition
     [1 - 2 beta^2 rho (rho+2)]^{-1} < 1 + beta^{-2}.
     """
-    if beta <= 1.0:
-        raise DomainError("beta must exceed 1")
+    _check_beta(beta)
     return float(np.sqrt(1.0 + 1.0 / (2.0 * beta**2 * (1.0 + beta**2))) - 1.0)
 
 
@@ -297,6 +330,7 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
 def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
                             m: int) -> tuple[PlantModel, ValueMatrix, QMatrix]:
     """Rejection-sample a plant with Q <= beta^2 I; NotConverged after MAX_SAMPLE_TRIES tries."""
+    _check_beta(beta)
     for _ in range(MAX_SAMPLE_TRIES):
         plant = random_plant(rng, n, m,
                              spectral_radius=rng.uniform(0.02, 0.9),
@@ -314,6 +348,7 @@ def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
 
 def contraction_rho_root(beta: float) -> float:
     """Positive root of 2 beta^2 rho (rho+2) = 1."""
+    _check_beta(beta)
     return float(np.sqrt(1.0 + 1.0 / (2.0 * beta**2)) - 1.0)
 
 

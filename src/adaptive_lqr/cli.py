@@ -39,7 +39,7 @@ from .certificates import (
 )
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
-from .riccati import PSD_SLACK, PlantModel, _membership, gain_from_q, solve_dare
+from .riccati import PSD_SLACK, SQUARE_MAX, PlantModel, _membership, gain_from_q, solve_dare
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -68,6 +68,13 @@ def _as_float(val, ctx):
     if not abs(val) <= sys.float_info.max:
         raise ConfigError(f"field '{ctx}' must be a finite number")
     return float(val)
+
+
+def _as_beta(val, ctx):
+    beta = _as_float(val, ctx)
+    if not 1.0 < beta <= SQUARE_MAX:
+        raise ConfigError(f"field '{ctx}' must exceed 1 and have a finite square, got {beta:g}")
+    return beta
 
 
 def _as_int(val, ctx):
@@ -223,9 +230,7 @@ def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     """Solve the fixed point for one plant; write {P, Q, K, residual, member}."""
     _reject_unknown(cfg, _COMMON_KEYS + ("plant", "beta", "tol", "max_iter"), "config")
     plant = _parse_plant(cfg)
-    beta = _as_float(cfg.get("beta", 2.0), "beta")
-    if beta <= 1.0:
-        raise ConfigError("field 'beta' must exceed 1")
+    beta = _as_beta(cfg.get("beta", 2.0), "beta")
     tol = _as_float(cfg.get("tol", 1e-10), "tol")
     max_iter = _as_int(cfg.get("max_iter", 100_000), "max_iter")
     try:
@@ -305,9 +310,7 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
     for c in checks:
         if c not in CERTIFY_CHECKS:
             raise ConfigError(f"unknown check '{c}' (allowed: {', '.join(CERTIFY_CHECKS)})")
-    beta = _as_float(cfg.get("beta", 2.0), "beta")
-    if beta <= 1.0:
-        raise ConfigError("field 'beta' must exceed 1")
+    beta = _as_beta(cfg.get("beta", 2.0), "beta")
     gamma = None if cfg.get("gamma") is None else _as_float(cfg["gamma"], "gamma")
     if gamma is not None and gamma <= beta:
         raise ConfigError(f"DomainError: gamma = {gamma} must exceed beta = {beta}")
@@ -316,8 +319,9 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
     if rho_abs is not None and rho_scale is not None:
         raise ConfigError("give at most one of 'rho' and 'rho_scale'")
     for name, value in (("rho", rho_abs), ("rho_scale", rho_scale)):
-        if value is not None and value < 0:
-            raise ConfigError(f"field '{name}' must be non-negative")
+        if value is not None and not 0 <= value <= SQUARE_MAX:
+            raise ConfigError(f"field '{name}' must be non-negative with a finite square")
+    rho_field = "rho_scale" if rho_scale is not None else "rho"
     rng = np.random.default_rng(seed)
     root = contraction_rho_root(beta)
 
@@ -348,7 +352,12 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
     for idx, (plant, P, q) in enumerate(instances):
         rho = rho_for_instance()
         for check in checks:
-            report = _certify_instance(check, rng, plant, P, q, beta, rho, gamma, idx)
+            try:
+                report = _certify_instance(check, rng, plant, P, q, beta, rho, gamma, idx)
+            except NotStabilizable as exc:
+                # Only the theorem-1 instance solves: its estimate at distance rho.
+                raise ConfigError(f"field '{rho_field}' gives instance {idx} (rho = {rho:.6g}) "
+                                  f"an estimate that is not stabilizable: {exc}") from exc
             reports.append(report)
             if report.hypotheses_hold and report.conclusion_margin < -PSD_SLACK:
                 falsified = True
@@ -381,9 +390,8 @@ def _parse_sweep_grids(cfg):
                        ("excitation_amplitude", amps), ("disturbance_magnitude", mags)):
         if not grid:
             raise ConfigError(f"sweep grid '{name}' must be non-empty")
-    for b in betas:
-        if b <= 1.0:
-            raise ConfigError("sweep betas must exceed 1")
+    for i, b in enumerate(betas):
+        _as_beta(b, f"sweep.beta[{i}]")
     for i, a in enumerate(amps):
         if a < 0:
             raise ConfigError(f"field 'sweep.excitation_amplitude[{i}]' must be non-negative")
@@ -393,41 +401,36 @@ def _parse_sweep_grids(cfg):
 
 def _sweep_row(scenario_base: Scenario, t0_cfg, idx: int,
                beta: float, rho_entry, gamma: float, amp: float, mag: float) -> list[str]:
-    excitation = replace(scenario_base.excitation, amplitude=amp,
-                         seed=_derive_seed(scenario_base.excitation.seed, idx))
-    scenario = replace(scenario_base,
-                       disturbance=scenario_base.disturbance.scaled(mag),
-                       excitation=excitation, beta=beta, gamma=gamma)
+    """One sweep.csv row; an error of this grid point goes to its error column."""
     rho_star = admissible_rho(beta)
     rho = rho_entry[1] if rho_entry[0] == "abs" else rho_entry[1] * rho_star
     error = ""
-    alpha = np.nan
+    alpha = margin = max_rho_t = cost = np.nan
+    t0_used, hypotheses_hold, overflowed = "", False, False
     try:
         alpha = alpha_of(beta, rho, gamma)
     except DomainError as exc:
         error = f"alpha: {exc}"
-    log = simulate(scenario)
-    if t0_cfg == "auto":
-        t0 = consistent_start(log, rho)
-        t0_used = 0 if t0 is None else t0
-    else:
-        t0_used = int(t0_cfg)
-    margin = np.nan
-    hypotheses_hold = False
-    max_rho_t = np.nan
-    if len(log):
-        t0_used = min(t0_used, len(log) - 1)
+    try:
+        excitation = replace(scenario_base.excitation, amplitude=amp,
+                             seed=_derive_seed(scenario_base.excitation.seed, idx))
+        scenario = replace(scenario_base,
+                           disturbance=scenario_base.disturbance.scaled(mag),
+                           excitation=excitation, beta=beta, gamma=gamma)
+        log = simulate(scenario)
+        cost, overflowed = log.state_input_cost(), log.overflowed
+        t0 = consistent_start(log, rho) if t0_cfg == "auto" else t0_cfg
+        t0_used = min(0 if t0 is None else t0, len(log) - 1)
         max_rho_t = float(np.max(log.rho[t0_used:]))
         if not error:
-            try:
-                report = corollary_bound_check(log, scenario.plant, t0_used, gamma, beta, rho)
-                margin = report.conclusion_margin
-                hypotheses_hold = report.hypotheses_hold and not log.overflowed
-            except (DomainError, NotStabilizable) as exc:
-                error = str(exc)
+            report = corollary_bound_check(log, scenario.plant, t0_used, gamma, beta, rho)
+            margin = report.conclusion_margin
+            hypotheses_hold = report.hypotheses_hold and not log.overflowed
+    except AdaptiveLqError as exc:
+        error = str(exc)
     return [_fmt(beta), _fmt(rho), _fmt(gamma), _fmt(amp), _fmt(mag), _fmt(alpha),
             _fmt(rho_star), str(t0_used), _fmt(max_rho_t), str(int(hypotheses_hold)),
-            _fmt(margin), _fmt(log.state_input_cost()), str(int(log.overflowed)), error]
+            _fmt(margin), _fmt(cost), str(int(overflowed)), error]
 
 
 def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:

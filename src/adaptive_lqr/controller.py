@@ -18,11 +18,12 @@ from .estimation import (
     CorrelationState,
     _check_vector,
     data_riccati_residual,
+    estimate_model,
     initial_correlation,
     solve_data_riccati,
     update_correlations,
 )
-from .riccati import Gain, _trusted
+from .riccati import Gain, PlantModel, _trusted
 
 EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
 
@@ -80,12 +81,14 @@ def excitation_sample(schedule: ExcitationSchedule, t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Per-step record of the gain, excitation, equation residual and fallback flag."""
+    """Per-step gain, excitation, equation residual, fallback flag and model
+    estimate (None when Sigma is too ill-conditioned to estimate from)."""
 
     gain: np.ndarray
     excitation: np.ndarray
     eq6_residual: float
     fallback: bool
+    estimate: PlantModel | None
 
 
 @dataclass(frozen=True)
@@ -121,18 +124,19 @@ def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | N
 def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
     """Compute u_t = K_t x_t + eps_t from the current correlations.
 
-    K_t comes from the data-driven Riccati equation; an unstabilizable or
-    ill-conditioned estimate falls back to the last successful gain and
-    flags the step.  Correlations are updated by controller_observe once
-    x_{t+1} is available, not here.
+    K_t comes from the data-driven Riccati equation on the step's one model
+    estimate; an unstabilizable or ill-conditioned estimate falls back to
+    the last successful gain and flags the step.  Correlations are updated
+    by controller_observe once x_{t+1} is available, not here.
     """
     x = _check_vector(x, "x", state.corr.n)
     t = state.corr.t
     warm = state.warm_p
+    estimate = None
     try:
-        q, k = solve_data_riccati(state.corr, tol=state.tol, p0=state.warm_p)
+        estimate = estimate_model(state.corr)
+        q, gain = solve_data_riccati(estimate, tol=state.tol, p0=state.warm_p)
         residual = data_riccati_residual(state.corr, q)
-        gain = k
         warm = q.min_value()
         fallback = False
     except (EstimateNotStabilizable, IllConditioned):
@@ -142,8 +146,8 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     eps = excitation_sample(state.excitation, t)
     u = gain.K @ x + eps
     new_state = _trusted(ControllerState, **{**vars(state), "last_gain": gain, "warm_p": warm})
-    return u, new_state, StepDiagnostics(gain=gain.K, excitation=eps,
-                                         eq6_residual=residual, fallback=fallback)
+    return u, new_state, StepDiagnostics(gain=gain.K, excitation=eps, eq6_residual=residual,
+                                         fallback=fallback, estimate=estimate)
 
 
 def controller_observe(state: ControllerState, x, u, x_next) -> ControllerState:

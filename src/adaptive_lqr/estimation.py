@@ -94,18 +94,6 @@ class CorrelationState:
         return self.sigma.shape[0] - self.n
 
 
-@dataclass(frozen=True)
-class DisturbanceCorrelation:
-    """Discounted disturbance-data correlations (Swx, Swu)."""
-
-    swx: np.ndarray
-    swu: np.ndarray
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.hstack([self.swx, self.swu])
-
-
 def initial_correlation(n: int, m: int, lam: float = 0.99,
                         sigma0: np.ndarray | None = None) -> CorrelationState:
     """State at t = 0: Sigma = Sigma0, SigmaHat = 0."""
@@ -160,30 +148,35 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
                             lam=float(lam), sigma0=sigma0, t=t)
 
 
-def estimate_model(state: CorrelationState) -> PlantModel:
-    """Model pair (Ahat, Bhat) solving [Ahat Bhat] Sigma = SigmaHat by a linear solve."""
-    cond = np.linalg.cond(state.sigma)
+def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> PlantModel:
+    """[Ahat Bhat] = SigmaHat Sigma^{-1}; IllConditioned when cond(Sigma) > COND_LIMIT."""
+    cond = np.linalg.cond(sigma)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditioned(f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    ab = np.linalg.solve(state.sigma, state.sigma_hat.T).T
-    return _trusted(PlantModel, A=ab[:, : state.n], B=ab[:, state.n :])
+    ab = np.linalg.solve(sigma, sigma_hat.T).T
+    n = sigma_hat.shape[0]
+    return _trusted(PlantModel, A=ab[:, :n], B=ab[:, n:])
 
 
-def solve_data_riccati(state: CorrelationState, tol: float = DEFAULT_TOL,
+def estimate_model(state: CorrelationState) -> PlantModel:
+    """Model pair (Ahat, Bhat) solving [Ahat Bhat] Sigma = SigmaHat by a linear solve."""
+    return _estimate(state.sigma, state.sigma_hat)
+
+
+def solve_data_riccati(estimate: PlantModel, tol: float = DEFAULT_TOL,
                        p0: np.ndarray | None = None) -> tuple[QMatrix, Gain]:
     """Solve the correlation-weighted fixed-point equation via the model estimate.
 
-    Estimates (Ahat, Bhat), runs the certified Riccati solver on the estimate
-    and returns (Q_t, K_t).  The two routes are algebraically equivalent for
+    Runs the certified Riccati solver on the estimate of estimate_model and
+    returns (Q_t, K_t).  The two routes are algebraically equivalent for
     positive-definite Sigma; data_riccati_residual certifies the result on
     the correlation-weighted equation directly.
     """
-    plant = estimate_model(state)
     try:
-        P = solve_dare(plant, tol=tol, p0=p0)
+        P = solve_dare(estimate, tol=tol, p0=p0)
     except NotStabilizable as exc:
         raise EstimateNotStabilizable(str(exc)) from exc
-    q = q_from_p(plant, P)
+    q = q_from_p(estimate, P)
     return q, gain_from_q(q)
 
 
@@ -198,9 +191,10 @@ def data_riccati_residual(state: CorrelationState, q: QMatrix) -> float:
     return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(S @ q.Q @ S, 2))
 
 
-def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> DisturbanceCorrelation:
+def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> np.ndarray:
     """Discounted disturbance correlations over (x_k, u_k, w_k) triples.
 
+    Returns the n x (n+m) array
     [Swx Swu] = sum_k lambda^(t-1-k) w_k z_k' - lambda^t [A B] Sigma0, which
     equals SigmaHat - [A B] Sigma for the correlations of the same run.
     """
@@ -214,13 +208,14 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> D
         w = _check_vector(w, "w", n)
         z = np.concatenate([x, u])
         acc = acc + float(lam) ** (t - 1 - k) * np.outer(w, z)
-    return DisturbanceCorrelation(swx=acc[:, :n], swu=acc[:, n:])
+    return acc
 
 
-def rho_of(state: CorrelationState, plant: PlantModel) -> float:
+def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     """Spectral-norm distance between the true pair and the estimate.
 
-    |[A B] - SigmaHat Sigma^{-1}| in the spectral norm; equals
-    |[Swx Swu] Sigma^{-1}| for the disturbance correlations of the same run.
+    |[A B] - SigmaHat Sigma^{-1}| in the spectral norm for the estimate of
+    estimate_model; equals |[Swx Swu] Sigma^{-1}| for the disturbance
+    correlations of the same run.
     """
-    return float(np.linalg.norm(plant.ab - estimate_model(state).ab, 2))
+    return float(np.linalg.norm(plant.ab - estimate.ab, 2))

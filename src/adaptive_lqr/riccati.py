@@ -40,6 +40,8 @@ DEFAULT_MAX_ITER = 100_000
 PSD_SLACK = 1e-8
 # Relative tolerance of solve_from_upper's hypothesis, monotonicity and stopping tests.
 UPPER_TOL = 1e-9
+# Largest magnitude whose square is a finite double.
+SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -63,6 +65,18 @@ def _check_matrix(M, name, shape=None):
     if not np.all(np.isfinite(M)):
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return M
+
+
+def _check_squarable(x: float, name: str) -> None:
+    """DomainError naming `name` unless x is a number whose square is finite."""
+    if not abs(x) <= SQUARE_MAX:
+        raise DomainError(f"{name} = {x:.6g} is too large: its square overflows")
+
+
+def _check_beta(beta: float) -> None:
+    if beta <= 1.0:
+        raise DomainError("beta must exceed 1")
+    _check_squarable(beta, "beta")
 
 
 def _check_cost_matrix(M, name, shape=None):
@@ -239,7 +253,8 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
     As |D|_2 <= |D|_F and |P_ii| <= |P|_2 for symmetric P, this implies the
     relative spectral step |P_new - P|_2 / |P_new|_2 <= tol.
     Raises NotStabilizable when an iterate's largest diagonal entry exceeds
-    NORM_CAP or the budget runs out first.
+    NORM_CAP, the doubling solve is singular to working precision, or the
+    budget runs out first.
     """
     if not tol > 0 or max_iter < 1:
         raise DomainError("tol must be positive and max_iter >= 1")
@@ -248,7 +263,11 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
         eye = np.eye(n)
         A, G, H = plant.A, plant.B @ plant.B.T, eye
         for _ in range(max_iter):
-            W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            try:
+                W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            except np.linalg.LinAlgError:
+                # G, H >= 0 make I + G H nonsingular; singular means lost precision.
+                raise NotStabilizable("I + G H is singular to working precision") from None
             WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
             Hn = sym(H + A.T @ H @ WA)
             if _converged(H, Hn, tol):
@@ -304,23 +323,28 @@ def check_membership(plant: PlantModel, beta: float) -> MembershipCertificate:
 
     An unsolvable fixed point is reported as non-membership, never raised.
     Eigenvalue comparisons use absolute slack PSD_SLACK since the set is
-    defined by non-strict inequalities.
+    defined by non-strict inequalities.  A beta that is not above 1 or whose
+    square overflows raises DomainError.
     """
-    if beta <= 1.0:
-        raise DomainError("beta must exceed 1")
+    return _solve_membership(plant, beta)[1]
+
+
+def _solve_membership(plant: PlantModel,
+                      beta: float) -> tuple[ValueMatrix | None, MembershipCertificate]:
+    """check_membership's certificate with the cold-solved P (None when unsolvable)."""
+    _check_beta(beta)
     try:
         P = solve_dare(plant)
     except NotStabilizable as exc:
-        return MembershipCertificate(beta=float(beta), member=False, Q=None,
-                                     max_eig_Q=np.inf, residual=np.inf,
-                                     reason=f"riccati solve failed: {exc}")
-    return _membership(plant, P, beta)
+        return None, MembershipCertificate(beta=float(beta), member=False, Q=None,
+                                           max_eig_Q=np.inf, residual=np.inf,
+                                           reason=f"riccati solve failed: {exc}")
+    return P, _membership(plant, P, beta)
 
 
 def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCertificate:
     """check_membership's certificate for the plant's already solved P."""
-    if beta <= 1.0:
-        raise DomainError("beta must exceed 1")
+    _check_beta(beta)
     q = q_from_p(plant, P)
     evals = np.linalg.eigvalsh(q.Q)
     max_eig = float(evals[-1])

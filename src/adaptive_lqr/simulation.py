@@ -19,7 +19,7 @@ from .controller import (
     controller_step,
     initial_controller,
 )
-from .errors import DomainError, IllConditioned, ShapeMismatch
+from .errors import DomainError, ShapeMismatch
 from .estimation import rho_of
 from .riccati import PlantModel, _check_matrix
 
@@ -79,12 +79,18 @@ class DisturbanceModel:
         return cls(kind="filtered_unmodeled", delta_a=delta_a, delta_b=delta_b, pole=pole)
 
     def scaled(self, magnitude: float) -> "DisturbanceModel":
-        """Same shape of disturbance with payload scaled by `magnitude`."""
+        """Same shape of disturbance with payload scaled by `magnitude`;
+        DomainError when the scaled payload overflows."""
         if self.kind == "zero":
             return self
-        if self.kind == "external_sequence":
-            return replace(self, sequence=magnitude * self.sequence)
-        return replace(self, delta_a=magnitude * self.delta_a, delta_b=magnitude * self.delta_b)
+        with np.errstate(over="ignore"):
+            if self.kind == "external_sequence":
+                payload = {"sequence": magnitude * self.sequence}
+            else:
+                payload = {"delta_a": magnitude * self.delta_a, "delta_b": magnitude * self.delta_b}
+        if not all(np.isfinite(v).all() for v in payload.values()):
+            raise DomainError(f"disturbance magnitude {magnitude:g} overflows the disturbance payload")
+        return replace(self, **payload)
 
 
 def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
@@ -259,11 +265,8 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
     rows = []
     overflowed = False
     for t in range(scenario.horizon):
-        try:
-            rho_t = rho_of(ctrl.corr, plant)
-        except IllConditioned:
-            rho_t = np.inf
         u, ctrl, diag = controller_step(ctrl, x)
+        rho_t = np.inf if diag.estimate is None else rho_of(diag.estimate, plant)
         w, dist_state = disturbance_eval(scenario.disturbance, t, x, u, dist_state)
         x_next = plant.A @ x + plant.B @ u + w
         rows.append((t, x, u, diag.excitation, w, diag.gain, rho_t, diag.eq6_residual, diag.fallback))

@@ -23,6 +23,7 @@ from adaptive_lqr import (
     corollary_bound_check,
     data_riccati_residual,
     disturbance_correlation,
+    estimate_model,
     gain_from_q,
     lemma1_check,
     q_from_p,
@@ -83,7 +84,7 @@ def test_criterion_2_data_equation_residual():
             state = CorrelationState(sigma=sigma, sigma_hat=ab @ sigma, lam=0.99,
                                      sigma0=1e-3 * np.eye(n + m), t=3)
             try:
-                q, _ = solve_data_riccati(state)
+                q, _ = solve_data_riccati(estimate_model(state))
             except EstimateNotStabilizable:
                 continue
             assert data_riccati_residual(state, q) <= 1e-8
@@ -208,7 +209,7 @@ def test_criterion_7_disturbance_identity():
             dist = disturbance_correlation(xuw, plant, lam, sigma0)
             expected = corr.sigma_hat - plant.ab @ corr.sigma
             scale = max(1.0, np.linalg.norm(expected, 2))
-            assert np.linalg.norm(dist.stacked - expected, 2) <= 1e-10 * scale
+            assert np.linalg.norm(dist - expected, 2) <= 1e-10 * scale
 
 
 def test_criterion_8_admissible_rho_region():

@@ -9,9 +9,12 @@ from adaptive_lqr import (
     DomainError,
     ExcitationSchedule,
     Gain,
+    IllConditioned,
+    NonFiniteInput,
     NotConverged,
     PlantModel,
     Scenario,
+    ShapeMismatch,
     admissible_rho,
     alpha_of,
     check_membership,
@@ -351,3 +354,102 @@ class TestReportSerialization:
         assert np.isfinite(cert.conclusion_margin)
         assert all(np.isfinite(h.margin) for h in cert.hypotheses.values())
         assert not cert.hypotheses["membership"].holds
+
+
+def scalar_instance():
+    plant = PlantModel([[0.5]], [[1.0]])
+    P = solve_dare(plant)
+    return plant, P, gain_from_q(q_from_p(plant, P))
+
+
+LEMMA1_ARGS = dict(sigma=np.eye(2), sigma_hat=[[1.0, 1.0]], sigma_tilde=[[0.0, 0.0]],
+                   P=2.0 * np.eye(1), Q=2.0 * np.eye(2), beta=2.0, rho=0.01)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("call, name", [
+        (lambda: admissible_rho(1e155), "beta"),
+        (lambda: contraction_rho_root(1e155), "beta"),
+        (lambda: alpha_of(1e155, 0.0, 1e160), "beta"),
+        (lambda: alpha_of(2.0, 0.0, 1e160), "gamma"),
+        (lambda: theorem1_margin(*scalar_instance(), beta=1e155, rho=0.01), "beta"),
+        (lambda: theorem1_margin(*scalar_instance(), beta=2.0, rho=1e155), "rho"),
+        (lambda: lemma1_check(**{**LEMMA1_ARGS, "beta": 1e155}), "beta"),
+        (lambda: lemma1_check(**{**LEMMA1_ARGS, "rho": 1e155}), "rho"),
+        (lambda: sample_membership_plant(np.random.default_rng(0), 1e155, 1, 1), "beta"),
+    ], ids=["admissible_rho", "contraction_rho_root", "alpha_beta", "alpha_gamma",
+            "theorem1_beta", "theorem1_rho", "lemma1_beta", "lemma1_rho", "sampler_beta"])
+    def test_square_that_overflows_is_a_domain_error(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name} = "):
+            call()
+
+    def test_wrong_p_never_gives_a_falsified_report(self):
+        # The conclusion is taken on the P whose membership was tested, not
+        # on a P the solve did not confirm.
+        rng = np.random.default_rng(3)
+        falsified = 0
+        for _ in range(200):
+            plant, P, q = sample_membership_plant(rng, 2.0, 2, 1)
+            for wrong in (2.0 * P.P, P.P + np.eye(2), np.eye(2)):
+                report = theorem1_margin(plant, ValueMatrix(wrong), gain_from_q(q), 2.0, 0.02)
+                falsified += report.hypotheses_hold and report.conclusion_margin < -1e-8
+        assert falsified == 0
+
+    def test_unsolvable_plant_solved_cold_once(self, monkeypatch):
+        plant = PlantModel([[2.0]], [[0.0]])
+        P = scalar_instance()[1]
+        calls = count_cold_solves(monkeypatch, plant)
+        report = theorem1_margin(plant, P, Gain([[0.0]]), 2.0, 0.0)
+        assert not report.hypotheses["membership"].holds and len(calls) == 1
+
+    def test_confirmed_p_is_the_one_evaluated(self):
+        # A P the warm solve confirms is used as given, bit for bit; at
+        # rho = 0 the margin is a difference of near-equal terms, so the
+        # one-step iterate (a few ulps away) gives other bits.
+        plant, P, q = sample_membership_plant(np.random.default_rng(1), 2.0, 3, 2)
+        K = gain_from_q(q)
+        beta, rho = 2.0, 0.0
+        c = 2.0 * beta**2 * rho * (rho + 2.0)
+        closed = plant.A + plant.B @ K.K
+        M = P.P / (1.0 - c) - (np.eye(3) + K.K.T @ K.K + closed.T @ P.P @ closed)
+        expected = float(np.linalg.eigvalsh((M + M.T) / 2.0).min())
+        assert theorem1_margin(plant, P, K, beta, rho).conclusion_margin == expected
+
+    @pytest.mark.parametrize("check", ["theorem1", "lyapunov"])
+    def test_gain_of_wrong_shape_rejected(self, check):
+        plant, P, _ = scalar_instance()
+        with pytest.raises(ShapeMismatch):
+            if check == "theorem1":
+                theorem1_margin(plant, P, Gain([[1.0, 2.0]]), 2.0, 0.01)
+            else:
+                lyapunov_decay_check(plant, P, Gain([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("sigma, sigma_hat, error", [
+        (np.zeros((2, 2)), np.zeros((1, 2)), IllConditioned),
+        (np.eye(3), np.zeros((1, 3)), ShapeMismatch),
+        (np.eye(2), np.zeros((2, 2)), ShapeMismatch),
+        (np.full((2, 2), np.nan), np.zeros((1, 2)), NonFiniteInput),
+    ], ids=["singular_sigma", "sigma_shape", "sigma_hat_shape", "nan_sigma"])
+    def test_theorem1_correlation_data_checked(self, sigma, sigma_hat, error):
+        plant, P, K = scalar_instance()
+        with pytest.raises(error):
+            theorem1_margin(plant, P, K, 2.0, 0.01, sigma=sigma, sigma_hat=sigma_hat)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("sigma", np.eye(3), ShapeMismatch),
+        ("sigma", np.full((2, 2), np.nan), NonFiniteInput),
+        ("sigma_tilde", np.zeros((2, 2)), ShapeMismatch),
+        ("P", np.eye(2), ShapeMismatch),
+        ("Q", np.eye(3), ShapeMismatch),
+        ("sigma_hat", [1.0, 1.0], ShapeMismatch),
+    ], ids=["sigma_shape", "sigma_nan", "sigma_tilde_shape", "p_shape", "q_shape",
+            "sigma_hat_vector"])
+    def test_lemma1_matrices_checked(self, field, value, error):
+        with pytest.raises(error):
+            lemma1_check(**{**LEMMA1_ARGS, field: value})
+
+    def test_corollary_log_dimensions_checked(self):
+        log = simulate(quiet_scenario(PlantModel([[0.5]], [[1.0]]), horizon=20))
+        other = PlantModel(0.5 * np.eye(2), [[1.0], [0.0]])
+        with pytest.raises(ShapeMismatch):
+            corollary_bound_check(log, other, t0=0, gamma=10.0, beta=2.0, rho=0.001)

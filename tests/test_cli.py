@@ -16,6 +16,7 @@ from adaptive_lqr import (
     admissible_rho,
     alpha_of,
     consistent_start,
+    contraction_rho_root,
     corollary_bound_check,
     simulate,
 )
@@ -23,6 +24,8 @@ from adaptive_lqr import certificates, cli, riccati
 from adaptive_lqr.cli import main
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
+# B B' of entries 1e304 makes the doubling solve singular in doubles.
+BIG_PLANT = {"A": [[1e152, 0.0], [0.0, 1e152]], "B": [[1e152], [1e152]]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -183,6 +186,29 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, payload, code, needle", [
+        ("solve", {"plant": BIG_PLANT}, 2, "not stabilizable"),
+        ("solve", {"beta": 1e155}, 1, "'beta'"),
+        ("certify", {"instances": 1, "beta": 1e155}, 1, "'beta'"),
+        ("sweep", {"sweep": {"beta": [2.0, 1e155]}}, 1, "'sweep.beta[1]'"),
+        ("certify", {"instances": 3, "rho": 1e50}, 1, "'rho'"),
+        ("certify", {"instances": 3, "rho": 1e150}, 1, "'rho'"),
+        ("certify", {"instances": 1, "rho": 1e155}, 1, "'rho'"),
+        ("certify", {"instances": 1, "rho_scale": 1e100}, 1, "'rho_scale'"),
+    ], ids=["solve_singular_doubling", "solve_beta", "certify_beta", "sweep_beta",
+            "certify_rho_1e50", "certify_rho_1e150", "certify_rho_1e155",
+            "certify_rho_scale"])
+    def test_huge_numbers_end_in_a_typed_exit(self, tmp_path, capsys, command, payload,
+                                              code, needle):
+        if command != "certify" and "plant" not in payload:
+            payload = {"plant": {"A": [[0.5]], "B": [[1.0]]}, **payload}
+        if command == "sweep":
+            payload = {"horizon": 5, **payload}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_noiseless_gain_convergence_summary(self, tmp_path):
@@ -211,6 +237,13 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
         rows = read_rows(out / "trajectory.csv")
         assert all(float(r["x_0"]) == 0.0 and float(r["u_0"]) == 0.0 for r in rows)
+
+    def test_plant_too_large_to_solve_has_no_gain_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"plant": BIG_PLANT, "horizon": 5, "x0": [0.0, 0.0]})
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["gain_error"] is None
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_destabilizing_disturbance_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -271,6 +304,15 @@ class TestCertifyCommand:
         for d in payload["reports"]:
             back = CertificateReport.from_json_dict(d)
             assert back.to_json_dict() == d
+
+    def test_rho_scale_sets_every_rho(self, tmp_path):
+        cfg = write_config(tmp_path, {"instances": 4, "beta": 3.0, "rho_scale": 0.5,
+                                      "checks": ["theorem1", "lemma1"], "seed": 6})
+        out = tmp_path / "out"
+        assert main(["certify", cfg, "--out-dir", str(out)]) == 0
+        reports = json.loads((out / "reports.json").read_text())["reports"]
+        assert len(reports) == 8
+        assert all(r["details"]["rho"] == 0.5 * contraction_rho_root(3.0) for r in reports)
 
     def test_falsified_conclusion_exit_4(self, tmp_path, monkeypatch):
         # The inequality cannot actually be falsified; fake a violating report
@@ -364,6 +406,41 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--out-dir", str(out_a)]) == 0
         assert main(["sweep", cfg, "--out-dir", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+    def test_integer_t0_used_as_given(self, tmp_path):
+        cfg = sweep_config(tmp_path, t0=3, sweep={"beta": [2.0], "rho_scale": [0.7],
+                                                  "gamma": [40.0],
+                                                  "excitation_amplitude": [10.0, 50.0]})
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "--out-dir", str(out)]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert len(rows) == 2
+        from adaptive_lqr.cli import _derive_seed
+        plant = PlantModel([[0.5]], [[1.0]])
+        rho = 0.7 * admissible_rho(2.0)
+        for idx, (row, amp) in enumerate(zip(rows, [10.0, 50.0])):
+            exc = ExcitationSchedule.decaying(1, amplitude=amp, decay_rate=0.9,
+                                              seed=_derive_seed(8, idx))
+            log = simulate(Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
+                                    x0=[1.0], horizon=250, excitation=exc))
+            t0 = min(3, len(log) - 1)
+            assert int(row["t0"]) == t0
+            report = corollary_bound_check(log, plant, t0, 40.0, 2.0, rho)
+            assert float(row["corollary_margin"]) == report.conclusion_margin
+
+    def test_failing_row_does_not_abort_the_sweep(self, tmp_path, capsys):
+        cfg = sweep_config(tmp_path,
+                           disturbance={"kind": "external_sequence", "sequence": [[10.0]]},
+                           sweep={"beta": [2.0], "gamma": [40.0, 1e160],
+                                  "disturbance_magnitude": [1.0, 1e308]})
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "--out-dir", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_rows(out / "sweep.csv")
+        assert [r["error"] != "" for r in rows] == [False, True, True, True]
+        assert "disturbance magnitude" in rows[1]["error"]
+        assert "gamma" in rows[2]["error"] and rows[2]["t0"] != ""
+        assert rows[3]["t0"] == "" and rows[3]["realized_cost"] == "nan"
 
     def test_both_rho_forms_rejected(self, tmp_path):
         cfg = sweep_config(tmp_path, sweep={

@@ -119,6 +119,25 @@ class TestControllerStep:
         assert np.array_equal(diag_fb.gain, diag_ok.gain)
         assert np.isnan(diag_fb.eq6_residual)
 
+    @pytest.mark.parametrize("kind", ["solved", "not_stabilizable", "ill_conditioned"])
+    def test_diagnostics_carry_the_step_estimate(self, kind):
+        corr = {
+            "solved": lambda: consistent_state(PlantModel([[0.5]], [[1.0]])),
+            "not_stabilizable": lambda: consistent_state(PlantModel([[2.0]], [[0.0]])),
+            "ill_conditioned": lambda: CorrelationState(
+                sigma=np.diag([1.0, 1e-16]), sigma_hat=np.zeros((1, 2)), lam=0.99,
+                sigma0=1e-3 * np.eye(2), t=1),
+        }[kind]()
+        ctrl = replace(initial_controller(1, 1), corr=corr)
+        _, _, diag = controller_step(ctrl, [1.0])
+        assert diag.fallback == (kind != "solved")
+        if kind == "ill_conditioned":
+            assert diag.estimate is None
+        else:
+            est = estimate_model(corr)
+            assert np.array_equal(diag.estimate.A, est.A)
+            assert np.array_equal(diag.estimate.B, est.B)
+
     def test_excitation_added(self):
         sched = ExcitationSchedule.constant(1, amplitude=0.5, seed=3)
         ctrl = initial_controller(1, 1, excitation=sched)

@@ -159,14 +159,14 @@ class TestEstimateModel:
 
 class TestSolveDataRiccati:
     def test_no_data_identity(self):
-        q, k = solve_data_riccati(initial_correlation(1, 1))
+        q, k = solve_data_riccati(estimate_model(initial_correlation(1, 1)))
         assert np.allclose(q.Q, np.eye(2), atol=1e-12)
         assert np.array_equal(k.K, np.zeros((1, 1)))
 
     def test_two_step_scalar_values(self):
         history = [([1.0], [0.0], [0.5]), ([0.5], [1.0], [1.25])]
         state = batch_correlations(history, 1.0, 1e-6 * np.eye(2))
-        q, k = solve_data_riccati(state, tol=1e-12)
+        q, k = solve_data_riccati(estimate_model(state), tol=1e-12)
         p = scalar_p(0.5, 1.0)
         expected_q = np.eye(2) + p * np.outer([0.5, 1.0], [0.5, 1.0])
         assert np.allclose(q.Q, expected_q, atol=1e-4)
@@ -179,7 +179,7 @@ class TestSolveDataRiccati:
         G = rng.standard_normal((2, 2))
         sigma = G @ G.T + 0.3 * np.eye(2)
         state = make_state(sigma, plant.ab @ sigma)
-        q, k = solve_data_riccati(state, tol=1e-12)
+        q, k = solve_data_riccati(estimate_model(state), tol=1e-12)
         q_true = q_from_p(plant, solve_dare(plant, tol=1e-12))
         assert np.allclose(q.Q, q_true.Q, atol=1e-9)
         assert abs(k.K[0, 0] - (-0.6180)) < 1e-4
@@ -188,7 +188,7 @@ class TestSolveDataRiccati:
         sigma = np.eye(2)
         state = make_state(sigma, np.array([[2.0, 0.0]]) @ sigma)
         with pytest.raises(EstimateNotStabilizable):
-            solve_data_riccati(state)
+            solve_data_riccati(estimate_model(state))
 
     def test_residual_small_on_random_states(self):
         rng = np.random.default_rng(2)
@@ -201,7 +201,7 @@ class TestSolveDataRiccati:
             sigma = G @ G.T + rng.uniform(0.1, 1.0) * np.eye(n + m)
             state = make_state(sigma, plant.ab @ sigma + 0.05 * rng.standard_normal((n, n + m)))
             try:
-                q, _ = solve_data_riccati(state)
+                q, _ = solve_data_riccati(estimate_model(state))
             except EstimateNotStabilizable:
                 continue
             assert data_riccati_residual(state, q) <= 1e-8
@@ -212,18 +212,18 @@ class TestDisturbanceCorrelation:
     def test_regularizer_term_only(self):
         plant = PlantModel([[0.5]], [[1.0]])
         out = disturbance_correlation([([1.0], [0.0], [0.0])], plant, 0.5, np.eye(2))
-        assert np.allclose(out.stacked, [[-0.25, -0.5]], atol=1e-15)
+        assert np.allclose(out, [[-0.25, -0.5]], atol=1e-15)
 
     def test_vanishing_regularizer(self):
         plant = PlantModel([[0.5]], [[1.0]])
         history = [([1.0], [0.2], [0.0]), ([0.4], [-0.1], [0.0])]
         out = disturbance_correlation(history, plant, 0.9, 1e-14 * np.eye(2))
-        assert np.linalg.norm(out.stacked, 2) <= 1e-13
+        assert np.linalg.norm(out, 2) <= 1e-13
 
     def test_single_disturbance_term(self):
         plant = PlantModel([[0.5]], [[1.0]])
         out = disturbance_correlation([([1.0], [0.0], [1.0])], plant, 1.0, np.zeros((2, 2)))
-        assert np.allclose(out.stacked, [[1.0, 0.0]], atol=1e-15)
+        assert np.allclose(out, [[1.0, 0.0]], atol=1e-15)
 
     def test_identity_against_batch_on_200_histories(self):
         rng = np.random.default_rng(303)
@@ -242,7 +242,15 @@ class TestDisturbanceCorrelation:
             dist = disturbance_correlation(xuw, plant, lam, sigma0)
             expected = corr.sigma_hat - plant.ab @ corr.sigma
             scale = max(1.0, np.linalg.norm(expected, 2))
-            assert np.linalg.norm(dist.stacked - expected, 2) <= 1e-10 * scale
+            assert np.linalg.norm(dist - expected, 2) <= 1e-10 * scale
+
+
+    def test_returns_the_stacked_array(self):
+        plant = PlantModel([[0.5, 0.0], [0.1, 0.2]], [[1.0], [0.0]])
+        history = [([1.0, 0.0], [2.0], [0.5, -1.0])]
+        out = disturbance_correlation(history, plant, 1.0, np.zeros((3, 3)))
+        assert isinstance(out, np.ndarray)
+        assert np.array_equal(out, [[0.5, 0.0, 1.0], [-1.0, 0.0, -2.0]])
 
 
 class TestRhoOf:
@@ -252,13 +260,13 @@ class TestRhoOf:
         G = rng.standard_normal((2, 2))
         sigma = G @ G.T + 0.2 * np.eye(2)
         state = make_state(sigma, plant.ab @ sigma)
-        assert rho_of(state, plant) <= 1e-12
+        assert rho_of(estimate_model(state), plant) <= 1e-12
 
     def test_two_step_small_regularizer(self):
         plant = PlantModel([[0.5]], [[1.0]])
         history = [([1.0], [0.0], [0.5]), ([0.5], [1.0], [1.25])]
         state = batch_correlations(history, 1.0, 1e-6 * np.eye(2))
-        assert rho_of(state, plant) <= 1e-5
+        assert rho_of(estimate_model(state), plant) <= 1e-5
 
     def test_constructed_offset(self):
         plant = PlantModel([[0.5]], [[1.0]])
@@ -268,7 +276,7 @@ class TestRhoOf:
         delta = rng.standard_normal((1, 2))
         delta *= 0.1 / np.linalg.norm(delta, 2)
         state = make_state(sigma, (plant.ab + delta) @ sigma)
-        assert abs(rho_of(state, plant) - 0.1) < 1e-10
+        assert abs(rho_of(estimate_model(state), plant) - 0.1) < 1e-10
 
     def test_equals_disturbance_correlation_ratio(self):
         rng = np.random.default_rng(31)
@@ -283,7 +291,7 @@ class TestRhoOf:
             xux = [(x, u, plant.A @ x + plant.B @ u + w) for x, u, w in xuw]
             corr = batch_correlations(xux, lam, sigma0)
             dist = disturbance_correlation(xuw, plant, lam, sigma0)
-            direct = rho_of(corr, plant)
+            direct = rho_of(estimate_model(corr), plant)
             via_ratio = np.linalg.norm(
-                np.linalg.solve(corr.sigma, dist.stacked.T).T, 2)
+                np.linalg.solve(corr.sigma, dist.T).T, 2)
             assert abs(direct - via_ratio) <= 1e-9 * max(1.0, direct)

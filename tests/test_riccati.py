@@ -101,6 +101,12 @@ class TestSolveDare:
         with pytest.raises(DomainError):
             solve_dare(PlantModel([[0.5]], [[1.0]]), p0=[[-1.0]])
 
+    def test_cold_solve_singular_to_working_precision_not_stabilizable(self):
+        # B B' of entries 1e304 makes I + G H exactly singular in doubles.
+        plant = PlantModel([[1e152, 0.0], [0.0, 1e152]], [[1e152], [1e152]])
+        with pytest.raises(NotStabilizable, match="singular"):
+            solve_dare(plant)
+
     def test_invariants_on_500_random_plants(self):
         # Residual, P >= I, monotone value iteration from the identity, and
         # agreement with the independent scipy oracle.  A cold solve meets
@@ -247,6 +253,11 @@ class TestCheckMembership:
         assert not cert.member
         assert cert.Q is None
         assert cert.reason != ""
+
+    @pytest.mark.parametrize("beta", [1.0, 1e155, float("nan")])
+    def test_beta_out_of_range_rejected(self, beta):
+        with pytest.raises(DomainError, match="beta"):
+            check_membership(PlantModel([[0.5]], [[1.0]]), beta)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(55)

@@ -8,6 +8,7 @@ from adaptive_lqr import (
     DomainError,
     ExcitationSchedule,
     Gain,
+    IllConditioned,
     PlantModel,
     QMatrix,
     Scenario,
@@ -15,9 +16,11 @@ from adaptive_lqr import (
     TrajectoryLog,
     ValueMatrix,
     disturbance_eval,
+    estimate_model,
     gain_from_q,
     logs_equal,
     q_from_p,
+    rho_of,
     simulate,
     solve_dare,
 )
@@ -171,6 +174,55 @@ class TestSimulate:
     def test_controller_settings_checked(self, kw, error):
         with pytest.raises(error):
             scenario(PlantModel([[0.5]], [[1.0]]), 10, **kw)
+
+    def test_one_model_estimate_per_step(self, monkeypatch):
+        import adaptive_lqr.controller as controller
+        import adaptive_lqr.estimation as estimation
+        calls = []
+        estimate = estimation.estimate_model
+
+        def counting(state):
+            calls.append(state.t)
+            return estimate(state)
+
+        monkeypatch.setattr(estimation, "estimate_model", counting)
+        monkeypatch.setattr(controller, "estimate_model", counting)
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        exc = ExcitationSchedule.constant(1, amplitude=1.0, seed=5)
+        assert len(simulate(scenario(plant, 200, exc=exc))) == 200
+        assert calls == list(range(200))
+
+    def test_step_estimate_and_logged_rho(self, monkeypatch):
+        # sigma0 = 1e-17 I makes Sigma ill-conditioned after one data point,
+        # and delta_b = -B hides the input, so the run has solved,
+        # non-stabilizable and ill-conditioned steps.
+        import adaptive_lqr.simulation as simulation
+        steps = []
+        step = simulation.controller_step
+
+        def recording(ctrl, x):
+            out = step(ctrl, x)
+            steps.append((ctrl.corr, out[2]))
+            return out
+
+        monkeypatch.setattr(simulation, "controller_step", recording)
+        plant = PlantModel([[0.5]], [[1.0]])
+        dist = DisturbanceModel.linear([[2.0]], [[-1.0]])
+        exc = ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.9, seed=2)
+        log = simulate(scenario(plant, 300, dist=dist, exc=exc, sigma0=1e-17 * np.eye(2)))
+        kinds = set()
+        for (corr, diag), rho in zip(steps, log.rho):
+            try:
+                est = estimate_model(corr)
+            except IllConditioned:
+                assert diag.estimate is None and diag.fallback and rho == np.inf
+                kinds.add("ill_conditioned")
+                continue
+            assert np.array_equal(diag.estimate.A, est.A)
+            assert np.array_equal(diag.estimate.B, est.B)
+            assert rho == rho_of(est, plant)
+            kinds.add("not_stabilizable" if diag.fallback else "solved")
+        assert kinds == {"solved", "not_stabilizable", "ill_conditioned"}
 
     def test_trusted_objects_survive_their_constructors(self, monkeypatch):
         # Every object the per-step path builds without validation must pass
