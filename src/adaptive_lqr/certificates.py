@@ -131,9 +131,9 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     contraction condition 2 beta^2 rho (rho+2) < 1, membership of the true
     plant, and (when correlation data is supplied) that rho bounds the
     estimate error of the estimate SigmaHat Sigma^{-1}.  Membership is tested
-    on P verified by a warm solve from it (one step at the fixed point); a P
-    the warm solve cannot confirm is replaced by a cold solve, so the verdict
-    is check_membership's.  The conclusion is evaluated on the given P when
+    on the solve confirmed from P (one step at the fixed point); a P the step
+    cannot confirm is replaced by a cold solve, so the verdict is
+    check_membership's.  The conclusion is evaluated on the given P when
     the solve confirms it to DEFAULT_TOL, otherwise on the solved P.
     A negative or non-finite rho, or a beta or rho whose square overflows,
     raises DomainError; a P or gain not shaped for the plant, or correlation
@@ -146,12 +146,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     c = 2.0 * beta**2 * rho * (rho + 2.0)
     # Strict hypothesis: the conclusion divides by 1 - c.
     hyps = {"contraction": HypothesisCheck(margin=_finite(1.0 - c), holds=1.0 - c > 1e-12)}
-    try:
-        solved = solve_dare(plant, p0=P.P)
-    except (DomainError, NotStabilizable):
-        solved, cert = _solve_membership(plant, beta)
-    else:
-        cert = _membership(plant, solved, beta)
+    solved, cert = _solve_membership(plant, beta, P.P)
     if solved is not None and not _converged(P.P, solved.P, DEFAULT_TOL):
         P = solved
     hyps["membership"] = _membership_hypothesis(cert)

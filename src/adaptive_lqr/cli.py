@@ -335,7 +335,10 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
     reports = []
     if cfg.get("plant") is not None:
         plant = _parse_plant(cfg)
-        P = solve_dare(plant)
+        try:
+            P = solve_dare(plant)
+        except NotStabilizable as exc:
+            raise ConfigError(f"field 'plant' is not stabilizable: {exc}") from exc
         q = q_from_p(plant, P)
         instances = [(plant, P, q)]
     else:

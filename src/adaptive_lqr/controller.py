@@ -98,7 +98,7 @@ class ControllerState:
     corr: CorrelationState
     last_gain: Gain
     excitation: ExcitationSchedule
-    warm_p: np.ndarray | None = None   # previous cost-to-go, warm-starts the solver
+    warm_p: np.ndarray | None = None   # previous cost-to-go, for the next solve to confirm
     tol: float = 1e-11
 
     def __post_init__(self):

@@ -41,6 +41,8 @@ from .riccati import (
     solve_dare,
     sym,
     _check_matrix,
+    _spectral_norm,
+    _sym_norm,
     _trusted,
 )
 
@@ -71,7 +73,7 @@ class CorrelationState:
         d = sigma.shape[0]
         if sigma.shape != (d, d):
             raise ShapeMismatch("sigma must be square")
-        if np.linalg.norm(sigma - sigma.T, 2) > 1e-12 * max(1.0, np.linalg.norm(sigma, 2)):
+        if _spectral_norm(sigma - sigma.T) > 1e-12 * max(1.0, _sym_norm(sigma)):
             raise ShapeMismatch("sigma is not symmetric to 1e-12 relative")
         sigma_hat = _check_matrix(self.sigma_hat, "sigma_hat")
         if sigma_hat.shape[1] != d or not 1 <= sigma_hat.shape[0] < d:
@@ -148,10 +150,17 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
                             lam=float(lam), sigma0=sigma0, t=t)
 
 
+def _cond(sigma: np.ndarray) -> float:
+    """cond(Sigma) of a symmetric Sigma without an SVD: the ratio of its extreme
+    eigenvalues, infinite when Sigma is not positive definite."""
+    evals = np.linalg.eigvalsh(sigma)
+    return float(evals[-1] / evals[0]) if evals[0] > 0 else np.inf
+
+
 def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> PlantModel:
     """[Ahat Bhat] = SigmaHat Sigma^{-1}; IllConditioned when cond(Sigma) > COND_LIMIT."""
-    cond = np.linalg.cond(sigma)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    cond = _cond(sigma)
+    if not cond <= COND_LIMIT:
         raise IllConditioned(f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
     ab = np.linalg.solve(sigma, sigma_hat.T).T
     n = sigma_hat.shape[0]
@@ -188,7 +197,7 @@ def data_riccati_residual(state: CorrelationState, q: QMatrix) -> float:
     S, Sh = state.sigma, state.sigma_hat
     lhs = S @ (q.Q - np.eye(S.shape[0])) @ S
     rhs = Sh.T @ q.min_value() @ Sh
-    return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(S @ q.Q @ S, 2))
+    return _sym_norm(lhs - rhs) / _sym_norm(S @ q.Q @ S)
 
 
 def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> np.ndarray:
@@ -216,6 +225,7 @@ def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
 
     |[A B] - SigmaHat Sigma^{-1}| in the spectral norm for the estimate of
     estimate_model; equals |[Swx Swu] Sigma^{-1}| for the disturbance
-    correlations of the same run.
+    correlations of the same run.  Computed without an SVD, as
+    sqrt(max eigvalsh(D D')) for D = [A B] - [Ahat Bhat].
     """
-    return float(np.linalg.norm(plant.ab - estimate.ab, 2))
+    return _spectral_norm(plant.ab - estimate.ab)

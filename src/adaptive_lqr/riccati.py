@@ -8,8 +8,9 @@ has optimal value x0' P x0, where P is the fixed point of
 The same fixed point in the joint state-input matrix Q = I + [A B]' P [A B]
 reads Q - I = [A B]' min_K([I;K]' Q [I;K]) [A B], with the minimizing gain
 K = -(Quu)^{-1} Qux.  A cold solve runs the structure-preserving doubling
-algorithm; a warm start and the descent from an upper bound run value
-iteration.  Every iterate is re-symmetrized.
+algorithm; a held solution is confirmed by one value-iteration step, and
+the descent from an upper bound runs value iteration.  Every iterate is
+re-symmetrized.
 
 Public constructors and the array arguments of public functions are checked;
 the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
@@ -40,6 +41,10 @@ DEFAULT_MAX_ITER = 100_000
 PSD_SLACK = 1e-8
 # Relative tolerance of solve_from_upper's hypothesis, monotonicity and stopping tests.
 UPPER_TOL = 1e-9
+# solve_dare accepts a one-step confirm of p0 at this fraction of tol: the
+# error of the accepted iterate is at most c / (1 - c) times its step for a
+# contraction c, so it stays within tol for any c up to 0.9.
+CONFIRM_FRACTION = 0.1
 # Largest magnitude whose square is a finite double.
 SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
 
@@ -47,6 +52,24 @@ SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
 def sym(M: np.ndarray) -> np.ndarray:
     """Exactly symmetric part (M + M') / 2."""
     return (M + M.T) / 2.0
+
+
+def _sym_norm(M: np.ndarray) -> float:
+    """Spectral norm of the symmetric part of M, max |eigvalsh(sym(M))|; no SVD."""
+    return float(np.abs(np.linalg.eigvalsh(sym(M))).max())
+
+
+def _spectral_norm(M: np.ndarray) -> float:
+    """Spectral norm of a finite M as sqrt(max eigvalsh(M M')); no SVD.
+
+    M is scaled by its largest entry first, so M M' neither overflows nor
+    underflows.
+    """
+    scale = np.abs(M).max()
+    if scale == 0.0:
+        return 0.0
+    M = M / scale
+    return float(scale * np.sqrt(np.linalg.eigvalsh(M @ M.T)[-1]))
 
 
 def _trusted(cls, **fields):
@@ -84,8 +107,7 @@ def _check_cost_matrix(M, name, shape=None):
     M = _check_matrix(M, name, shape)
     if M.shape[0] != M.shape[1]:
         raise ShapeMismatch(f"{name} must be square, got {M.shape}")
-    scale = max(1.0, float(np.linalg.norm(M, 2)))
-    if np.linalg.norm(M - M.T, 2) > 1e-12 * scale:
+    if _spectral_norm(M - M.T) > 1e-12 * max(1.0, _sym_norm(M)):
         raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
     # Symmetrizing makes the qux == qxu' block identity of Q exact.
     M = sym(M)
@@ -216,7 +238,7 @@ def riccati_step(plant: PlantModel, P: np.ndarray) -> np.ndarray:
 def dare_residual(plant: PlantModel, P) -> float:
     """Relative fixed-point residual |P - step(P)| / |P| in spectral norm."""
     P = P.P if isinstance(P, ValueMatrix) else np.asarray(P, dtype=float)
-    return float(np.linalg.norm(P - riccati_step(plant, P), 2) / np.linalg.norm(P, 2))
+    return _sym_norm(P - riccati_step(plant, P)) / _sym_norm(P)
 
 
 def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
@@ -244,53 +266,47 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
 
     H_k is value iteration from the identity after 2^k - 1 steps, so the
     iterates are monotone non-decreasing and >= I, and each doubling step
-    squares the contraction; `max_iter` counts doubling steps.
-    Warm start (`p0` given): value iteration from `p0`; `max_iter` counts
-    value-iteration steps, and a result that is not >= I, or an iterate
-    with I + B'PB singular, raises DomainError.
-
-    Both stop at the first step with |P_new - P|_F <= tol * max_i |P_new_ii|.
-    As |D|_2 <= |D|_F and |P_ii| <= |P|_2 for symmetric P, this implies the
+    squares the contraction; `max_iter` counts doubling steps.  It stops at
+    the first step with |P_new - P|_F <= tol * max_i |P_new_ii|.  As
+    |D|_2 <= |D|_F and |P_ii| <= |P|_2 for symmetric P, this implies the
     relative spectral step |P_new - P|_2 / |P_new|_2 <= tol.
-    Raises NotStabilizable when an iterate's largest diagonal entry exceeds
-    NORM_CAP, the doubling solve is singular to working precision, or the
-    budget runs out first.
+
+    Confirm (`p0` given): one step Pn = riccati_step(plant, p0), returned
+    when it passes the same rule at CONFIRM_FRACTION * tol and Pn >= I;
+    otherwise (a failed test, a singular I + B'PB or an iterate over the
+    cap) the result is the cold solve.
+
+    Raises NotStabilizable when a cold iterate's largest diagonal entry
+    exceeds NORM_CAP, the doubling solve is singular to working precision,
+    or the budget runs out first.
     """
     if not tol > 0 or max_iter < 1:
         raise DomainError("tol must be positive and max_iter >= 1")
     n = plant.n
-    if p0 is None:
-        eye = np.eye(n)
-        A, G, H = plant.A, plant.B @ plant.B.T, eye
-        for _ in range(max_iter):
-            try:
-                W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
-            except np.linalg.LinAlgError:
-                # G, H >= 0 make I + G H nonsingular; singular means lost precision.
-                raise NotStabilizable("I + G H is singular to working precision") from None
-            WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
-            Hn = sym(H + A.T @ H @ WA)
-            if _converged(H, Hn, tol):
-                return _trusted(ValueMatrix, P=Hn)
-            A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
-        raise NotStabilizable(f"no convergence to tol={tol:.1e} within {max_iter} doubling steps")
-    P = sym(_check_matrix(p0, "p0", (n, n)))
-    for _ in range(max_iter):
+    if p0 is not None:
+        P = sym(_check_matrix(p0, "p0", (n, n)))
         try:
             Pn = riccati_step(plant, P)
+            if _converged(P, Pn, CONFIRM_FRACTION * tol):
+                np.linalg.cholesky(Pn - (1.0 - 1e-9) * np.eye(n))
+                return _trusted(ValueMatrix, P=Pn)
+        except (np.linalg.LinAlgError, NotStabilizable):
+            pass
+        return solve_dare(plant, tol, max_iter)
+    eye = np.eye(n)
+    A, G, H = plant.A, plant.B @ plant.B.T, eye
+    for _ in range(max_iter):
+        try:
+            W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
         except np.linalg.LinAlgError:
-            # I + B'PB is singular only for a P that is not >= 0.
-            raise DomainError("p0 leads to a singular I + B'PB; P must satisfy P >= I") from None
-        done = _converged(P, Pn, tol)
-        P = Pn
-        if done:
-            # Iterates stay >= I from any PSD start; a raw p0 may not be one.
-            try:
-                np.linalg.cholesky(P - (1.0 - 1e-9) * np.eye(n))
-            except np.linalg.LinAlgError:
-                raise DomainError("P must satisfy P >= I (unit stage cost)") from None
-            return _trusted(ValueMatrix, P=P)
-    raise NotStabilizable(f"no convergence to tol={tol:.1e} within {max_iter} iterations")
+            # G, H >= 0 make I + G H nonsingular; singular means lost precision.
+            raise NotStabilizable("I + G H is singular to working precision") from None
+        WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
+        Hn = sym(H + A.T @ H @ WA)
+        if _converged(H, Hn, tol):
+            return _trusted(ValueMatrix, P=Hn)
+        A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
+    raise NotStabilizable(f"no convergence to tol={tol:.1e} within {max_iter} doubling steps")
 
 
 def q_from_p(plant: PlantModel, P) -> QMatrix:
@@ -329,12 +345,12 @@ def check_membership(plant: PlantModel, beta: float) -> MembershipCertificate:
     return _solve_membership(plant, beta)[1]
 
 
-def _solve_membership(plant: PlantModel,
-                      beta: float) -> tuple[ValueMatrix | None, MembershipCertificate]:
-    """check_membership's certificate with the cold-solved P (None when unsolvable)."""
+def _solve_membership(plant: PlantModel, beta: float, p0: np.ndarray | None = None
+                      ) -> tuple[ValueMatrix | None, MembershipCertificate]:
+    """check_membership's certificate with the P solved from p0 (None when unsolvable)."""
     _check_beta(beta)
     try:
-        P = solve_dare(plant)
+        P = solve_dare(plant, p0=p0)
     except NotStabilizable as exc:
         return None, MembershipCertificate(beta=float(beta), member=False, Q=None,
                                            max_eig_Q=np.inf, residual=np.inf,

@@ -8,7 +8,6 @@ run and to evaluate the robustness certificates afterwards.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -182,35 +181,6 @@ class TrajectoryLog:
     def state_input_cost(self, t0: int = 0) -> float:
         """sum over t >= t0 of |x_t|^2 + |u_t|^2."""
         return float(np.sum(self.x[t0:] ** 2) + np.sum(self.u[t0:] ** 2))
-
-    def to_json_dict(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
-                for k, v in values.items()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrajectoryLog":
-        n, m = int(d["n"]), int(d["m"])
-        steps = len(d["t"])
-        return cls(
-            n=n,
-            m=m,
-            t=np.asarray(d["t"], dtype=int),
-            x=np.asarray(d["x"], dtype=float).reshape(steps, n),
-            u=np.asarray(d["u"], dtype=float).reshape(steps, m),
-            eps=np.asarray(d["eps"], dtype=float).reshape(steps, m),
-            w=np.asarray(d["w"], dtype=float).reshape(steps, n),
-            k=np.asarray(d["k"], dtype=float).reshape(steps, m, n),
-            rho=np.asarray(d["rho"], dtype=float),
-            eq6_residual=np.asarray(d["eq6_residual"], dtype=float),
-            fallback=np.asarray(d["fallback"], dtype=bool),
-            x_final=np.asarray(d["x_final"], dtype=float),
-            overflowed=bool(d["overflowed"]),
-        )
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
 
     def csv_header(self) -> list[str]:
         cols = ["t"]

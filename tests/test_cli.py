@@ -61,6 +61,14 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, {"plant": {"A": [[2.0]], "B": [[0.0]]}})
         assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
+    def test_plant_past_square_max_exit_2(self, tmp_path, capsys):
+        # 1e154 squares past the largest double: the doubling solve ends in
+        # NotStabilizable, never in an SVD or overflow traceback.
+        cfg = write_config(tmp_path, {"plant": {"A": [[1e154]], "B": [[1.0]]}})
+        assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "not stabilizable" in err and "Traceback" not in err
+
     def test_plant_solved_once(self, tmp_path, monkeypatch):
         calls = []
         solve = riccati.solve_dare
@@ -295,6 +303,12 @@ class TestCertifyCommand:
         margins = {d["name"]: d["margins"]["conclusion"] for d in payload["reports"]}
         assert abs(margins["theorem1"]) <= 1e-8
         assert abs(margins["lyapunov_decay"]) <= 1e-8
+
+    def test_explicit_plant_not_stabilizable_names_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"plant": {"A": [[2.0]], "B": [[0.0]]}, "rho": 0.01})
+        assert main(["certify", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "'plant'" in err and "not stabilizable" in err and "Traceback" not in err
 
     def test_reports_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, {"instances": 3, "seed": 2})

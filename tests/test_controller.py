@@ -3,12 +3,15 @@ import pytest
 
 from adaptive_lqr import (
     CorrelationState,
+    DisturbanceModel,
     DomainError,
     ExcitationSchedule,
     Gain,
     NonFiniteInput,
     PlantModel,
+    Scenario,
     ShapeMismatch,
+    admissible_rho,
     controller_observe,
     controller_step,
     estimate_model,
@@ -17,11 +20,12 @@ from adaptive_lqr import (
     initial_controller,
     q_from_p,
     sample_membership_plant,
+    simulate,
     solve_dare,
     update_correlations,
 )
 from dataclasses import replace
-from conftest import scalar_k, scalar_p
+from conftest import scalar_k, scalar_p, scipy_dare
 
 
 def consistent_state(plant, seed=0, lam=0.99):
@@ -233,3 +237,58 @@ class TestClosedLoopProperties:
             gains, x_final, _ = run_loop(plant, ctrl, np.ones(n), 550)
             err = np.linalg.norm(gains[500:] - k_opt, axis=(1, 2) if gains.ndim == 3 else None)
             assert np.max(err) <= 1e-6
+
+
+def criterion5_scenarios(seed, cases):
+    """Acceptance criterion 5's four variants per sampled membership plant."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for case in range(cases):
+        beta = [2.0, 5.0][case % 2]
+        rho = 0.7 * admissible_rho(beta)
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        plant, _, _ = sample_membership_plant(rng, beta, n, m)
+        base = dict(amplitude=50.0, decay_rate=0.9)
+        da = rng.standard_normal((n, n))
+        db = rng.standard_normal((n, m))
+        scale = 0.01 * rho / np.linalg.norm(np.hstack([da, db]), 2)
+        variants = [
+            (DisturbanceModel.zero(), base, np.ones(n)),
+            (DisturbanceModel.zero(), dict(amplitude=200.0, decay_rate=0.85), 3.0 * np.ones(n)),
+            (DisturbanceModel.external(0.1 * rho * rng.uniform(-1.0, 1.0, (250, n))), base,
+             np.ones(n)),
+            (DisturbanceModel.filtered(scale * da, scale * db, pole=0.4), base, np.ones(n)),
+        ]
+        for dist, exc_kw, x0 in variants:
+            exc = ExcitationSchedule.decaying(m, seed=int(rng.integers(0, 2**32)), **exc_kw)
+            out.append(Scenario(plant=plant, disturbance=dist, x0=x0, horizon=250,
+                                excitation=exc))
+    return out
+
+
+class TestSolveAccuracy:
+    def test_every_controller_solve_meets_tol_against_scipy(self, monkeypatch):
+        # Confirmed and cold solves alike are within the controller tol of
+        # scipy's solver on the step's estimate, in relative spectral norm.
+        import adaptive_lqr.estimation as estimation
+        solves = []
+        solve = estimation.solve_dare
+
+        def recording(plant, *args, **kwargs):
+            P = solve(plant, *args, **kwargs)
+            solves.append((plant, kwargs["tol"], P.P))
+            return P
+
+        monkeypatch.setattr(estimation, "solve_dare", recording)
+        scenarios = criterion5_scenarios(5005, 2)
+        assert len(scenarios) == 8
+        for sc in scenarios:
+            simulate(sc)
+        assert len(solves) > 1000
+        worst = 0.0
+        for plant, tol, P in solves:
+            P_ref, _ = scipy_dare(plant)
+            err = np.linalg.norm(P - P_ref, 2) / np.linalg.norm(P_ref, 2)
+            worst = max(worst, err / tol)
+        assert worst <= 1.0, worst

@@ -20,7 +20,10 @@ from adaptive_lqr import (
     solve_data_riccati,
     update_correlations,
 )
+from adaptive_lqr.estimation import _cond
+from adaptive_lqr.riccati import _spectral_norm, _sym_norm, sym
 from conftest import random_history, random_stabilizable_plant, scalar_k, scalar_p
+from hypothesis import given, settings, strategies as st
 
 
 def make_state(sigma, sigma_hat, lam=0.99, sigma0=None, t=1):
@@ -295,3 +298,53 @@ class TestRhoOf:
             via_ratio = np.linalg.norm(
                 np.linalg.solve(corr.sigma, dist.T).T, 2)
             assert abs(direct - via_ratio) <= 1e-9 * max(1.0, direct)
+
+
+# Matrices with entries k * 10^e, k in [-1000, 1000] and e in [-6, 6]: wide
+# in scale, far from underflow and overflow.
+def _matrices(rows, cols):
+    return st.tuples(
+        st.lists(st.integers(-1000, 1000), min_size=rows * cols, max_size=rows * cols),
+        st.integers(-6, 6),
+    ).map(lambda ke: np.asarray(ke[0], dtype=float).reshape(rows, cols) * 10.0 ** ke[1])
+
+
+class TestEigvalshForms:
+    """The SVD-free forms of the adaptive step equal the SVD forms they replace."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4))
+    def test_rho_of_is_the_spectral_norm(self, data, n, m):
+        D = data.draw(_matrices(n, n + m))
+        estimate = PlantModel(np.zeros((n, n)), np.zeros((n, m)))
+        plant = PlantModel(D[:, :n], D[:, n:])
+        ref = np.linalg.norm(D, 2)
+        assert abs(rho_of(estimate, plant) - ref) <= 1e-12 * ref
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 7))
+    def test_symmetric_norm_is_the_spectral_norm(self, data, d):
+        M = sym(data.draw(_matrices(d, d)))
+        ref = np.linalg.norm(M, 2)
+        assert abs(_sym_norm(M) - ref) <= 1e-12 * ref
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 7), st.integers(0, 2))
+    def test_cond_is_the_svd_condition_number(self, data, d, shift):
+        # Sigma = X X' + c I with cond(Sigma) at most about 1e2 * (d + 1), where
+        # both forms resolve the smallest eigenvalue to 1e-12 relative.
+        X = data.draw(_matrices(d, d))
+        X = X / max(1.0, np.abs(X).max())
+        sigma = sym(X @ X.T + 10.0 ** -shift * np.eye(d))
+        ref = np.linalg.cond(sigma)
+        assert abs(_cond(sigma) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_spectral_norm_free_of_overflow_and_underflow(self, scale):
+        D = scale * np.array([[3.0, 0.0, 4.0], [0.0, 1.0, 0.0]])
+        assert abs(_spectral_norm(D) - 5.0 * scale) <= 1e-15 * 5.0 * scale
+        assert _spectral_norm(np.zeros((2, 3))) == 0.0
+
+    def test_cond_infinite_unless_positive_definite(self):
+        assert _cond(np.zeros((2, 2))) == np.inf
+        assert _cond(np.diag([1.0, -1.0])) == np.inf

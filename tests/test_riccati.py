@@ -3,6 +3,7 @@ import pytest
 
 from adaptive_lqr import (
     DomainError,
+    NonFiniteInput,
     Gain,
     NotStabilizable,
     PlantModel,
@@ -19,6 +20,8 @@ from adaptive_lqr import (
     solve_dare,
     solve_from_upper,
 )
+from adaptive_lqr import riccati
+from adaptive_lqr.riccati import CONFIRM_FRACTION, DEFAULT_TOL, _converged, sym
 from conftest import random_stabilizable_plant, scalar_p, scipy_dare
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -60,20 +63,29 @@ class TestSolveDare:
 
     def test_warm_start_at_a_non_stabilizing_fixed_point_rejected(self):
         # p0 at the negative root of p^2 - p/4 - 1 = 0 (a = 0.5, b = 1) is a
-        # fixed point, so the iteration stops there at once with P < I.
+        # fixed point, so its step passes the test but fails Pn >= I: the
+        # p0 is rejected and the result is the cold solve.
+        plant = PlantModel([[0.5]], [[1.0]])
         p_neg = (0.25 - np.sqrt(0.25**2 + 4.0)) / 2.0
-        with pytest.raises(DomainError):
-            solve_dare(PlantModel([[0.5]], [[1.0]]), p0=[[p_neg]])
+        assert np.array_equal(solve_dare(plant, p0=[[p_neg]]).P, solve_dare(plant).P)
 
     def test_max_iter_counts_doubling_steps_when_cold(self):
         # Closed-loop pole ~0.9: value iteration needs over a hundred steps,
         # the doubling cold path covers 2^k - 1 of them in k steps.
         plant = PlantModel([[0.99]], [[0.1]])
         P = solve_dare(plant, max_iter=10)
-        with pytest.raises(NotStabilizable):
-            solve_dare(plant, max_iter=10, p0=np.eye(1))
-        assert np.allclose(solve_dare(plant, max_iter=10_000, p0=np.eye(1)).P, P.P,
-                           rtol=1e-8, atol=0.0)
+
+        def value_iteration(budget):
+            X = np.eye(1)
+            for _ in range(budget):
+                Xn = riccati_step(plant, X)
+                if _converged(X, Xn, DEFAULT_TOL):
+                    return Xn
+                X = Xn
+            return None
+
+        assert value_iteration(10) is None
+        assert np.allclose(value_iteration(10_000), P.P, rtol=1e-8, atol=0.0)
 
     def test_stopping_rule_implies_spectral_step(self):
         # Every step the Frobenius/diagonal rule accepts is within tol in the
@@ -85,21 +97,60 @@ class TestSolveDare:
             P = np.eye(4)
             for _ in range(60):
                 Pn = riccati_step(plant, P)
-                try:
-                    out = solve_dare(plant, tol=1e-6, max_iter=1, p0=P).P
-                except NotStabilizable:
-                    pass
-                else:
+                if _converged(P, Pn, 1e-6):
                     accepted += 1
-                    assert np.array_equal(out, Pn)
                     assert np.linalg.norm(Pn - P, 2) <= 1e-6 * np.linalg.norm(Pn, 2)
                 P = Pn
         assert accepted > 0
 
     def test_warm_start_with_singular_input_block_rejected(self):
-        # p0 = -1 with b = 1 makes 1 + b p b = 0.
-        with pytest.raises(DomainError):
-            solve_dare(PlantModel([[0.5]], [[1.0]]), p0=[[-1.0]])
+        # p0 = -1 with b = 1 makes 1 + b p b = 0: the step cannot be taken,
+        # the p0 is rejected and the result is the cold solve.
+        plant = PlantModel([[0.5]], [[1.0]])
+        assert np.array_equal(solve_dare(plant, p0=[[-1.0]]).P, solve_dare(plant).P)
+
+    def test_confirmed_p0_returns_its_step(self):
+        # At the solution the one step passes the test and is the result.
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            plant = random_stabilizable_plant(rng, 3, 2)
+            P = solve_dare(plant, tol=1e-12).P
+            assert np.array_equal(solve_dare(plant, p0=P).P, riccati_step(plant, P))
+
+    def test_confirm_uses_a_tenth_of_tol(self, monkeypatch):
+        # A step between CONFIRM_FRACTION * tol and tol is not confirmed.
+        plant = PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]])
+        P = solve_dare(plant).P
+        p0 = P + 1e-11 * np.abs(P).max() * np.eye(2)
+        Pn = riccati_step(plant, sym(p0))
+        step = np.linalg.norm(Pn - sym(p0)) / np.abs(Pn.diagonal()).max()
+        tol = 2.0 * step
+        assert CONFIRM_FRACTION * tol < step <= tol
+        cold = []
+        solve = riccati.solve_dare
+
+        def counting(*args, **kwargs):
+            cold.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(riccati, "solve_dare", counting)
+        assert np.array_equal(solve_dare(plant, tol=tol, p0=p0).P, solve(plant, tol).P)
+        assert len(cold) == 1
+        assert np.array_equal(solve_dare(plant, tol=20.0 * step, p0=p0).P, Pn)
+        assert len(cold) == 1
+
+    def test_over_cap_step_falls_back_to_cold(self):
+        plant = PlantModel([[0.5]], [[0.0]])
+        assert np.array_equal(solve_dare(plant, p0=[[1e13]]).P, solve_dare(plant).P)
+        with pytest.raises(NotStabilizable):
+            solve_dare(PlantModel([[2.0]], [[0.0]]), p0=[[1e13]])
+
+    def test_p0_checked(self):
+        plant = PlantModel([[0.5]], [[1.0]])
+        with pytest.raises(ShapeMismatch):
+            solve_dare(plant, p0=np.eye(2))
+        with pytest.raises(NonFiniteInput):
+            solve_dare(plant, p0=[[np.nan]])
 
     def test_cold_solve_singular_to_working_precision_not_stabilizable(self):
         # B B' of entries 1e304 makes I + G H exactly singular in doubles.
