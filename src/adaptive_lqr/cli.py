@@ -39,7 +39,8 @@ from .certificates import (
 )
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
-from .riccati import PSD_SLACK, SQUARE_MAX, PlantModel, _membership, gain_from_q, solve_dare
+from .riccati import (PSD_SLACK, SQUARE_MAX, PlantModel, _check_matrix, _membership,
+                      gain_from_q, solve_dare)
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -91,22 +92,9 @@ def _as_str(val, ctx):
 
 def _as_matrix(val, ctx):
     try:
-        M = np.asarray(val, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{ctx}' must be a rectangular numeric matrix") from exc
-    if M.ndim != 2 or not np.all(np.isfinite(M)):
-        raise ConfigError(f"field '{ctx}' must be a finite 2-d matrix")
-    return M
-
-
-def _as_vector(val, ctx):
-    try:
-        v = np.asarray(val, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{ctx}' must be a numeric vector") from exc
-    if not np.all(np.isfinite(v)):
-        raise ConfigError(f"field '{ctx}' must be finite")
-    return v
+        return _check_matrix(val, f"field '{ctx}'")
+    except AdaptiveLqError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _as_float_list(val, ctx):
@@ -187,7 +175,7 @@ def _parse_scenario(cfg, seed) -> Scenario:
     plant = _parse_plant(cfg)
     n, m = plant.n, plant.m
     horizon = _as_int(cfg.get("horizon", 1000), "horizon")
-    x0 = np.ones(n) if cfg.get("x0") is None else _as_vector(cfg["x0"], "x0")
+    x0 = np.ones(n) if cfg.get("x0") is None else cfg["x0"]
     lam = _as_float(cfg.get("lambda", 0.99), "lambda")
     sigma0_scale = _as_float(cfg.get("sigma0_scale", 1e-3), "sigma0_scale")
     if sigma0_scale <= 0:
@@ -195,14 +183,14 @@ def _parse_scenario(cfg, seed) -> Scenario:
     excitation = _parse_excitation(cfg, m, seed)
     disturbance = _parse_disturbance(cfg)
     fallback = None if cfg.get("fallback_gain") is None else _as_matrix(cfg["fallback_gain"], "fallback_gain")
-    beta = _as_float(cfg.get("beta", 2.0), "beta")
-    gamma = _as_float(cfg.get("gamma", 20.0), "gamma")
+    # Read by nothing; still parsed and checked so that archived configs load.
+    _as_float(cfg.get("beta", 2.0), "beta")
+    _as_float(cfg.get("gamma", 20.0), "gamma")
     controller_tol = _as_float(cfg.get("controller_tol", 1e-11), "controller_tol")
     try:
         return Scenario(plant=plant, disturbance=disturbance, x0=x0, horizon=horizon,
                         lam=lam, sigma0=sigma0_scale * np.eye(n + m), excitation=excitation,
-                        fallback_gain=fallback, beta=beta, gamma=gamma,
-                        controller_tol=controller_tol)
+                        fallback_gain=fallback, controller_tol=controller_tol)
     except AdaptiveLqError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
@@ -419,7 +407,7 @@ def _sweep_row(scenario_base: Scenario, t0_cfg, idx: int,
                              seed=_derive_seed(scenario_base.excitation.seed, idx))
         scenario = replace(scenario_base,
                            disturbance=scenario_base.disturbance.scaled(mag),
-                           excitation=excitation, beta=beta, gamma=gamma)
+                           excitation=excitation)
         log = simulate(scenario)
         cost, overflowed = log.state_input_cost(), log.overflowed
         t0 = consistent_start(log, rho) if t0_cfg == "auto" else t0_cfg

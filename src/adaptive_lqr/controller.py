@@ -16,14 +16,13 @@ import numpy as np
 from .errors import DomainError, EstimateNotStabilizable, IllConditioned, ShapeMismatch
 from .estimation import (
     CorrelationState,
-    _check_vector,
     data_riccati_residual,
     estimate_model,
     initial_correlation,
     solve_data_riccati,
     update_correlations,
 )
-from .riccati import Gain, PlantModel, _trusted
+from .riccati import Gain, PlantModel, _check_vector, _trusted
 
 EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
 
@@ -135,9 +134,9 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     estimate = None
     try:
         estimate = estimate_model(state.corr)
-        q, gain = solve_data_riccati(estimate, tol=state.tol, p0=state.warm_p)
+        q, gain, P = solve_data_riccati(estimate, tol=state.tol, p0=state.warm_p)
         residual = data_riccati_residual(state.corr, q)
-        warm = q.min_value()
+        warm = P.P
         fallback = False
     except (EstimateNotStabilizable, IllConditioned):
         gain = state.last_gain

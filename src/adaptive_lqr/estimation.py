@@ -36,26 +36,19 @@ from .riccati import (
     Gain,
     PlantModel,
     QMatrix,
+    ValueMatrix,
     gain_from_q,
     q_from_p,
     solve_dare,
     sym,
     _check_matrix,
+    _check_vector,
     _spectral_norm,
     _sym_norm,
     _trusted,
 )
 
 COND_LIMIT = 1e14
-
-
-def _check_vector(v, name, size):
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (size,):
-        raise ShapeMismatch(f"{name} must have length {size}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInput(f"{name} contains non-finite entries")
-    return v
 
 
 @dataclass(frozen=True)
@@ -69,10 +62,8 @@ class CorrelationState:
     t: int
 
     def __post_init__(self):
-        sigma = _check_matrix(self.sigma, "sigma")
+        sigma = _check_matrix(self.sigma, "sigma", square=True)
         d = sigma.shape[0]
-        if sigma.shape != (d, d):
-            raise ShapeMismatch("sigma must be square")
         if _spectral_norm(sigma - sigma.T) > 1e-12 * max(1.0, _sym_norm(sigma)):
             raise ShapeMismatch("sigma is not symmetric to 1e-12 relative")
         sigma_hat = _check_matrix(self.sigma_hat, "sigma_hat")
@@ -129,13 +120,13 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
     associativity.  For an empty history the state dimension `n` must be
     given (the result is then Sigma = Sigma0, SigmaHat = 0 at t = 0).
     """
-    sigma0 = np.array(sigma0, dtype=float)
+    sigma0 = _check_matrix(sigma0, "sigma0", square=True)
     d = sigma0.shape[0]
     t = len(history)
     if n is None:
         if t == 0:
             raise ShapeMismatch("empty history requires the state dimension n")
-        n = np.asarray(history[0][0], dtype=float).size
+        n = _check_vector(history[0][0], "x").size
     sigma = float(lam) ** t * sigma0
     sigma_hat = np.zeros((n, d))
     for k, (x, u, x_next) in enumerate(history):
@@ -173,20 +164,21 @@ def estimate_model(state: CorrelationState) -> PlantModel:
 
 
 def solve_data_riccati(estimate: PlantModel, tol: float = DEFAULT_TOL,
-                       p0: np.ndarray | None = None) -> tuple[QMatrix, Gain]:
+                       p0: np.ndarray | None = None) -> tuple[QMatrix, Gain, ValueMatrix]:
     """Solve the correlation-weighted fixed-point equation via the model estimate.
 
     Runs the certified Riccati solver on the estimate of estimate_model and
-    returns (Q_t, K_t).  The two routes are algebraically equivalent for
-    positive-definite Sigma; data_riccati_residual certifies the result on
-    the correlation-weighted equation directly.
+    returns (Q_t, K_t, P_t), with P_t the solve's own cost matrix.  The two
+    routes are algebraically equivalent for positive-definite Sigma;
+    data_riccati_residual certifies the result on the correlation-weighted
+    equation directly.
     """
     try:
         P = solve_dare(estimate, tol=tol, p0=p0)
     except NotStabilizable as exc:
         raise EstimateNotStabilizable(str(exc)) from exc
     q = q_from_p(estimate, P)
-    return q, gain_from_q(q)
+    return q, gain_from_q(q), P
 
 
 def data_riccati_residual(state: CorrelationState, q: QMatrix) -> float:
@@ -228,4 +220,6 @@ def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     correlations of the same run.  Computed without an SVD, as
     sqrt(max eigvalsh(D D')) for D = [A B] - [Ahat Bhat].
     """
+    if (estimate.n, estimate.m) != (plant.n, plant.m):
+        raise ShapeMismatch(f"estimate (n, m) = {estimate.n, estimate.m}, plant {plant.n, plant.m}")
     return _spectral_norm(plant.ab - estimate.ab)

@@ -12,7 +12,8 @@ algorithm; a held solution is confirmed by one value-iteration step, and
 the descent from an upper bound runs value iteration.  Every iterate is
 re-symmetrized.
 
-Public constructors and the array arguments of public functions are checked;
+Public constructors and public functions check array arguments with
+_check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch);
 the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
 gain of gain_from_q are built from checked data and skip `__post_init__`.
 """
@@ -79,15 +80,36 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _check_matrix(M, name, shape=None):
-    M = np.array(M, dtype=float)
+def _as_float_array(M, name, copy):
+    """M as a float array; ShapeMismatch naming `name` if numpy cannot convert it."""
+    try:
+        return np.array(M, dtype=float) if copy else np.asarray(M, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeMismatch(f"{name} must be a rectangular array of numbers") from exc
+
+
+def _check_matrix(M, name, shape=None, square=False):
+    """M as a finite float matrix (a copy), of `shape` when given, else square if asked."""
+    M = _as_float_array(M, name, copy=True)
     if M.ndim != 2:
         raise ShapeMismatch(f"{name} must be a matrix, got ndim={M.ndim}")
+    if shape is None and square:
+        shape = (len(M), len(M))
     if shape is not None and M.shape != shape:
         raise ShapeMismatch(f"{name} must have shape {shape}, got {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return M
+
+
+def _check_vector(v, name, size=None):
+    """v flattened to a finite float vector (no copy), of length `size` when given."""
+    v = _as_float_array(v, name, copy=False).reshape(-1)
+    if size is not None and v.shape != (size,):
+        raise ShapeMismatch(f"{name} must have length {size}, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput(f"{name} contains non-finite entries")
+    return v
 
 
 def _check_squarable(x: float, name: str) -> None:
@@ -104,9 +126,7 @@ def _check_beta(beta: float) -> None:
 
 def _check_cost_matrix(M, name, shape=None):
     """M checked square, symmetric to 1e-12 relative and >= I; returned re-symmetrized."""
-    M = _check_matrix(M, name, shape)
-    if M.shape[0] != M.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got {M.shape}")
+    M = _check_matrix(M, name, shape, square=True)
     if _spectral_norm(M - M.T) > 1e-12 * max(1.0, _sym_norm(M)):
         raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
     # Symmetrizing makes the qux == qxu' block identity of Q exact.
@@ -124,12 +144,10 @@ class PlantModel:
     B: np.ndarray
 
     def __post_init__(self):
-        A = _check_matrix(self.A, "A")
-        if A.shape[0] != A.shape[1] or A.shape[0] < 1:
-            raise ShapeMismatch(f"A must be square n x n with n >= 1, got {A.shape}")
+        A = _check_matrix(self.A, "A", square=True)
         B = _check_matrix(self.B, "B")
-        if B.shape[0] != A.shape[0] or B.shape[1] < 1:
-            raise ShapeMismatch(f"B must be {A.shape[0]} x m with m >= 1, got {B.shape}")
+        if B.shape[0] != len(A) or min(B.shape) < 1:
+            raise ShapeMismatch(f"B must be n x m = {len(A)} x m with n, m >= 1, got {B.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -226,7 +244,10 @@ class MembershipCertificate:
 
 
 def riccati_step(plant: PlantModel, P: np.ndarray) -> np.ndarray:
-    """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)]."""
+    """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)].
+
+    Unchecked: it runs on every confirm, and each caller passes a checked n x n P.
+    """
     A, B = plant.A, plant.B
     BtP = B.T @ P
     G = np.eye(plant.m) + BtP @ B
@@ -236,8 +257,9 @@ def riccati_step(plant: PlantModel, P: np.ndarray) -> np.ndarray:
 
 
 def dare_residual(plant: PlantModel, P) -> float:
-    """Relative fixed-point residual |P - step(P)| / |P| in spectral norm."""
-    P = P.P if isinstance(P, ValueMatrix) else np.asarray(P, dtype=float)
+    """Relative fixed-point residual |P - step(P)| / |P| in spectral norm; P,
+    an array or a ValueMatrix, is checked as n x n."""
+    P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
     return _sym_norm(P - riccati_step(plant, P)) / _sym_norm(P)
 
 

@@ -20,7 +20,7 @@ from .controller import (
 )
 from .errors import DomainError, ShapeMismatch
 from .estimation import rho_of
-from .riccati import PlantModel, _check_matrix
+from .riccati import PlantModel, _check_matrix, _check_vector
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12
@@ -49,8 +49,7 @@ class DisturbanceModel:
         if self.kind not in DISTURBANCE_KINDS:
             raise ShapeMismatch(f"kind must be one of {DISTURBANCE_KINDS}, got {self.kind!r}")
         if self.kind == "external_sequence":
-            seq = _check_matrix(self.sequence, "sequence")
-            object.__setattr__(self, "sequence", seq)
+            object.__setattr__(self, "sequence", _check_matrix(self.sequence, "sequence"))
         if self.kind in ("linear_unmodeled", "filtered_unmodeled"):
             da = _check_matrix(self.delta_a, "delta_a")
             db = _check_matrix(self.delta_b, "delta_b")
@@ -67,7 +66,7 @@ class DisturbanceModel:
 
     @classmethod
     def external(cls, sequence) -> "DisturbanceModel":
-        return cls(kind="external_sequence", sequence=np.atleast_2d(np.asarray(sequence, dtype=float)))
+        return cls(kind="external_sequence", sequence=sequence)
 
     @classmethod
     def linear(cls, delta_a, delta_b) -> "DisturbanceModel":
@@ -94,16 +93,16 @@ class DisturbanceModel:
 
 def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
     """Evaluate the disturbance at time t; returns (w, internal_state')."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
+    x = _check_vector(x, "x")
+    u = _check_vector(u, "u")
     n = x.size
     if model.kind == "zero":
         return np.zeros(n), internal_state
     if model.kind == "external_sequence":
         if n != model.sequence.shape[1]:
             raise ShapeMismatch(f"x must have length {model.sequence.shape[1]}, got {n}")
-        w = model.sequence[t] if t < len(model.sequence) else np.zeros(n)
-        return np.asarray(w, dtype=float).copy(), internal_state
+        w = model.sequence[t].copy() if t < len(model.sequence) else np.zeros(n)
+        return w, internal_state
     if (n, u.size) != model.delta_b.shape:
         raise ShapeMismatch(f"x and u must have lengths {model.delta_b.shape}, got {(n, u.size)}")
     drive = model.delta_a @ x + model.delta_b @ u
@@ -132,10 +131,7 @@ class Scenario:
     def __post_init__(self):
         if self.horizon < 1:
             raise ShapeMismatch("horizon must be at least 1")
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if x0.shape != (self.plant.n,):
-            raise ShapeMismatch(f"x0 must have length {self.plant.n}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", _check_vector(self.x0, "x0", self.plant.n).copy())
         n, m, d = self.plant.n, self.plant.m, self.disturbance
         if d.kind == "external_sequence" and d.sequence.shape[1] != n:
             raise ShapeMismatch(f"disturbance.sequence must have {n} columns, got {d.sequence.shape[1]}")

@@ -1,8 +1,10 @@
+import copy
 import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adaptive_lqr import (
     CertificateReport,
@@ -216,6 +218,71 @@ class TestConfigValidation:
         assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("payload, needle", [
+        ({"plant": {"A": [[0.5, 0.0], [0.0]], "B": [[1.0], [0.0]]}}, "'plant.A'"),
+        ({"x0": ["one"]}, "x0"),
+        ({"disturbance": {"kind": "external_sequence", "sequence": [[0.1], [0.2, 0.3]]}},
+         "'disturbance.sequence'"),
+    ], ids=["ragged_plant_a", "string_in_x0", "ragged_sequence"])
+    def test_malformed_array_exits_1_naming_the_field(self, tmp_path, capsys, payload, needle):
+        payload = {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5, **payload}
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+
+
+# Small valid configs; the fuzz replaces one field of one of them.
+FUZZ_BASES = {
+    "solve": {"command": "solve", "seed": 0, "beta": 2.0, "tol": 1e-10, "max_iter": 100,
+              "plant": {"A": [[0.5, 0.1], [0.0, 0.4]], "B": [[1.0], [0.2]]}},
+    "simulate": {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5, "x0": [1.0],
+                 "lambda": 0.99, "fallback_gain": [[0.0]],
+                 "excitation": {"kind": "decaying", "amplitude": 1.0, "decay_rate": 0.9},
+                 "disturbance": {"kind": "external_sequence", "sequence": [[0.1], [0.2]]}},
+    "certify": {"seed": 3, "instances": 1, "n": 1, "m": 1, "beta": 2.0, "gamma": 20.0,
+                "rho_scale": 0.5, "checks": ["theorem1", "lemma1", "lyapunov"]},
+    "sweep": {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5, "t0": "auto",
+              "disturbance": {"kind": "linear_unmodeled", "delta_a": [[0.1]], "delta_b": [[0.0]]},
+              "sweep": {"beta": [2.0], "rho_scale": [0.5], "excitation_amplitude": [1.0]}},
+}
+
+
+def _field_paths(node, prefix=()):
+    """Paths to every value in a config, nested objects and list entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FUZZ_FIELDS = [(command, path) for command, base in FUZZ_BASES.items()
+               for path in _field_paths(base)]
+# Integers stay small, so a drawn horizon, instance count or size runs quickly.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(FUZZ_FIELDS), JSON_VALUES)
+    def test_any_field_value_ends_in_an_exit_code(self, tmp_path, monkeypatch, field, value):
+        # A drawn n or m reaches the membership sampler; keep its budget short.
+        monkeypatch.setattr(certificates, "MAX_SAMPLE_TRIES", 5)
+        command, path = field
+        cfg = copy.deepcopy(FUZZ_BASES[command])
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code = main([command, write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")])
+        assert code in (0, 1, 2, 3, 4)
 
 
 class TestSimulateCommand:

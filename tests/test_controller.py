@@ -142,6 +142,12 @@ class TestControllerStep:
             assert np.array_equal(diag.estimate.A, est.A)
             assert np.array_equal(diag.estimate.B, est.B)
 
+    def test_holds_the_solved_p_for_the_next_solve(self):
+        ctrl = replace(initial_controller(1, 1), corr=consistent_state(PlantModel([[0.5]], [[1.0]])))
+        _, new, diag = controller_step(ctrl, [1.0])
+        assert not diag.fallback
+        assert np.array_equal(new.warm_p, solve_dare(diag.estimate, tol=ctrl.tol).P)
+
     def test_excitation_added(self):
         sched = ExcitationSchedule.constant(1, amplitude=0.5, seed=3)
         ctrl = initial_controller(1, 1, excitation=sched)

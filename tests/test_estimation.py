@@ -162,14 +162,14 @@ class TestEstimateModel:
 
 class TestSolveDataRiccati:
     def test_no_data_identity(self):
-        q, k = solve_data_riccati(estimate_model(initial_correlation(1, 1)))
+        q, k, _ = solve_data_riccati(estimate_model(initial_correlation(1, 1)))
         assert np.allclose(q.Q, np.eye(2), atol=1e-12)
         assert np.array_equal(k.K, np.zeros((1, 1)))
 
     def test_two_step_scalar_values(self):
         history = [([1.0], [0.0], [0.5]), ([0.5], [1.0], [1.25])]
         state = batch_correlations(history, 1.0, 1e-6 * np.eye(2))
-        q, k = solve_data_riccati(estimate_model(state), tol=1e-12)
+        q, k, _ = solve_data_riccati(estimate_model(state), tol=1e-12)
         p = scalar_p(0.5, 1.0)
         expected_q = np.eye(2) + p * np.outer([0.5, 1.0], [0.5, 1.0])
         assert np.allclose(q.Q, expected_q, atol=1e-4)
@@ -182,7 +182,8 @@ class TestSolveDataRiccati:
         G = rng.standard_normal((2, 2))
         sigma = G @ G.T + 0.3 * np.eye(2)
         state = make_state(sigma, plant.ab @ sigma)
-        q, k = solve_data_riccati(estimate_model(state), tol=1e-12)
+        q, k, P = solve_data_riccati(estimate_model(state), tol=1e-12)
+        assert np.array_equal(q.Q, q_from_p(estimate_model(state), P).Q)
         q_true = q_from_p(plant, solve_dare(plant, tol=1e-12))
         assert np.allclose(q.Q, q_true.Q, atol=1e-9)
         assert abs(k.K[0, 0] - (-0.6180)) < 1e-4
@@ -204,7 +205,7 @@ class TestSolveDataRiccati:
             sigma = G @ G.T + rng.uniform(0.1, 1.0) * np.eye(n + m)
             state = make_state(sigma, plant.ab @ sigma + 0.05 * rng.standard_normal((n, n + m)))
             try:
-                q, _ = solve_data_riccati(estimate_model(state))
+                q, _, _ = solve_data_riccati(estimate_model(state))
             except EstimateNotStabilizable:
                 continue
             assert data_riccati_residual(state, q) <= 1e-8

@@ -174,6 +174,12 @@ class TestSimulate:
         with pytest.raises(error):
             scenario(PlantModel([[0.5]], [[1.0]]), 10, **kw)
 
+    def test_scenario_keeps_its_own_x0(self):
+        x0 = np.ones(1)
+        sc = scenario(PlantModel([[0.5]], [[1.0]]), 10, x0=x0)
+        x0[0] = 5.0
+        assert np.array_equal(sc.x0, [1.0])
+
     def test_one_model_estimate_per_step(self, monkeypatch):
         import adaptive_lqr.controller as controller
         import adaptive_lqr.estimation as estimation
