@@ -24,11 +24,15 @@ from .riccati import (
     QMatrix,
     ValueMatrix,
     _check_beta,
+    _check_int,
     _check_matrix,
     _check_squarable,
     _converged,
     _membership,
+    _min_eig,
     _solve_membership,
+    _spectral_norm,
+    _sym_norm,
     gain_from_q,
     q_from_p,
     solve_dare,
@@ -48,10 +52,6 @@ def _finite(x: float) -> float:
     if np.isnan(x):
         return UNDEFINED_MARGIN
     return float(np.clip(x, UNDEFINED_MARGIN, -UNDEFINED_MARGIN))
-
-
-def _min_eig(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(sym(M)).min())
 
 
 @dataclass(frozen=True)
@@ -266,9 +266,9 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     P = _check_matrix(P, "P", (n, n))
     Q = _check_matrix(Q, "Q", (d, d))
     consistency_rhs = S @ (Q - np.eye(d)) @ S
-    dev = np.linalg.norm((Sh - St).T @ P @ (Sh - St) - consistency_rhs, 2)
+    dev = _spectral_norm((Sh - St).T @ P @ (Sh - St) - consistency_rhs)
     hyps = {
-        "consistency": _hyp(-dev / max(1.0, np.linalg.norm(consistency_rhs, 2))),
+        "consistency": _hyp(-dev / max(1.0, _sym_norm(consistency_rhs))),
         "tilde_bound": _hyp(_min_eig(rho**2 * S @ S - St.T @ St)),
         "q_lower": _hyp(_min_eig(Q - np.eye(d))),
         "q_upper": _hyp(_min_eig(beta**2 * np.eye(d) - Q)),
@@ -312,6 +312,7 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
                  spectral_radius: float, input_scale: float = 1.0) -> PlantModel:
     """A with i.i.d. uniform [-1,1] entries rescaled to the target spectral
     radius, B with i.i.d. uniform [-1,1] entries times input_scale."""
+    n, m = _check_int(n, "n", 1), _check_int(m, "m", 1)
     while True:
         A = rng.uniform(-1.0, 1.0, (n, n))
         r = float(np.max(np.abs(np.linalg.eigvals(A))))
@@ -356,7 +357,7 @@ def _perturbation(rng: np.random.Generator, n: int, d: int, rho: float) -> np.nd
     if rho == 0.0:
         return np.zeros((n, d))
     D = rng.standard_normal((n, d))
-    return rho * D / np.linalg.norm(D, 2)
+    return rho * D / _spectral_norm(D)
 
 
 @dataclass(frozen=True, eq=False)

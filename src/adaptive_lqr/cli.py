@@ -40,7 +40,7 @@ from .certificates import (
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
 from .riccati import (PSD_SLACK, SQUARE_MAX, PlantModel, _check_matrix, _membership,
-                      gain_from_q, solve_dare)
+                      _spectral_norm, gain_from_q, solve_dare)
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -249,7 +249,7 @@ def run_simulate(cfg: dict, seed: int, out_dir: Path) -> int:
     log.to_csv(out_dir / "trajectory.csv")
     try:
         k_opt = gain_from_q(q_from_p(scenario.plant, solve_dare(scenario.plant))).K
-        gain_error = float(np.linalg.norm(log.k[-1] - k_opt, 2))
+        gain_error = _spectral_norm(log.k[-1] - k_opt)
     except NotStabilizable:
         gain_error = None
     _write_json(out_dir / "summary.json", {

@@ -22,7 +22,7 @@ from .estimation import (
     solve_data_riccati,
     update_correlations,
 )
-from .riccati import Gain, PlantModel, _check_vector, _trusted
+from .riccati import Gain, PlantModel, _check_int, _check_vector, _trusted
 
 EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
 
@@ -40,15 +40,13 @@ class ExcitationSchedule:
     def __post_init__(self):
         if self.kind not in EXCITATION_KINDS:
             raise ShapeMismatch(f"kind must be one of {EXCITATION_KINDS}, got {self.kind!r}")
-        if self.m < 1:
-            raise ShapeMismatch("m must be at least 1")
+        object.__setattr__(self, "m", _check_int(self.m, "m", 1))
         # Sampling uniform(-amplitude, amplitude) needs the range 2 amplitude finite.
         if not 0.0 <= 2.0 * self.amplitude < np.inf:
             raise DomainError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if not 0.0 < self.decay_rate <= 1.0:
             raise DomainError(f"decay_rate must lie in (0, 1], got {self.decay_rate}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0, DomainError))
 
     @classmethod
     def none(cls, m: int) -> "ExcitationSchedule":
@@ -65,13 +63,12 @@ class ExcitationSchedule:
 
 def excitation_sample(schedule: ExcitationSchedule, t: int) -> np.ndarray:
     """Excitation vector at time t; identical (schedule, t) gives identical output."""
-    if t < 0:
-        raise ShapeMismatch("t must be non-negative")
+    t = _check_int(t, "t", 0)
     if schedule.kind == "none" or schedule.amplitude == 0.0:
         return np.zeros(schedule.m)
     # Counter-based stream: a fresh generator keyed by (seed, t) makes the
     # sample independent of call order.
-    rng = np.random.default_rng((int(schedule.seed), int(t)))
+    rng = np.random.default_rng((schedule.seed, t))
     v = rng.uniform(-schedule.amplitude, schedule.amplitude, schedule.m)
     if schedule.kind == "decaying":
         v = v * schedule.decay_rate ** t

@@ -41,8 +41,10 @@ from .riccati import (
     q_from_p,
     solve_dare,
     sym,
+    _check_int,
     _check_matrix,
     _check_vector,
+    _min_eig,
     _spectral_norm,
     _sym_norm,
     _trusted,
@@ -72,8 +74,7 @@ class CorrelationState:
         sigma0 = _check_matrix(self.sigma0, "sigma0", (d, d))
         if not 0.0 < self.lam <= 1.0:
             raise DomainError(f"lambda must lie in (0, 1], got {self.lam}")
-        if self.t < 0:
-            raise ShapeMismatch("t must be non-negative")
+        object.__setattr__(self, "t", _check_int(self.t, "t", 0))
         object.__setattr__(self, "sigma", sym(sigma))
         object.__setattr__(self, "sigma_hat", sigma_hat)
         object.__setattr__(self, "sigma0", sym(sigma0))
@@ -90,10 +91,11 @@ class CorrelationState:
 def initial_correlation(n: int, m: int, lam: float = 0.99,
                         sigma0: np.ndarray | None = None) -> CorrelationState:
     """State at t = 0: Sigma = Sigma0, SigmaHat = 0."""
+    n, m = _check_int(n, "n", 1), _check_int(m, "m", 1)
     if sigma0 is None:
         sigma0 = 1e-3 * np.eye(n + m)
     sigma0 = _check_matrix(sigma0, "sigma0", (n + m, n + m))
-    if np.linalg.eigvalsh(sym(sigma0)).min() <= 0:
+    if _min_eig(sigma0) <= 0:
         raise ShapeMismatch("sigma0 must be positive definite")
     return CorrelationState(sigma=sigma0.copy(), sigma_hat=np.zeros((n, n + m)),
                             lam=float(lam), sigma0=sigma0, t=0)
@@ -113,6 +115,25 @@ def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationSta
                                          "sigma_hat": sigma_hat, "t": state.t + 1})
 
 
+def _triple(entry, k):
+    """History entry k unpacked; ShapeMismatch naming history[k] unless it is a triple."""
+    try:
+        a, b, c = entry
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"history[{k}] must be a triple of vectors") from None
+    return a, b, c
+
+
+def _weighted_history(history, lam, n, m, last):
+    """(lambda^(t-1-k), z_k = [x_k; u_k], v_k) per entry (x_k, u_k, v_k) of a
+    history of length t, each vector checked; v_k is named `last`."""
+    t = len(history)
+    for k, entry in enumerate(history):
+        x, u, v = _triple(entry, k)
+        z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
+        yield float(lam) ** (t - 1 - k), z, _check_vector(v, last, n)
+
+
 def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> CorrelationState:
     """Closed-form discounted sums over a list of (x_k, u_k, x_{k+1}) triples.
 
@@ -126,15 +147,11 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
     if n is None:
         if t == 0:
             raise ShapeMismatch("empty history requires the state dimension n")
-        n = _check_vector(history[0][0], "x").size
+        n = _check_vector(_triple(history[0], 0)[0], "x").size
+    n = _check_int(n, "n", 1)
     sigma = float(lam) ** t * sigma0
     sigma_hat = np.zeros((n, d))
-    for k, (x, u, x_next) in enumerate(history):
-        x = _check_vector(x, "x", n)
-        u = _check_vector(u, "u", d - n)
-        x_next = _check_vector(x_next, "x_next", n)
-        z = np.concatenate([x, u])
-        w = float(lam) ** (t - 1 - k)
+    for w, z, x_next in _weighted_history(history, lam, n, d - n, "x_next"):
         sigma = sigma + w * np.outer(z, z)
         sigma_hat = sigma_hat + w * np.outer(x_next, z)
     return CorrelationState(sigma=sym(sigma), sigma_hat=sigma_hat,
@@ -201,14 +218,9 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     """
     n, m = plant.n, plant.m
     sigma0 = _check_matrix(sigma0, "sigma0", (n + m, n + m))
-    t = len(history)
-    acc = -float(lam) ** t * plant.ab @ sigma0
-    for k, (x, u, w) in enumerate(history):
-        x = _check_vector(x, "x", n)
-        u = _check_vector(u, "u", m)
-        w = _check_vector(w, "w", n)
-        z = np.concatenate([x, u])
-        acc = acc + float(lam) ** (t - 1 - k) * np.outer(w, z)
+    acc = -float(lam) ** len(history) * plant.ab @ sigma0
+    for c, z, w in _weighted_history(history, lam, n, m, "w"):
+        acc = acc + c * np.outer(w, z)
     return acc
 
 

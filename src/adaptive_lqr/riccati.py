@@ -13,7 +13,8 @@ the descent from an upper bound runs value iteration.  Every iterate is
 re-symmetrized.
 
 Public constructors and public functions check array arguments with
-_check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch);
+_check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch)
+and integer arguments with _check_int;
 the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
 gain of gain_from_q are built from checked data and skip `__post_init__`.
 """
@@ -58,6 +59,11 @@ def sym(M: np.ndarray) -> np.ndarray:
 def _sym_norm(M: np.ndarray) -> float:
     """Spectral norm of the symmetric part of M, max |eigvalsh(sym(M))|; no SVD."""
     return float(np.abs(np.linalg.eigvalsh(sym(M))).max())
+
+
+def _min_eig(M: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric part of M."""
+    return float(np.linalg.eigvalsh(sym(M)).min())
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -112,6 +118,13 @@ def _check_vector(v, name, size=None):
     return v
 
 
+def _check_int(v, name, low, error=ShapeMismatch) -> int:
+    """v as an int >= low; `error` naming `name` for a bool, a non-integer or a smaller value."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise error(f"{name} must be an integer >= {low}, got {v!r}")
+    return int(v)
+
+
 def _check_squarable(x: float, name: str) -> None:
     """DomainError naming `name` unless x is a number whose square is finite."""
     if not abs(x) <= SQUARE_MAX:
@@ -131,7 +144,7 @@ def _check_cost_matrix(M, name, shape=None):
         raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
     # Symmetrizing makes the qux == qxu' block identity of Q exact.
     M = sym(M)
-    if np.linalg.eigvalsh(M).min() < 1.0 - 1e-9:
+    if _min_eig(M) < 1.0 - 1e-9:
         raise DomainError(f"{name} must satisfy {name} >= I (unit stage cost)")
     return M
 
@@ -302,8 +315,9 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
     exceeds NORM_CAP, the doubling solve is singular to working precision,
     or the budget runs out first.
     """
-    if not tol > 0 or max_iter < 1:
-        raise DomainError("tol must be positive and max_iter >= 1")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    max_iter = _check_int(max_iter, "max_iter", 1, DomainError)
     n = plant.n
     if p0 is not None:
         P = sym(_check_matrix(p0, "p0", (n, n)))
@@ -407,22 +421,22 @@ def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
         raise ShapeMismatch("qbar/kbar dimensions do not match the plant")
     IK = np.vstack([np.eye(n), kbar.K])            # (n+m) x n
     M = IK @ plant.ab                              # (n+m) x (n+m)
-    qscale = max(1.0, float(np.linalg.norm(qbar.Q, 2)))
-    hyp = np.linalg.eigvalsh(sym(qbar.Q - np.eye(n + m) - M.T @ qbar.Q @ M)).min()
+    qscale = max(1.0, _sym_norm(qbar.Q))
+    hyp = _min_eig(qbar.Q - np.eye(n + m) - M.T @ qbar.Q @ M)
     if hyp < -UPPER_TOL * qscale:
         raise HypothesisViolated(f"upper-bound hypothesis fails by {hyp:.3e}")
 
     P = sym(IK.T @ qbar.Q @ IK)
     for _ in range(DEFAULT_MAX_ITER):
         Pn = riccati_step(plant, P)
-        drop = np.linalg.eigvalsh(sym(P - Pn)).min()
-        if drop < -UPPER_TOL * max(1.0, float(np.linalg.norm(P, 2))):
+        drop = _min_eig(P - Pn)
+        if drop < -UPPER_TOL * max(1.0, _sym_norm(P)):
             raise NotConverged(f"iteration not monotone non-increasing (min eig {drop:.3e})")
-        res = np.linalg.norm(P - Pn, 2) / np.linalg.norm(Pn, 2)
+        res = _sym_norm(P - Pn) / _sym_norm(Pn)
         P = Pn
         if res <= UPPER_TOL:
             q = q_from_p(plant, P)
-            above = np.linalg.eigvalsh(sym(qbar.Q - q.Q)).min()
+            above = _min_eig(qbar.Q - q.Q)
             if above < -UPPER_TOL * qscale:
                 raise NotConverged(f"limit escapes the upper bound by {above:.3e}")
             return q

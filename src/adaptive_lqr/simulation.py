@@ -20,7 +20,7 @@ from .controller import (
 )
 from .errors import DomainError, ShapeMismatch
 from .estimation import rho_of
-from .riccati import PlantModel, _check_matrix, _check_vector
+from .riccati import PlantModel, _check_int, _check_matrix, _check_vector
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12
@@ -93,6 +93,7 @@ class DisturbanceModel:
 
 def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
     """Evaluate the disturbance at time t; returns (w, internal_state')."""
+    t = _check_int(t, "t", 0)
     x = _check_vector(x, "x")
     u = _check_vector(u, "u")
     n = x.size
@@ -129,8 +130,7 @@ class Scenario:
     controller_tol: float = 1e-11
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ShapeMismatch("horizon must be at least 1")
+        object.__setattr__(self, "horizon", _check_int(self.horizon, "horizon", 1))
         object.__setattr__(self, "x0", _check_vector(self.x0, "x0", self.plant.n).copy())
         n, m, d = self.plant.n, self.plant.m, self.disturbance
         if d.kind == "external_sequence" and d.sequence.shape[1] != n:
@@ -190,17 +190,13 @@ class TrajectoryLog:
 
     def to_csv(self, path) -> None:
         """Delimited dump, 17 significant digits (lossless for doubles)."""
+        floats = np.column_stack([self.x, self.u, self.eps, self.w,
+                                  self.k.reshape(len(self), self.m * self.n),
+                                  self.rho, self.eq6_residual])
         lines = [",".join(self.csv_header())]
-        for i in range(len(self)):
-            row = [str(int(self.t[i]))]
-            row += [format(v, ".17g") for v in self.x[i]]
-            row += [format(v, ".17g") for v in self.u[i]]
-            row += [format(v, ".17g") for v in self.eps[i]]
-            row += [format(v, ".17g") for v in self.w[i]]
-            row += [format(v, ".17g") for v in self.k[i].reshape(-1)]
-            row += [format(self.rho[i], ".17g"), format(self.eq6_residual[i], ".17g"),
-                    str(int(self.fallback[i]))]
-            lines.append(",".join(row))
+        for t, row, fallback in zip(self.t, floats, self.fallback):
+            lines.append(",".join([str(int(t)), *(format(v, ".17g") for v in row),
+                                   str(int(fallback))]))
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -235,25 +231,12 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
         rho_t = np.inf if diag.estimate is None else rho_of(diag.estimate, plant)
         w, dist_state = disturbance_eval(scenario.disturbance, t, x, u, dist_state)
         x_next = plant.A @ x + plant.B @ u + w
-        rows.append((t, x, u, diag.excitation, w, diag.gain, rho_t, diag.eq6_residual, diag.fallback))
+        rows.append(dict(t=t, x=x, u=u, eps=diag.excitation, w=w, k=diag.gain, rho=rho_t,
+                         eq6_residual=diag.eq6_residual, fallback=diag.fallback))
         ctrl = controller_observe(ctrl, x, u, x_next)
         x = x_next
         if np.linalg.norm(x) > STATE_CAP:
             overflowed = True
             break
-    ts, xs, us, eps, ws, ks, rhos, residuals, fallbacks = zip(*rows)
-    steps = len(rows)
-    return TrajectoryLog(
-        n=n, m=m,
-        t=np.asarray(ts, dtype=int),
-        x=np.asarray(xs, dtype=float).reshape(steps, n),
-        u=np.asarray(us, dtype=float).reshape(steps, m),
-        eps=np.asarray(eps, dtype=float).reshape(steps, m),
-        w=np.asarray(ws, dtype=float).reshape(steps, n),
-        k=np.asarray(ks, dtype=float).reshape(steps, m, n),
-        rho=np.asarray(rhos, dtype=float),
-        eq6_residual=np.asarray(residuals, dtype=float),
-        fallback=np.asarray(fallbacks, dtype=bool),
-        x_final=x,
-        overflowed=overflowed,
-    )
+    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return TrajectoryLog(n=n, m=m, **columns, x_final=x, overflowed=overflowed)

@@ -1,7 +1,10 @@
-"""Every public entry point turns a malformed array argument into a typed error.
+"""Every public entry point turns a malformed argument into a typed error.
 
 Ragged nesting, non-numeric entries and non-array objects must end in
 ShapeMismatch naming the argument, never in a raw numpy ValueError/TypeError.
+Integer arguments reject bools, floats and out-of-range values with the
+argument's own error type, and history entries that are not triples are
+ShapeMismatch naming the entry.
 """
 
 import numpy as np
@@ -10,6 +13,8 @@ import pytest
 from adaptive_lqr import (
     CorrelationState,
     DisturbanceModel,
+    DomainError,
+    ExcitationSchedule,
     Gain,
     NonFiniteInput,
     PlantModel,
@@ -23,12 +28,15 @@ from adaptive_lqr import (
     dare_residual,
     disturbance_correlation,
     disturbance_eval,
+    excitation_sample,
     gain_from_q,
     initial_controller,
     initial_correlation,
     lemma1_check,
     q_from_p,
+    random_plant,
     rho_of,
+    sample_membership_plant,
     solve_dare,
     theorem1_margin,
     update_correlations,
@@ -112,3 +120,59 @@ def test_mismatched_shape_is_a_shape_mismatch(call):
 def test_non_finite_array_is_rejected(call):
     with pytest.raises(NonFiniteInput):
         call()
+
+
+EXTERNAL = DisturbanceModel.external([[1.0], [2.0]])
+SCHEDULE = ExcitationSchedule.constant(1, 1.0, seed=3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: disturbance_eval(EXTERNAL, -1, [0.0], [0.0], None), ShapeMismatch),
+    (lambda: disturbance_eval(EXTERNAL, 1.5, [0.0], [0.0], None), ShapeMismatch),
+    (lambda: ExcitationSchedule.constant(1.5, 1.0), ShapeMismatch),
+    (lambda: ExcitationSchedule.constant(True, 1.0), ShapeMismatch),
+    (lambda: ExcitationSchedule.constant(1, 1.0, seed=1.5), DomainError),
+    (lambda: ExcitationSchedule.constant(1, 1.0, seed="1"), DomainError),
+    (lambda: excitation_sample(SCHEDULE, 1.5), ShapeMismatch),
+    (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=2.5), ShapeMismatch),
+    (lambda: CorrelationState(sigma=np.eye(2), sigma_hat=[[0.0, 0.0]], lam=0.99,
+                              sigma0=np.eye(2), t=1.5), ShapeMismatch),
+    (lambda: initial_correlation(1.5, 1), ShapeMismatch),
+    (lambda: initial_correlation(-1, 2), ShapeMismatch),
+    (lambda: initial_controller(1.5, 1), ShapeMismatch),
+    (lambda: batch_correlations([], 0.99, np.eye(2), n=1.5), ShapeMismatch),
+    (lambda: solve_dare(PLANT, max_iter=2.5), DomainError),
+    (lambda: random_plant(np.random.default_rng(0), 0, 1, 0.5), ShapeMismatch),
+    (lambda: random_plant(np.random.default_rng(0), 1.5, 1, 0.5), ShapeMismatch),
+    (lambda: sample_membership_plant(np.random.default_rng(0), 2.0, 0, 1), ShapeMismatch),
+], ids=["disturbance_eval_negative_t", "disturbance_eval_float_t", "excitation_float_m",
+        "excitation_bool_m", "excitation_float_seed", "excitation_string_seed",
+        "excitation_sample_float_t", "scenario_float_horizon", "correlation_state_float_t",
+        "initial_correlation_float_n", "initial_correlation_negative_n",
+        "initial_controller_float_n", "batch_correlations_float_n",
+        "solve_dare_float_max_iter", "random_plant_zero_n", "random_plant_float_n",
+        "sample_membership_plant_zero_n"])
+def test_bad_integer_argument_is_typed(call, error):
+    with pytest.raises(error, match="must be an integer >= "):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    schedule = ExcitationSchedule.constant(np.int64(1), 1.0, seed=np.uint32(3))
+    assert (type(schedule.m), type(schedule.seed)) == (int, int)
+    assert np.array_equal(excitation_sample(schedule, np.int32(4)), excitation_sample(SCHEDULE, 4))
+    w, _ = disturbance_eval(EXTERNAL, np.int64(1), [0.0], [0.0], None)
+    assert np.array_equal(w, [2.0])
+
+
+@pytest.mark.parametrize("entry", [([1.0], [0.0]), 1.0], ids=["pair", "number"])
+@pytest.mark.parametrize("call", [
+    lambda history: batch_correlations(history, 0.99, np.eye(2)),
+    lambda history: batch_correlations(history, 0.99, np.eye(2), n=1),
+    lambda history: disturbance_correlation(history, PLANT, 0.99, np.eye(2)),
+], ids=["batch_inferred_n", "batch_given_n", "disturbance_correlation"])
+def test_history_entry_not_a_triple_is_a_shape_mismatch(call, entry):
+    with pytest.raises(ShapeMismatch, match=r"history\[0\]"):
+        call([entry])
+    with pytest.raises(ShapeMismatch, match=r"history\[1\]"):
+        call([([1.0], [0.0], [0.5]), entry])

@@ -124,6 +124,29 @@ class TestBatchCorrelations:
             assert np.linalg.eigvalsh(batch.sigma).min() >= \
                 lam**length * np.linalg.eigvalsh(sigma0).min() - 1e-12
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.floats(0.1, 1.0))
+    def test_batch_equals_the_fold_of_updates(self, data, n, m, lam):
+        def vec(k):
+            return st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)
+
+        history = data.draw(st.lists(st.tuples(vec(n), vec(m), vec(n)), max_size=30))
+        sigma0 = np.diag(data.draw(vec(n + m).map(lambda v: 1e-3 + np.abs(v))))
+        t = len(history)
+        folded = initial_correlation(n, m, lam=lam, sigma0=sigma0)
+        # The entrywise sums of the absolute terms bound the reordering error.
+        abs_sigma, abs_sigma_hat = lam**t * sigma0, np.zeros((n, n + m))
+        for k, (x, u, x_next) in enumerate(history):
+            folded = update_correlations(folded, x, u, x_next)
+            z = np.abs(np.concatenate([x, u]))
+            abs_sigma = abs_sigma + lam ** (t - 1 - k) * np.outer(z, z)
+            abs_sigma_hat = abs_sigma_hat + lam ** (t - 1 - k) * np.outer(np.abs(x_next), z)
+        batch = batch_correlations(history, lam, sigma0, n=n)
+        assert batch.t == folded.t == t
+        slack = 8 * (t + 1) * np.finfo(float).eps
+        assert np.all(np.abs(batch.sigma - folded.sigma) <= slack * abs_sigma + 1e-300)
+        assert np.all(np.abs(batch.sigma_hat - folded.sigma_hat) <= slack * abs_sigma_hat + 1e-300)
+
 
 class TestEstimateModel:
     def test_zero_sigma_hat(self):
