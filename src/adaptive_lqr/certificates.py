@@ -23,10 +23,13 @@ from .riccati import (
     PlantModel,
     QMatrix,
     ValueMatrix,
+    _check_above,
     _check_beta,
     _check_int,
     _check_matrix,
-    _check_squarable,
+    _check_positive,
+    _check_real,
+    _check_rho,
     _converged,
     _membership,
     _min_eig,
@@ -99,12 +102,6 @@ def _hyp(margin: float, slack: float = PSD_SLACK) -> HypothesisCheck:
     return HypothesisCheck(margin=margin, holds=margin >= -slack)
 
 
-def _check_rho(rho: float) -> None:
-    if not 0.0 <= rho < np.inf:
-        raise DomainError(f"rho must be finite and non-negative, got {rho}")
-    _check_squarable(rho, "rho")
-
-
 def _check_p_and_gain(plant: PlantModel, P: ValueMatrix, K: Gain) -> None:
     n, m = plant.n, plant.m
     if P.P.shape != (n, n) or K.K.shape != (m, n):
@@ -135,13 +132,13 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     cannot confirm is replaced by a cold solve, so the verdict is
     check_membership's.  The conclusion is evaluated on the given P when
     the solve confirms it to DEFAULT_TOL, otherwise on the solved P.
-    A negative or non-finite rho, or a beta or rho whose square overflows,
-    raises DomainError; a P or gain not shaped for the plant, or correlation
-    data not (n+m) x (n+m) and n x (n+m), ShapeMismatch; a Sigma too
-    ill-conditioned to estimate from, IllConditioned.
+    A beta not above 1, a negative rho, or a beta or rho not finite or whose
+    square overflows raises DomainError; a P or gain not shaped for the
+    plant, or correlation data not (n+m) x (n+m) and n x (n+m),
+    ShapeMismatch; a Sigma too ill-conditioned to estimate from, IllConditioned.
     """
-    _check_rho(rho)
-    _check_squarable(beta, "beta")
+    rho = _check_rho(rho, "rho")
+    beta = _check_beta(beta, "beta")
     _check_p_and_gain(plant, P, kt)
     c = 2.0 * beta**2 * rho * (rho + 2.0)
     # Strict hypothesis: the conclusion divides by 1 - c.
@@ -176,24 +173,19 @@ def alpha_of(beta: float, rho: float, gamma: float) -> float:
 
         alpha = beta^2 + (1 / (1 - beta^2/gamma^2)) (1 - beta^2 / (1 - 2 beta^2 rho (rho+2))).
 
-    Requires gamma > beta and 2 beta^2 rho (rho+2) < 1, and finite squares
-    of beta and gamma.
+    Requires beta > 0, rho >= 0, gamma > beta and 2 beta^2 rho (rho+2) < 1,
+    and finite squares of beta, rho and gamma.
     """
-    if beta <= 0 or rho < 0 or gamma <= 0:
-        raise DomainError("beta and gamma must be positive, rho non-negative")
-    _check_squarable(beta, "beta")
-    _check_squarable(gamma, "gamma")
-    if gamma <= beta:
-        raise DomainError(f"gamma = {gamma} must exceed beta = {beta}")
-    c = 2.0 * beta**2 * rho * (rho + 2.0)
-    if c >= 1.0:
-        raise DomainError(f"2 beta^2 rho (rho+2) = {c:.6g} must be below 1")
+    beta = _check_above(beta, "beta", 0.0)
+    rho = _check_rho(rho, "rho")
+    gamma = _check_above(gamma, "gamma", beta)
+    c = _check_real(2.0 * beta**2 * rho * (rho + 2.0), "2 beta^2 rho (rho+2)", 0.0, 1.0, "[)")
     return float(beta**2 + (1.0 / (1.0 - beta**2 / gamma**2)) * (1.0 - beta**2 / (1.0 - c)))
 
 
 def consistent_start(log: TrajectoryLog, rho: float) -> int | None:
     """Smallest t0 with rho_t <= rho for every logged t >= t0, None if none exists."""
-    ok = log.rho <= rho
+    ok = log.rho <= _check_real(rho, "rho")
     if len(ok) == 0 or not ok[-1]:
         return None
     # Last index where the bound fails, +1; 0 when it never fails.
@@ -214,11 +206,9 @@ def corollary_bound_check(log: TrajectoryLog, plant: PlantModel, t0: int,
         raise ShapeMismatch(f"the log has n = {log.n}, m = {log.m}; "
                             f"the plant has n = {plant.n}, m = {plant.m}")
     T = len(log)
-    if not 0 <= t0 < T:
+    if _check_int(t0, "t0", 0, DomainError) >= T:
         raise DomainError(f"t0 = {t0} must lie in [0, {T})")
-    alpha = alpha_of(beta, rho, gamma)
-    if alpha <= 0:
-        raise DomainError(f"alpha = {alpha:.6g} must be positive")
+    alpha = _check_positive(alpha_of(beta, rho, gamma), "alpha")
     P = solve_dare(plant)
     xs = log.x[t0:]
     kxs = np.einsum("tij,tj->ti", log.k[t0:], xs)
@@ -253,12 +243,12 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     Conclusion margin: min eig of
       Sigma Q Sigma + (beta^2 rho (rho+2) - 1) Sigma^2 - SigmaHat' P SigmaHat.
     A negative or non-finite rho raises DomainError: the second hypothesis
-    holds for -rho as for rho, the conclusion does not.  So does a beta or
-    rho whose square overflows.  With SigmaHat n x d, the matrices must be
-    finite and Sigma, Q d x d, SigmaTilde n x d and P n x n.
+    holds for -rho as for rho, the conclusion does not.  So does a beta not
+    above 1, and a beta or rho whose square overflows.  With SigmaHat n x d,
+    the matrices must be finite and Sigma, Q d x d, SigmaTilde n x d and P n x n.
     """
-    _check_rho(rho)
-    _check_squarable(beta, "beta")
+    rho = _check_rho(rho, "rho")
+    beta = _check_beta(beta, "beta")
     Sh = _check_matrix(sigma_hat, "sigma_hat")
     n, d = Sh.shape
     S = _check_matrix(sigma, "sigma", (d, d))
@@ -301,7 +291,7 @@ def admissible_rho(beta: float) -> float:
     formula; any rho below the returned value satisfies the strict condition
     [1 - 2 beta^2 rho (rho+2)]^{-1} < 1 + beta^{-2}.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta, "beta")
     return float(np.sqrt(1.0 + 1.0 / (2.0 * beta**2 * (1.0 + beta**2))) - 1.0)
 
 
@@ -312,7 +302,9 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
                  spectral_radius: float, input_scale: float = 1.0) -> PlantModel:
     """A with i.i.d. uniform [-1,1] entries rescaled to the target spectral
     radius, B with i.i.d. uniform [-1,1] entries times input_scale."""
-    n, m = _check_int(n, "n", 1), _check_int(m, "m", 1)
+    n, m = _check_int(n, "n"), _check_int(m, "m")
+    spectral_radius = _check_real(spectral_radius, "spectral_radius")
+    input_scale = _check_real(input_scale, "input_scale")
     while True:
         A = rng.uniform(-1.0, 1.0, (n, n))
         r = float(np.max(np.abs(np.linalg.eigvals(A))))
@@ -326,7 +318,7 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
 def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
                             m: int) -> tuple[PlantModel, ValueMatrix, QMatrix]:
     """Rejection-sample a plant with Q <= beta^2 I; NotConverged after MAX_SAMPLE_TRIES tries."""
-    _check_beta(beta)
+    beta = _check_beta(beta, "beta")
     for _ in range(MAX_SAMPLE_TRIES):
         plant = random_plant(rng, n, m,
                              spectral_radius=rng.uniform(0.02, 0.9),
@@ -344,7 +336,7 @@ def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
 
 def contraction_rho_root(beta: float) -> float:
     """Positive root of 2 beta^2 rho (rho+2) = 1."""
-    _check_beta(beta)
+    beta = _check_beta(beta, "beta")
     return float(np.sqrt(1.0 + 1.0 / (2.0 * beta**2)) - 1.0)
 
 
@@ -354,7 +346,7 @@ def random_pd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _perturbation(rng: np.random.Generator, n: int, d: int, rho: float) -> np.ndarray:
-    if rho == 0.0:
+    if _check_rho(rho, "rho") == 0.0:
         return np.zeros((n, d))
     D = rng.standard_normal((n, d))
     return rho * D / _spectral_norm(D)
@@ -387,7 +379,7 @@ def theorem1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
     est = PlantModel(plant.A + delta[:, :n], plant.B + delta[:, n:])
     kt = gain_from_q(q_from_p(est, solve_dare(est, tol=1e-12)))
     return Theorem1Instance(plant=plant, P=P, sigma=sigma, sigma_hat=sigma_hat,
-                            beta=beta, rho=rho, kt=kt)
+                            beta=_check_beta(beta, "beta"), rho=rho, kt=kt)
 
 
 def sample_theorem1_instance(rng: np.random.Generator, beta: float, n: int,
@@ -424,7 +416,7 @@ def lemma1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
     sigma_tilde = _perturbation(rng, n, n + m, rho) @ sigma
     sigma_hat = plant.ab @ sigma + sigma_tilde
     return Lemma1Instance(sigma=sigma, sigma_hat=sigma_hat, sigma_tilde=sigma_tilde,
-                          P=P.P, Q=q.Q, beta=beta, rho=rho)
+                          P=P.P, Q=q.Q, beta=_check_beta(beta, "beta"), rho=rho)
 
 
 def sample_lemma1_instance(rng: np.random.Generator, beta: float, n: int,

@@ -39,8 +39,10 @@ from .certificates import (
 )
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
-from .riccati import (PSD_SLACK, SQUARE_MAX, PlantModel, _check_matrix, _membership,
-                      _spectral_norm, gain_from_q, solve_dare)
+from .riccati import (PSD_SLACK, PlantModel, _check_above, _check_amplitude, _check_beta,
+                      _check_factor, _check_int, _check_matrix, _check_positive, _check_real,
+                      _check_rho, _check_seed, _membership, _spectral_norm, gain_from_q,
+                      solve_dare)
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -63,25 +65,12 @@ def _reject_unknown(d, allowed, ctx):
                           f"(allowed: {', '.join(sorted(allowed))})")
 
 
-def _as_float(val, ctx):
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"field '{ctx}' must be a number")
-    if not abs(val) <= sys.float_info.max:
-        raise ConfigError(f"field '{ctx}' must be a finite number")
-    return float(val)
-
-
-def _as_beta(val, ctx):
-    beta = _as_float(val, ctx)
-    if not 1.0 < beta <= SQUARE_MAX:
-        raise ConfigError(f"field '{ctx}' must exceed 1 and have a finite square, got {beta:g}")
-    return beta
-
-
-def _as_int(val, ctx):
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"field '{ctx}' must be an integer")
-    return int(val)
+def _field(check, val, ctx, *args):
+    """check(val, "field '<ctx>'", *args) by a library checker; its error becomes ConfigError."""
+    try:
+        return check(val, f"field '{ctx}'", *args)
+    except AdaptiveLqError as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _as_str(val, ctx):
@@ -90,17 +79,10 @@ def _as_str(val, ctx):
     return val
 
 
-def _as_matrix(val, ctx):
-    try:
-        return _check_matrix(val, f"field '{ctx}'")
-    except AdaptiveLqError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _as_float_list(val, ctx):
+def _field_list(check, val, ctx):
     if not isinstance(val, list):
         raise ConfigError(f"field '{ctx}' must be a list of numbers")
-    return [_as_float(v, f"{ctx}[{i}]") for i, v in enumerate(val)]
+    return [_field(check, v, f"{ctx}[{i}]") for i, v in enumerate(val)]
 
 
 def _parse_plant(cfg, ctx="plant") -> PlantModel:
@@ -111,7 +93,8 @@ def _parse_plant(cfg, ctx="plant") -> PlantModel:
     if "A" not in d or "B" not in d:
         raise ConfigError(f"'{ctx}' must provide both A and B")
     try:
-        return PlantModel(_as_matrix(d["A"], f"{ctx}.A"), _as_matrix(d["B"], f"{ctx}.B"))
+        return PlantModel(_field(_check_matrix, d["A"], f"{ctx}.A"),
+                          _field(_check_matrix, d["B"], f"{ctx}.B"))
     except AdaptiveLqError as exc:
         raise ConfigError(f"invalid '{ctx}': {exc}") from exc
 
@@ -119,12 +102,12 @@ def _parse_plant(cfg, ctx="plant") -> PlantModel:
 def _parse_excitation(cfg, m, default_seed, ctx="excitation") -> ExcitationSchedule:
     d = _ensure_mapping(cfg.get("excitation", {}), ctx)
     _reject_unknown(d, ("kind", "amplitude", "decay_rate", "seed"), ctx)
-    kind = _as_str(d.get("kind", "none"), f"{ctx}.kind")
-    seed = default_seed if d.get("seed") is None else _as_int(d["seed"], f"{ctx}.seed")
-    amplitude = _as_float(d.get("amplitude", 0.0), f"{ctx}.amplitude")
-    decay_rate = _as_float(d.get("decay_rate", 0.9), f"{ctx}.decay_rate")
+    seed = default_seed if d.get("seed") is None else d["seed"]
+    # Non-numbers are named by field path here; ranges, by the schedule below.
+    amplitude = _field(_check_real, d.get("amplitude", 0.0), f"{ctx}.amplitude")
+    decay_rate = _field(_check_real, d.get("decay_rate", 0.9), f"{ctx}.decay_rate")
     try:
-        return ExcitationSchedule(kind=kind, m=m, amplitude=amplitude,
+        return ExcitationSchedule(kind=d.get("kind", "none"), m=m, amplitude=amplitude,
                                   decay_rate=decay_rate, seed=seed)
     except AdaptiveLqError as exc:
         raise ConfigError(f"invalid '{ctx}': {exc}") from exc
@@ -133,27 +116,14 @@ def _parse_excitation(cfg, m, default_seed, ctx="excitation") -> ExcitationSched
 def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
     d = _ensure_mapping(cfg.get("disturbance", {}), ctx)
     _reject_unknown(d, ("kind", "sequence", "delta_a", "delta_b", "pole"), ctx)
-    kind = _as_str(d.get("kind", "zero"), f"{ctx}.kind")
-    pole = _as_float(d.get("pole", 0.0), f"{ctx}.pole")
+    # The model checks the kind and the arrays that kind needs.
+    arrays = {key: _field(_check_matrix, d[key], f"{ctx}.{key}")
+              for key in ("sequence", "delta_a", "delta_b") if d.get(key) is not None}
+    pole = _field(_check_real, d.get("pole", 0.0), f"{ctx}.pole")
     try:
-        if kind == "zero":
-            return DisturbanceModel.zero()
-        if kind == "external_sequence":
-            if d.get("sequence") is None:
-                raise ConfigError(f"'{ctx}.sequence' is required for external_sequence")
-            return DisturbanceModel.external(_as_matrix(d["sequence"], f"{ctx}.sequence"))
-        if d.get("delta_a") is None or d.get("delta_b") is None:
-            raise ConfigError(f"'{ctx}.delta_a' and '{ctx}.delta_b' are required for {kind}")
-        da = _as_matrix(d["delta_a"], f"{ctx}.delta_a")
-        db = _as_matrix(d["delta_b"], f"{ctx}.delta_b")
-        if kind == "linear_unmodeled":
-            return DisturbanceModel.linear(da, db)
-        if kind == "filtered_unmodeled":
-            return DisturbanceModel.filtered(da, db, pole)
+        return DisturbanceModel(kind=d.get("kind", "zero"), pole=pole, **arrays)
     except AdaptiveLqError as exc:
         raise ConfigError(f"invalid '{ctx}': {exc}") from exc
-    raise ConfigError(f"field '{ctx}.kind' must be one of zero, external_sequence, "
-                      f"linear_unmodeled, filtered_unmodeled")
 
 
 _COMMON_KEYS = ("command", "seed", "out_dir")
@@ -166,7 +136,7 @@ def _parse_common(cfg, command):
         declared = _as_str(cfg["command"], "command")
         if declared != command:
             raise ConfigError(f"config declares command '{declared}' but '{command}' was invoked")
-    seed = _as_int(cfg.get("seed", 0), "seed")
+    seed = _field(_check_seed, cfg.get("seed", 0), "seed")
     out_dir = Path(_as_str(cfg.get("out_dir", "."), "out_dir"))
     return seed, out_dir
 
@@ -174,21 +144,20 @@ def _parse_common(cfg, command):
 def _parse_scenario(cfg, seed) -> Scenario:
     plant = _parse_plant(cfg)
     n, m = plant.n, plant.m
-    horizon = _as_int(cfg.get("horizon", 1000), "horizon")
     x0 = np.ones(n) if cfg.get("x0") is None else cfg["x0"]
-    lam = _as_float(cfg.get("lambda", 0.99), "lambda")
-    sigma0_scale = _as_float(cfg.get("sigma0_scale", 1e-3), "sigma0_scale")
-    if sigma0_scale <= 0:
-        raise ConfigError("field 'sigma0_scale' must be positive")
+    lam = _field(_check_factor, cfg.get("lambda", 0.99), "lambda")
+    sigma0_scale = _field(_check_positive, cfg.get("sigma0_scale", 1e-3), "sigma0_scale")
     excitation = _parse_excitation(cfg, m, seed)
     disturbance = _parse_disturbance(cfg)
-    fallback = None if cfg.get("fallback_gain") is None else _as_matrix(cfg["fallback_gain"], "fallback_gain")
+    fallback = (None if cfg.get("fallback_gain") is None
+                else _field(_check_matrix, cfg["fallback_gain"], "fallback_gain"))
     # Read by nothing; still parsed and checked so that archived configs load.
-    _as_float(cfg.get("beta", 2.0), "beta")
-    _as_float(cfg.get("gamma", 20.0), "gamma")
-    controller_tol = _as_float(cfg.get("controller_tol", 1e-11), "controller_tol")
+    _field(_check_real, cfg.get("beta", 2.0), "beta")
+    _field(_check_real, cfg.get("gamma", 20.0), "gamma")
+    controller_tol = _field(_check_positive, cfg.get("controller_tol", 1e-11), "controller_tol")
     try:
-        return Scenario(plant=plant, disturbance=disturbance, x0=x0, horizon=horizon,
+        return Scenario(plant=plant, disturbance=disturbance, x0=x0,
+                        horizon=cfg.get("horizon", 1000),
                         lam=lam, sigma0=sigma0_scale * np.eye(n + m), excitation=excitation,
                         fallback_gain=fallback, controller_tol=controller_tol)
     except AdaptiveLqError as exc:
@@ -218,11 +187,10 @@ def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     """Solve the fixed point for one plant; write {P, Q, K, residual, member}."""
     _reject_unknown(cfg, _COMMON_KEYS + ("plant", "beta", "tol", "max_iter"), "config")
     plant = _parse_plant(cfg)
-    beta = _as_beta(cfg.get("beta", 2.0), "beta")
-    tol = _as_float(cfg.get("tol", 1e-10), "tol")
-    max_iter = _as_int(cfg.get("max_iter", 100_000), "max_iter")
+    beta = _field(_check_beta, cfg.get("beta", 2.0), "beta")
+    tol = _field(_check_positive, cfg.get("tol", 1e-10), "tol")
     try:
-        P = solve_dare(plant, tol=tol, max_iter=max_iter)
+        P = solve_dare(plant, tol=tol, max_iter=cfg.get("max_iter", 100_000))
     except NotStabilizable as exc:
         _write_json(out_dir / "summary.json", {"error": f"NotStabilizable: {exc}"})
         print(f"not stabilizable: {exc}", file=sys.stderr)
@@ -298,17 +266,13 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
     for c in checks:
         if c not in CERTIFY_CHECKS:
             raise ConfigError(f"unknown check '{c}' (allowed: {', '.join(CERTIFY_CHECKS)})")
-    beta = _as_beta(cfg.get("beta", 2.0), "beta")
-    gamma = None if cfg.get("gamma") is None else _as_float(cfg["gamma"], "gamma")
-    if gamma is not None and gamma <= beta:
-        raise ConfigError(f"DomainError: gamma = {gamma} must exceed beta = {beta}")
-    rho_abs = None if cfg.get("rho") is None else _as_float(cfg["rho"], "rho")
-    rho_scale = None if cfg.get("rho_scale") is None else _as_float(cfg["rho_scale"], "rho_scale")
+    beta = _field(_check_beta, cfg.get("beta", 2.0), "beta")
+    gamma = None if cfg.get("gamma") is None else _field(_check_above, cfg["gamma"], "gamma", beta)
+    rho_abs = None if cfg.get("rho") is None else _field(_check_rho, cfg["rho"], "rho")
+    rho_scale = (None if cfg.get("rho_scale") is None
+                 else _field(_check_rho, cfg["rho_scale"], "rho_scale"))
     if rho_abs is not None and rho_scale is not None:
         raise ConfigError("give at most one of 'rho' and 'rho_scale'")
-    for name, value in (("rho", rho_abs), ("rho_scale", rho_scale)):
-        if value is not None and not 0 <= value <= SQUARE_MAX:
-            raise ConfigError(f"field '{name}' must be non-negative with a finite square")
     rho_field = "rho_scale" if rho_scale is not None else "rho"
     rng = np.random.default_rng(seed)
     root = contraction_rho_root(beta)
@@ -330,13 +294,9 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
         q = q_from_p(plant, P)
         instances = [(plant, P, q)]
     else:
-        count = _as_int(cfg.get("instances", 100), "instances")
-        if count < 1:
-            raise ConfigError("field 'instances' must be at least 1")
-        n = _as_int(cfg.get("n", 2), "n")
-        m = _as_int(cfg.get("m", 1), "m")
-        if n < 1 or m < 1:
-            raise ConfigError("fields 'n' and 'm' must be at least 1")
+        count = _field(_check_int, cfg.get("instances", 100), "instances")
+        n = _field(_check_int, cfg.get("n", 2), "n")
+        m = _field(_check_int, cfg.get("m", 1), "m")
         instances = [sample_membership_plant(rng, beta, n, m) for _ in range(count)]
 
     falsified = False
@@ -367,25 +327,22 @@ SWEEP_COLUMNS = ["beta", "rho", "gamma", "excitation_amplitude", "disturbance_ma
 def _parse_sweep_grids(cfg):
     d = _ensure_mapping(cfg.get("sweep", {}), "sweep")
     _reject_unknown(d, _SWEEP_GRID_KEYS, "sweep")
-    betas = _as_float_list(d.get("beta", [2.0]), "sweep.beta")
-    rhos = _as_float_list(d.get("rho", []), "sweep.rho")
-    rho_scales = _as_float_list(d.get("rho_scale", []), "sweep.rho_scale")
+    betas = _field_list(_check_beta, d.get("beta", [2.0]), "sweep.beta")
+    rhos = _field_list(_check_real, d.get("rho", []), "sweep.rho")
+    rho_scales = _field_list(_check_real, d.get("rho_scale", []), "sweep.rho_scale")
     if rhos and rho_scales:
         raise ConfigError("give only one of 'sweep.rho' and 'sweep.rho_scale'")
     if not rhos and not rho_scales:
         rho_scales = [0.5]
-    gammas = _as_float_list(d.get("gamma", [20.0]), "sweep.gamma")
-    amps = _as_float_list(d.get("excitation_amplitude", [1.0]), "sweep.excitation_amplitude")
-    mags = _as_float_list(d.get("disturbance_magnitude", [0.0]), "sweep.disturbance_magnitude")
+    gammas = _field_list(_check_real, d.get("gamma", [20.0]), "sweep.gamma")
+    amps = _field_list(_check_amplitude, d.get("excitation_amplitude", [1.0]),
+                       "sweep.excitation_amplitude")
+    mags = _field_list(_check_real, d.get("disturbance_magnitude", [0.0]),
+                       "sweep.disturbance_magnitude")
     for name, grid in (("beta", betas), ("gamma", gammas),
                        ("excitation_amplitude", amps), ("disturbance_magnitude", mags)):
         if not grid:
             raise ConfigError(f"sweep grid '{name}' must be non-empty")
-    for i, b in enumerate(betas):
-        _as_beta(b, f"sweep.beta[{i}]")
-    for i, a in enumerate(amps):
-        if a < 0:
-            raise ConfigError(f"field 'sweep.excitation_amplitude[{i}]' must be non-negative")
     rho_entries = [("abs", r) for r in rhos] or [("scale", s) for s in rho_scales]
     return betas, rho_entries, gammas, amps, mags
 
@@ -434,9 +391,7 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
     scenario_base = _parse_scenario(cfg, seed)
     t0_cfg = cfg.get("t0", "auto")
     if t0_cfg != "auto":
-        t0_cfg = _as_int(t0_cfg, "t0")
-        if t0_cfg < 0:
-            raise ConfigError("field 't0' must be non-negative or 'auto'")
+        t0_cfg = _field(_check_int, t0_cfg, "t0", 0)
     betas, rho_entries, gammas, amps, mags = _parse_sweep_grids(cfg)
     points = itertools.product(betas, rho_entries, gammas, amps, mags)
     rows = [_sweep_row(scenario_base, t0_cfg, idx, *point)
@@ -478,9 +433,7 @@ def main(argv=None) -> int:
     try:
         seed, out_dir = _parse_common(cfg, args.command)
         if args.seed is not None:
-            seed = args.seed
-        if seed < 0:
-            raise ConfigError(f"field 'seed' must be non-negative, got {seed}")
+            seed = _field(_check_seed, args.seed, "seed")
         if args.out_dir is not None:
             out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EstimateNotStabilizable, IllConditioned, ShapeMismatch
+from .errors import EstimateNotStabilizable, IllConditioned, ShapeMismatch
 from .estimation import (
     CorrelationState,
     data_riccati_residual,
@@ -22,7 +22,8 @@ from .estimation import (
     solve_data_riccati,
     update_correlations,
 )
-from .riccati import Gain, PlantModel, _check_int, _check_vector, _trusted
+from .riccati import (Gain, PlantModel, _check_amplitude, _check_factor, _check_int,
+                      _check_positive, _check_seed, _check_vector, _trusted)
 
 EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
 
@@ -40,13 +41,10 @@ class ExcitationSchedule:
     def __post_init__(self):
         if self.kind not in EXCITATION_KINDS:
             raise ShapeMismatch(f"kind must be one of {EXCITATION_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "m", _check_int(self.m, "m", 1))
-        # Sampling uniform(-amplitude, amplitude) needs the range 2 amplitude finite.
-        if not 0.0 <= 2.0 * self.amplitude < np.inf:
-            raise DomainError(f"amplitude must be finite and non-negative, got {self.amplitude}")
-        if not 0.0 < self.decay_rate <= 1.0:
-            raise DomainError(f"decay_rate must lie in (0, 1], got {self.decay_rate}")
-        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0, DomainError))
+        object.__setattr__(self, "m", _check_int(self.m, "m"))
+        object.__setattr__(self, "amplitude", _check_amplitude(self.amplitude, "amplitude"))
+        object.__setattr__(self, "decay_rate", _check_factor(self.decay_rate, "decay_rate"))
+        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
 
     @classmethod
     def none(cls, m: int) -> "ExcitationSchedule":
@@ -103,6 +101,7 @@ class ControllerState:
             raise ShapeMismatch(f"last_gain must be {m} x {n}, got {self.last_gain.K.shape}")
         if self.excitation.m != m:
             raise ShapeMismatch("excitation dimension does not match the input dimension")
+        object.__setattr__(self, "tol", _check_positive(self.tol, "tol"))
 
 
 def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | None = None,

@@ -13,8 +13,8 @@ fixed-point equation
     Sigma (Q - I) Sigma = SigmaHat' min_K([I;K]' Q [I;K]) SigmaHat.
 
 Public constructors and data arguments are checked; the state returned by
-update_correlations and the estimate plant of estimate_model are built from
-checked data and skip `__post_init__`.
+update_correlations and initial_correlation and the estimate plant of
+estimate_model are built from checked data and skip `__post_init__`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError,
     EstimateNotStabilizable,
     IllConditioned,
     NonFiniteInput,
@@ -41,6 +40,7 @@ from .riccati import (
     q_from_p,
     solve_dare,
     sym,
+    _check_factor,
     _check_int,
     _check_matrix,
     _check_vector,
@@ -71,13 +71,11 @@ class CorrelationState:
         sigma_hat = _check_matrix(self.sigma_hat, "sigma_hat")
         if sigma_hat.shape[1] != d or not 1 <= sigma_hat.shape[0] < d:
             raise ShapeMismatch(f"sigma_hat must be n x {d} with 1 <= n < {d}, got {sigma_hat.shape}")
-        sigma0 = _check_matrix(self.sigma0, "sigma0", (d, d))
-        if not 0.0 < self.lam <= 1.0:
-            raise DomainError(f"lambda must lie in (0, 1], got {self.lam}")
+        object.__setattr__(self, "sigma0", _check_sigma0(self.sigma0, d))
+        object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
         object.__setattr__(self, "t", _check_int(self.t, "t", 0))
         object.__setattr__(self, "sigma", sym(sigma))
         object.__setattr__(self, "sigma_hat", sigma_hat)
-        object.__setattr__(self, "sigma0", sym(sigma0))
 
     @property
     def n(self) -> int:
@@ -88,17 +86,23 @@ class CorrelationState:
         return self.sigma.shape[0] - self.n
 
 
+def _check_sigma0(sigma0, d: int) -> np.ndarray:
+    """sigma0 checked d x d and positive definite; returned symmetrized."""
+    sigma0 = sym(_check_matrix(sigma0, "sigma0", (d, d)))
+    if _min_eig(sigma0) <= 0:
+        raise ShapeMismatch("sigma0 must be positive definite")
+    return sigma0
+
+
 def initial_correlation(n: int, m: int, lam: float = 0.99,
                         sigma0: np.ndarray | None = None) -> CorrelationState:
     """State at t = 0: Sigma = Sigma0, SigmaHat = 0."""
-    n, m = _check_int(n, "n", 1), _check_int(m, "m", 1)
+    n, m = _check_int(n, "n"), _check_int(m, "m")
     if sigma0 is None:
         sigma0 = 1e-3 * np.eye(n + m)
-    sigma0 = _check_matrix(sigma0, "sigma0", (n + m, n + m))
-    if _min_eig(sigma0) <= 0:
-        raise ShapeMismatch("sigma0 must be positive definite")
-    return CorrelationState(sigma=sigma0.copy(), sigma_hat=np.zeros((n, n + m)),
-                            lam=float(lam), sigma0=sigma0, t=0)
+    sigma0 = _check_sigma0(sigma0, n + m)
+    return _trusted(CorrelationState, sigma=sigma0.copy(), sigma_hat=np.zeros((n, n + m)),
+                    lam=_check_factor(lam, "lam"), sigma0=sigma0, t=0)
 
 
 def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationState:
@@ -115,6 +119,15 @@ def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationSta
                                          "sigma_hat": sigma_hat, "t": state.t + 1})
 
 
+def _as_history(history) -> list:
+    """history read into a list (any iterable; ShapeMismatch naming history otherwise)."""
+    try:
+        entries = iter(history)
+    except TypeError:
+        raise ShapeMismatch("history must be an iterable of (x, u, v) triples") from None
+    return list(entries)
+
+
 def _triple(entry, k):
     """History entry k unpacked; ShapeMismatch naming history[k] unless it is a triple."""
     try:
@@ -126,21 +139,24 @@ def _triple(entry, k):
 
 def _weighted_history(history, lam, n, m, last):
     """(lambda^(t-1-k), z_k = [x_k; u_k], v_k) per entry (x_k, u_k, v_k) of a
-    history of length t, each vector checked; v_k is named `last`."""
+    history list of length t, each vector checked; v_k is named `last`."""
     t = len(history)
     for k, entry in enumerate(history):
         x, u, v = _triple(entry, k)
         z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
-        yield float(lam) ** (t - 1 - k), z, _check_vector(v, last, n)
+        yield lam ** (t - 1 - k), z, _check_vector(v, last, n)
 
 
 def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> CorrelationState:
-    """Closed-form discounted sums over a list of (x_k, u_k, x_{k+1}) triples.
+    """Closed-form discounted sums over an iterable of (x_k, u_k, x_{k+1})
+    triples, read once into a list (not iterable: ShapeMismatch).
 
     Equals folding update_correlations over the history, up to floating-point
     associativity.  For an empty history the state dimension `n` must be
     given (the result is then Sigma = Sigma0, SigmaHat = 0 at t = 0).
     """
+    history = _as_history(history)
+    lam = _check_factor(lam, "lam")
     sigma0 = _check_matrix(sigma0, "sigma0", square=True)
     d = sigma0.shape[0]
     t = len(history)
@@ -148,14 +164,14 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
         if t == 0:
             raise ShapeMismatch("empty history requires the state dimension n")
         n = _check_vector(_triple(history[0], 0)[0], "x").size
-    n = _check_int(n, "n", 1)
-    sigma = float(lam) ** t * sigma0
+    n = _check_int(n, "n")
+    sigma = lam ** t * sigma0
     sigma_hat = np.zeros((n, d))
     for w, z, x_next in _weighted_history(history, lam, n, d - n, "x_next"):
         sigma = sigma + w * np.outer(z, z)
         sigma_hat = sigma_hat + w * np.outer(x_next, z)
     return CorrelationState(sigma=sym(sigma), sigma_hat=sigma_hat,
-                            lam=float(lam), sigma0=sigma0, t=t)
+                            lam=lam, sigma0=sigma0, t=t)
 
 
 def _cond(sigma: np.ndarray) -> float:
@@ -201,12 +217,20 @@ def solve_data_riccati(estimate: PlantModel, tol: float = DEFAULT_TOL,
 def data_riccati_residual(state: CorrelationState, q: QMatrix) -> float:
     """Residual of Sigma (Q - I) Sigma = SigmaHat' min_K(.) SigmaHat.
 
-    Spectral norm of the difference, relative to |Sigma Q Sigma|.
+    Spectral norm of the difference, relative to |Sigma Q Sigma|; scale-free, so
+    a |Sigma Q Sigma| not a normal double is taken on (Sigma, SigmaHat) / max |Sigma|.
     """
     S, Sh = state.sigma, state.sigma_hat
+    with np.errstate(over="ignore"):
+        sqs = S @ q.Q @ S
+    den = _sym_norm(sqs) if np.isfinite(sqs).all() else np.inf
+    if not np.finfo(float).tiny <= den < np.inf:
+        c = np.abs(S).max()
+        S, Sh = S / c, Sh / c
+        den = _sym_norm(S @ q.Q @ S)
     lhs = S @ (q.Q - np.eye(S.shape[0])) @ S
     rhs = Sh.T @ q.min_value() @ Sh
-    return _sym_norm(lhs - rhs) / _sym_norm(S @ q.Q @ S)
+    return _sym_norm(lhs - rhs) / den
 
 
 def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> np.ndarray:
@@ -215,10 +239,13 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     Returns the n x (n+m) array
     [Swx Swu] = sum_k lambda^(t-1-k) w_k z_k' - lambda^t [A B] Sigma0, which
     equals SigmaHat - [A B] Sigma for the correlations of the same run.
+    `history` is read as in batch_correlations.
     """
     n, m = plant.n, plant.m
+    history = _as_history(history)
+    lam = _check_factor(lam, "lam")
     sigma0 = _check_matrix(sigma0, "sigma0", (n + m, n + m))
-    acc = -float(lam) ** len(history) * plant.ab @ sigma0
+    acc = -lam ** len(history) * plant.ab @ sigma0
     for c, z, w in _weighted_history(history, lam, n, m, "w"):
         acc = acc + c * np.outer(w, z)
     return acc

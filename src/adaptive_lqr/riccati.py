@@ -13,15 +13,17 @@ the descent from an upper bound runs value iteration.  Every iterate is
 re-symmetrized.
 
 Public constructors and public functions check array arguments with
-_check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch)
-and integer arguments with _check_int;
+_check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch),
+integer and real ones with _check_int and _check_real and their named rules;
 the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
 gain of gain_from_q are built from checked data and skip `__post_init__`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -96,6 +98,8 @@ def _as_float_array(M, name, copy):
 
 def _check_matrix(M, name, shape=None, square=False):
     """M as a finite float matrix (a copy), of `shape` when given, else square if asked."""
+    if M is None:
+        raise ShapeMismatch(f"{name} is required")
     M = _as_float_array(M, name, copy=True)
     if M.ndim != 2:
         raise ShapeMismatch(f"{name} must be a matrix, got ndim={M.ndim}")
@@ -118,23 +122,42 @@ def _check_vector(v, name, size=None):
     return v
 
 
-def _check_int(v, name, low, error=ShapeMismatch) -> int:
-    """v as an int >= low; `error` naming `name` for a bool, a non-integer or a smaller value."""
+def _check_int(v, name, low=1, error=ShapeMismatch) -> int:
+    """v as an int >= low (by default 1, the rule of sizes); `error` naming `name`
+    for a bool, a non-integer or a smaller value."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
         raise error(f"{name} must be an integer >= {low}, got {v!r}")
     return int(v)
 
 
-def _check_squarable(x: float, name: str) -> None:
-    """DomainError naming `name` unless x is a number whose square is finite."""
-    if not abs(x) <= SQUARE_MAX:
-        raise DomainError(f"{name} = {x:.6g} is too large: its square overflows")
+def _check_real(v, name, low=-np.inf, high=np.inf, ends="[]") -> float:
+    """v as a float; DomainError naming `name` unless v is a finite int, float or
+    numpy real (not a bool) from low to high, each end closed "[]" or open "()"
+    as `ends` says.  An int beyond the float range is rejected, not rounded."""
+    real = isinstance(v, (float, np.integer, np.floating)) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+    x = float(v) if real else np.nan
+    above = low < x if ends[0] == "(" else low <= x
+    below = x < high if ends[1] == ")" else x <= high
+    if not (above and below and abs(x) <= sys.float_info.max):
+        unbounded = (low, high) == (-np.inf, np.inf)
+        where = "" if unbounded else f" in {ends[0]}{low:g}, {high:g}{ends[1]}"
+        shown = repr(v) if len(repr(v)) <= 40 else repr(v)[:37] + "..."
+        raise DomainError(f"{name} = {shown} must be a finite number{where}")
+    return x
 
 
-def _check_beta(beta: float) -> None:
-    if beta <= 1.0:
-        raise DomainError("beta must exceed 1")
-    _check_squarable(beta, "beta")
+# The scalar rules, each stated once: check(v, name) returns v as a number or
+# raises the error of _check_int/_check_real naming `name`.
+_check_seed = partial(_check_int, low=0, error=DomainError)         # random seeds
+_check_positive = partial(_check_real, low=0.0, ends="()")          # tolerances, scales
+_check_factor = partial(_check_real, low=0.0, high=1.0, ends="(]")  # forgetting, decay
+# uniform(-a, a) needs the range 2a finite.
+_check_amplitude = partial(_check_real, low=0.0, high=sys.float_info.max / 2)
+_check_rho = partial(_check_real, low=0.0, high=SQUARE_MAX)
+# Above `low` with a finite square: _check_above(gamma, name, beta) for gamma > beta.
+_check_above = partial(_check_real, high=SQUARE_MAX, ends="(]")
+_check_beta = partial(_check_above, low=1.0)
 
 
 def _check_cost_matrix(M, name, shape=None):
@@ -315,9 +338,8 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
     exceeds NORM_CAP, the doubling solve is singular to working precision,
     or the budget runs out first.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    max_iter = _check_int(max_iter, "max_iter", 1, DomainError)
+    tol = _check_positive(tol, "tol")
+    max_iter = _check_int(max_iter, "max_iter", error=DomainError)
     n = plant.n
     if p0 is not None:
         P = sym(_check_matrix(p0, "p0", (n, n)))
@@ -376,7 +398,7 @@ def check_membership(plant: PlantModel, beta: float) -> MembershipCertificate:
     An unsolvable fixed point is reported as non-membership, never raised.
     Eigenvalue comparisons use absolute slack PSD_SLACK since the set is
     defined by non-strict inequalities.  A beta that is not above 1 or whose
-    square overflows raises DomainError.
+    square overflows raises DomainError (_check_beta).
     """
     return _solve_membership(plant, beta)[1]
 
@@ -384,7 +406,7 @@ def check_membership(plant: PlantModel, beta: float) -> MembershipCertificate:
 def _solve_membership(plant: PlantModel, beta: float, p0: np.ndarray | None = None
                       ) -> tuple[ValueMatrix | None, MembershipCertificate]:
     """check_membership's certificate with the P solved from p0 (None when unsolvable)."""
-    _check_beta(beta)
+    beta = _check_beta(beta, "beta")
     try:
         P = solve_dare(plant, p0=p0)
     except NotStabilizable as exc:
@@ -396,7 +418,7 @@ def _solve_membership(plant: PlantModel, beta: float, p0: np.ndarray | None = No
 
 def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCertificate:
     """check_membership's certificate for the plant's already solved P."""
-    _check_beta(beta)
+    beta = _check_beta(beta, "beta")
     q = q_from_p(plant, P)
     evals = np.linalg.eigvalsh(q.Q)
     max_eig = float(evals[-1])

@@ -19,8 +19,9 @@ from .controller import (
     initial_controller,
 )
 from .errors import DomainError, ShapeMismatch
-from .estimation import rho_of
-from .riccati import PlantModel, _check_int, _check_matrix, _check_vector
+from .estimation import _check_sigma0, rho_of
+from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_positive,
+                      _check_real, _check_vector)
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12
@@ -57,8 +58,7 @@ class DisturbanceModel:
                 raise ShapeMismatch("delta_a must be n x n and delta_b n x m")
             object.__setattr__(self, "delta_a", da)
             object.__setattr__(self, "delta_b", db)
-        if self.kind == "filtered_unmodeled" and not -1.0 < self.pole < 1.0:
-            raise DomainError(f"pole must lie in (-1, 1), got {self.pole}")
+        object.__setattr__(self, "pole", _check_real(self.pole, "pole", -1.0, 1.0, "()"))
 
     @classmethod
     def zero(cls) -> "DisturbanceModel":
@@ -79,6 +79,7 @@ class DisturbanceModel:
     def scaled(self, magnitude: float) -> "DisturbanceModel":
         """Same shape of disturbance with payload scaled by `magnitude`;
         DomainError when the scaled payload overflows."""
+        magnitude = _check_real(magnitude, "magnitude")
         if self.kind == "zero":
             return self
         with np.errstate(over="ignore"):
@@ -130,7 +131,7 @@ class Scenario:
     controller_tol: float = 1e-11
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", _check_int(self.horizon, "horizon", 1))
+        object.__setattr__(self, "horizon", _check_int(self.horizon, "horizon"))
         object.__setattr__(self, "x0", _check_vector(self.x0, "x0", self.plant.n).copy())
         n, m, d = self.plant.n, self.plant.m, self.disturbance
         if d.kind == "external_sequence" and d.sequence.shape[1] != n:
@@ -143,8 +144,11 @@ class Scenario:
         if self.fallback_gain is not None:
             object.__setattr__(self, "fallback_gain",
                                _check_matrix(self.fallback_gain, "fallback_gain", (m, n)))
-        if not self.controller_tol > 0:
-            raise DomainError(f"controller_tol must be positive, got {self.controller_tol}")
+        if self.sigma0 is not None:
+            object.__setattr__(self, "sigma0", _check_sigma0(self.sigma0, n + m))
+        object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
+        object.__setattr__(self, "controller_tol",
+                           _check_positive(self.controller_tol, "controller_tol"))
         if self.excitation is None:
             object.__setattr__(self, "excitation", ExcitationSchedule.none(self.plant.m))
 

@@ -4,13 +4,16 @@ Ragged nesting, non-numeric entries and non-array objects must end in
 ShapeMismatch naming the argument, never in a raw numpy ValueError/TypeError.
 Integer arguments reject bools, floats and out-of-range values with the
 argument's own error type, and history entries that are not triples are
-ShapeMismatch naming the entry.
+ShapeMismatch naming the entry.  Real arguments reject strings, None, bools,
+NaN, infinities, ints beyond the float range and out-of-range values with
+DomainError naming the argument.
 """
 
 import numpy as np
 import pytest
 
 from adaptive_lqr import (
+    ControllerState,
     CorrelationState,
     DisturbanceModel,
     DomainError,
@@ -22,9 +25,15 @@ from adaptive_lqr import (
     Scenario,
     ShapeMismatch,
     ValueMatrix,
+    admissible_rho,
+    alpha_of,
     batch_correlations,
+    check_membership,
+    consistent_start,
+    contraction_rho_root,
     controller_observe,
     controller_step,
+    corollary_bound_check,
     dare_residual,
     disturbance_correlation,
     disturbance_eval,
@@ -33,11 +42,15 @@ from adaptive_lqr import (
     initial_controller,
     initial_correlation,
     lemma1_check,
+    lemma1_instance_for_plant,
     q_from_p,
     random_plant,
     rho_of,
     sample_membership_plant,
+    simulate,
     solve_dare,
+    solve_data_riccati,
+    theorem1_instance_for_plant,
     theorem1_margin,
     update_correlations,
 )
@@ -47,6 +60,8 @@ P = solve_dare(PLANT)
 KT = gain_from_q(q_from_p(PLANT, P))
 ZERO = DisturbanceModel.zero()
 LINEAR = DisturbanceModel.linear([[0.1]], [[0.0]])
+Q = q_from_p(PLANT, P)
+LOG = simulate(Scenario(PLANT, ZERO, x0=[1.0], horizon=3))
 
 MALFORMED = {
     "ragged": [[1.0, 2.0], [3.0]],
@@ -145,13 +160,14 @@ SCHEDULE = ExcitationSchedule.constant(1, 1.0, seed=3)
     (lambda: random_plant(np.random.default_rng(0), 0, 1, 0.5), ShapeMismatch),
     (lambda: random_plant(np.random.default_rng(0), 1.5, 1, 0.5), ShapeMismatch),
     (lambda: sample_membership_plant(np.random.default_rng(0), 2.0, 0, 1), ShapeMismatch),
+    (lambda: corollary_bound_check(LOG, PLANT, 1.5, 20.0, 2.0, 0.01), DomainError),
 ], ids=["disturbance_eval_negative_t", "disturbance_eval_float_t", "excitation_float_m",
         "excitation_bool_m", "excitation_float_seed", "excitation_string_seed",
         "excitation_sample_float_t", "scenario_float_horizon", "correlation_state_float_t",
         "initial_correlation_float_n", "initial_correlation_negative_n",
         "initial_controller_float_n", "batch_correlations_float_n",
         "solve_dare_float_max_iter", "random_plant_zero_n", "random_plant_float_n",
-        "sample_membership_plant_zero_n"])
+        "sample_membership_plant_zero_n", "corollary_float_t0"])
 def test_bad_integer_argument_is_typed(call, error):
     with pytest.raises(error, match="must be an integer >= "):
         call()
@@ -176,3 +192,138 @@ def test_history_entry_not_a_triple_is_a_shape_mismatch(call, entry):
         call([entry])
     with pytest.raises(ShapeMismatch, match=r"history\[1\]"):
         call([([1.0], [0.0], [0.5]), entry])
+
+
+# Each value is a malformed real argument: none is a finite int, float or numpy real.
+BAD_REALS = {
+    "string": "0.5",
+    "none": None,
+    "bool": True,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "minus_inf": float("-inf"),
+    "int_beyond_float": 10**400,
+}
+LEMMA1 = dict(sigma=np.eye(2), sigma_hat=[[0.5, 1.0]], sigma_tilde=[[0.0, 0.0]], P=[[1.0]],
+              Q=np.eye(2), beta=2.0, rho=0.01)
+
+# Each entry passes the malformed value as the named real argument; the
+# error message must start with that name.
+REAL_PROBES = {
+    "solve_dare.tol": ("tol", lambda bad: solve_dare(PLANT, tol=bad)),
+    "solve_data_riccati.tol": ("tol", lambda bad: solve_data_riccati(PLANT, tol=bad)),
+    "check_membership.beta": ("beta", lambda bad: check_membership(PLANT, bad)),
+    "CorrelationState.lam": ("lam", lambda bad: CorrelationState(
+        sigma=np.eye(2), sigma_hat=[[0.0, 0.0]], lam=bad, sigma0=np.eye(2), t=0)),
+    "initial_correlation.lam": ("lam", lambda bad: initial_correlation(1, 1, lam=bad)),
+    "batch_correlations.lam": ("lam", lambda bad: batch_correlations([], bad, np.eye(2), n=1)),
+    "disturbance_correlation.lam": ("lam", lambda bad: disturbance_correlation(
+        [], PLANT, bad, np.eye(2))),
+    "ExcitationSchedule.amplitude": ("amplitude", lambda bad: ExcitationSchedule.constant(1, bad)),
+    "ExcitationSchedule.decay_rate": ("decay_rate",
+                                      lambda bad: ExcitationSchedule.decaying(1, 1.0, bad)),
+    "ControllerState.tol": ("tol", lambda bad: ControllerState(
+        initial_correlation(1, 1), Gain([[0.0]]), ExcitationSchedule.none(1), tol=bad)),
+    "initial_controller.lam": ("lam", lambda bad: initial_controller(1, 1, lam=bad)),
+    "initial_controller.tol": ("tol", lambda bad: initial_controller(1, 1, tol=bad)),
+    "DisturbanceModel.pole": ("pole", lambda bad: DisturbanceModel.filtered([[0.1]], [[0.0]], bad)),
+    "DisturbanceModel.scaled": ("magnitude", lambda bad: LINEAR.scaled(bad)),
+    "Scenario.lam": ("lam", lambda bad: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=bad)),
+    "Scenario.controller_tol": ("controller_tol", lambda bad: Scenario(
+        PLANT, ZERO, x0=[1.0], horizon=5, controller_tol=bad)),
+    "alpha_of.beta": ("beta", lambda bad: alpha_of(bad, 0.0, 10.0)),
+    "alpha_of.rho": ("rho", lambda bad: alpha_of(2.0, bad, 10.0)),
+    "alpha_of.gamma": ("gamma", lambda bad: alpha_of(2.0, 0.0, bad)),
+    "admissible_rho.beta": ("beta", lambda bad: admissible_rho(bad)),
+    "contraction_rho_root.beta": ("beta", lambda bad: contraction_rho_root(bad)),
+    "theorem1_margin.beta": ("beta", lambda bad: theorem1_margin(PLANT, P, KT, bad, 0.01)),
+    "theorem1_margin.rho": ("rho", lambda bad: theorem1_margin(PLANT, P, KT, 2.0, bad)),
+    "lemma1_check.beta": ("beta", lambda bad: lemma1_check(**{**LEMMA1, "beta": bad})),
+    "lemma1_check.rho": ("rho", lambda bad: lemma1_check(**{**LEMMA1, "rho": bad})),
+    "consistent_start.rho": ("rho", lambda bad: consistent_start(LOG, bad)),
+    "corollary_bound_check.gamma": ("gamma", lambda bad: corollary_bound_check(
+        LOG, PLANT, 0, bad, 2.0, 0.01)),
+    "random_plant.spectral_radius": ("spectral_radius", lambda bad: random_plant(
+        np.random.default_rng(0), 1, 1, bad)),
+    "random_plant.input_scale": ("input_scale", lambda bad: random_plant(
+        np.random.default_rng(0), 1, 1, 0.5, bad)),
+    "sample_membership_plant.beta": ("beta", lambda bad: sample_membership_plant(
+        np.random.default_rng(0), bad, 1, 1)),
+    "theorem1_instance_for_plant.beta": ("beta", lambda bad: theorem1_instance_for_plant(
+        np.random.default_rng(0), PLANT, P, bad, 0.01)),
+    "theorem1_instance_for_plant.rho": ("rho", lambda bad: theorem1_instance_for_plant(
+        np.random.default_rng(0), PLANT, P, 2.0, bad)),
+    "lemma1_instance_for_plant.beta": ("beta", lambda bad: lemma1_instance_for_plant(
+        np.random.default_rng(0), PLANT, P, Q, bad, 0.01)),
+    "lemma1_instance_for_plant.rho": ("rho", lambda bad: lemma1_instance_for_plant(
+        np.random.default_rng(0), PLANT, P, Q, 2.0, bad)),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_REALS)
+@pytest.mark.parametrize("probe", REAL_PROBES)
+def test_malformed_real_is_a_domain_error_naming_the_argument(probe, kind):
+    name, call = REAL_PROBES[probe]
+    with pytest.raises(DomainError, match=f"^{name} = .* must be a finite number"):
+        call(BAD_REALS[kind])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=2.0), "lam"),
+    (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=0.0), "lam"),
+    (lambda: initial_controller(1, 1, tol="x"), "tol"),
+    (lambda: initial_controller(1, 1, tol=0.0), "tol"),
+    (lambda: solve_dare(PLANT, tol=-1e-10), "tol"),
+    (lambda: ExcitationSchedule.constant(1, -1.0), "amplitude"),
+    (lambda: ExcitationSchedule.constant(1, 1e308), "amplitude"),
+    (lambda: DisturbanceModel.filtered([[0.1]], [[0.0]], 1.0), "pole"),
+    (lambda: check_membership(PLANT, 1.0), "beta"),
+    (lambda: alpha_of(2.0, 0.0, 2.0), "gamma"),
+    (lambda: alpha_of(2.0, -0.1, 10.0), "rho"),
+], ids=["scenario_lam_above_1", "scenario_lam_zero", "initial_controller_string_tol",
+        "initial_controller_zero_tol", "solve_dare_negative_tol", "amplitude_negative",
+        "amplitude_range_overflows", "pole_on_unit_circle", "beta_one", "gamma_not_above_beta",
+        "rho_negative"])
+def test_real_out_of_range_is_a_domain_error_naming_the_argument(call, name):
+    with pytest.raises(DomainError, match=f"^{name} = .* must be a finite number in "):
+        call()
+
+
+def test_scenario_checks_sigma0_when_built():
+    with pytest.raises(ShapeMismatch, match="sigma0 must be positive definite"):
+        Scenario(PLANT, ZERO, x0=[1.0], horizon=5, sigma0=np.diag([1.0, -1.0]))
+    with pytest.raises(ShapeMismatch, match="sigma0"):
+        Scenario(PLANT, ZERO, x0=[1.0], horizon=5, sigma0=np.eye(3))
+
+
+def test_numpy_reals_are_reals():
+    schedule = ExcitationSchedule.decaying(1, np.float32(0.5), np.float64(0.9), seed=3)
+    assert (type(schedule.amplitude), type(schedule.decay_rate)) == (float, float)
+    assert schedule.amplitude == 0.5
+    state = initial_correlation(1, 1, lam=np.float64(0.5))
+    assert type(state.lam) is float and state.lam == 0.5
+    assert solve_dare(PLANT, tol=np.float32(1e-10)).P == pytest.approx(P.P, abs=1e-12)
+    assert alpha_of(2, 0, 20) == alpha_of(2.0, 0.0, 20.0)
+
+
+@pytest.mark.parametrize("history", [5, 0.5, None], ids=["int", "float", "none"])
+@pytest.mark.parametrize("call", [
+    lambda history: batch_correlations(history, 0.99, np.eye(2)),
+    lambda history: disturbance_correlation(history, PLANT, 0.99, np.eye(2)),
+], ids=["batch_correlations", "disturbance_correlation"])
+def test_history_not_iterable_is_a_shape_mismatch(call, history):
+    with pytest.raises(ShapeMismatch, match="^history must be an iterable"):
+        call(history)
+
+
+def test_history_may_be_any_iterable():
+    history = [([1.0], [0.5], [0.7]), ([0.7], [-0.2], [0.1])]
+    listed = batch_correlations(history, 0.9, np.eye(2))
+    generated = batch_correlations((entry for entry in history), 0.9, np.eye(2))
+    assert np.array_equal(listed.sigma, generated.sigma)
+    assert np.array_equal(listed.sigma_hat, generated.sigma_hat) and generated.t == 2
+    assert np.array_equal(disturbance_correlation(iter(history), PLANT, 0.9, np.eye(2)),
+                          disturbance_correlation(history, PLANT, 0.9, np.eye(2)))
+    # The rows of a 2-d array are entries, and a row of length 2 is not a triple.
+    with pytest.raises(ShapeMismatch, match=r"history\[0\]"):
+        batch_correlations(np.eye(2), 0.9, np.eye(2))

@@ -178,11 +178,16 @@ class TestConfigValidation:
         ("sweep", {"sweep": {"excitation_amplitude": [-1.0]}}, [],
          "'sweep.excitation_amplitude[0]'"),
         ("sweep", {"seed": -3}, [], "'seed'"),
+        ("simulate", {"disturbance": {"kind": "fooo", "delta_a": [[0.1]]}}, [],
+         "'disturbance': kind must be one of"),
+        ("simulate", {"disturbance": {"kind": "external_sequence"}}, [],
+         "'disturbance': sequence is required"),
     ], ids=["certify_rho_negative", "certify_rho_scale_negative", "certify_seed_negative",
             "certify_n_zero", "certify_m_negative", "certify_sampler_budget", "solve_tol_nan",
             "simulate_controller_tol_nan", "simulate_fallback_gain_shape",
             "simulate_excitation_seed_negative", "sweep_magnitude_infinite",
-            "sweep_amplitude_negative", "sweep_seed_negative"])
+            "sweep_amplitude_negative", "sweep_seed_negative", "simulate_disturbance_kind",
+            "simulate_disturbance_sequence_missing"])
     def test_malformed_input_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch,
                                                       command, payload, argv, needle):
         # Only the sampler-budget case reaches the search; keep it short.
@@ -218,6 +223,37 @@ class TestConfigValidation:
         assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("field, value", [("lambda", 2.0), ("lambda", 0.0),
+                                              ("sigma0_scale", -1.0), ("controller_tol", "1e-11")])
+    def test_scenario_scalar_exits_1_naming_the_field(self, tmp_path, capsys, command,
+                                                      field, value):
+        # A lambda outside (0, 1] used to fail only inside simulate; sweep then
+        # exited 0 with the error in every row.
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5,
+                                      field: value})
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "DomainError" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_extreme_sigma0_scale_logs_finite_residuals(self, tmp_path, capsys, scale):
+        # |Sigma Q Sigma| underflows to 0 (1e-170) or overflows (1e200) on the
+        # first steps; the relative residual is then taken on rescaled data.
+        cfg = write_config(tmp_path, {
+            "plant": {"A": [[0.9, 0.2], [0.0, 0.8]], "B": [[1.0], [0.5]]}, "horizon": 30,
+            "sigma0_scale": scale,
+            "excitation": {"kind": "constant_amplitude", "amplitude": 1.0, "seed": 3}})
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
+        rows = read_rows(tmp_path / "sim" / "trajectory.csv")
+        solved = [float(r["eq6_residual"]) for r in rows if r["fallback"] == "0"]
+        assert solved and np.all(np.isfinite(solved))
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "sweep")]) == 0
+        rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert rows and all(r["error"] == "" for r in rows)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload, needle", [
         ({"plant": {"A": [[0.5, 0.0], [0.0]], "B": [[1.0], [0.0]]}}, "'plant.A'"),

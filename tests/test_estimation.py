@@ -234,6 +234,22 @@ class TestSolveDataRiccati:
             assert data_riccati_residual(state, q) <= 1e-8
             count += 1
 
+    def test_residual_does_not_depend_on_the_scale(self):
+        # A Q that does not solve the equation keeps the residual of order one.
+        # At c = 2^600 |Sigma Q Sigma| overflows, at 2^-600 it underflows; both
+        # are evaluated on (Sigma, SigmaHat) / max |Sigma|, the same matrices.
+        rng = np.random.default_rng(5)
+        plant = random_stabilizable_plant(rng, 2, 1)
+        G = rng.standard_normal((3, 3))
+        sigma = G @ G.T + 0.5 * np.eye(3)
+        q = q_from_p(plant, 3.0 * np.eye(2))
+        base = data_riccati_residual(make_state(sigma, plant.ab @ sigma), q)
+        scaled = [data_riccati_residual(make_state(c * sigma, c * plant.ab @ sigma), q)
+                  for c in (2.0**600, 2.0**-600)]
+        assert 1e-3 < base < np.inf
+        assert scaled[0] == scaled[1]
+        assert abs(scaled[0] - base) <= 1e-12 * base
+
 
 class TestDisturbanceCorrelation:
     def test_regularizer_term_only(self):
