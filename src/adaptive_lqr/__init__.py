@@ -27,6 +27,7 @@ from .riccati import (
     QMatrix,
     ValueMatrix,
     check_membership,
+    dare_error_estimate,
     dare_residual,
     gain_from_q,
     q_from_p,

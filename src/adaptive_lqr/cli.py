@@ -41,8 +41,8 @@ from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
 from .riccati import (PSD_SLACK, PlantModel, _check_above, _check_amplitude, _check_beta,
                       _check_factor, _check_int, _check_matrix, _check_positive, _check_real,
-                      _check_rho, _check_seed, _membership, _spectral_norm, gain_from_q,
-                      solve_dare)
+                      _check_rho, _check_seed, _membership, _spectral_norm,
+                      dare_error_estimate, gain_from_q, solve_dare)
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -184,7 +184,7 @@ def _write_json(path: Path, payload) -> None:
 # commands
 
 def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
-    """Solve the fixed point for one plant; write {P, Q, K, residual, member}."""
+    """Solve the fixed point for one plant; write {P, Q, K, residual, error_estimate, member}."""
     _reject_unknown(cfg, _COMMON_KEYS + ("plant", "beta", "tol", "max_iter"), "config")
     plant = _parse_plant(cfg)
     beta = _field(_check_beta, cfg.get("beta", 2.0), "beta")
@@ -201,6 +201,7 @@ def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
         "q": member.Q.Q.tolist(),
         "k": gain_from_q(member.Q).K.tolist(),
         "residual": member.residual,
+        "error_estimate": dare_error_estimate(plant, P),
         "beta": beta,
         "member": member.member,
         "max_eig_q": member.max_eig_Q,

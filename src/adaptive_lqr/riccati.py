@@ -8,8 +8,9 @@ has optimal value x0' P x0, where P is the fixed point of
 The same fixed point in the joint state-input matrix Q = I + [A B]' P [A B]
 reads Q - I = [A B]' min_K([I;K]' Q [I;K]) [A B], with the minimizing gain
 K = -(Quu)^{-1} Qux.  A cold solve runs the structure-preserving doubling
-algorithm; a held solution is confirmed by one value-iteration step, and
-the descent from an upper bound runs value iteration.  Every iterate is
+algorithm; a held solution is confirmed by one value-iteration step or
+refined by Newton steps through the closed-loop Stein operator, and the
+descent from an upper bound runs value iteration.  Every iterate is
 re-symmetrized.
 
 Public constructors and public functions check array arguments with
@@ -49,6 +50,8 @@ UPPER_TOL = 1e-9
 # error of the accepted iterate is at most c / (1 - c) times its step for a
 # contraction c, so it stays within tol for any c up to 0.9.
 CONFIRM_FRACTION = 0.1
+# Newton corrections solve_dare takes from p0 before it solves cold.
+NEWTON_STEPS = 3
 # Largest magnitude whose square is a finite double.
 SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
 
@@ -282,7 +285,8 @@ class MembershipCertificate:
 def riccati_step(plant: PlantModel, P: np.ndarray) -> np.ndarray:
     """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)].
 
-    Unchecked: it runs on every confirm, and each caller passes a checked n x n P.
+    Unchecked: it runs on every confirm and after every Newton correction of
+    solve_dare, and each caller passes a checked n x n P.
     """
     A, B = plant.A, plant.B
     BtP = B.T @ P
@@ -292,11 +296,45 @@ def riccati_step(plant: PlantModel, P: np.ndarray) -> np.ndarray:
     return sym(Pn)
 
 
+def _closed_loop(plant: PlantModel, P: np.ndarray) -> np.ndarray:
+    """A + B K at the gain K = -(I + B'PB)^{-1} B'PA of P."""
+    A, B = plant.A, plant.B
+    BtP = B.T @ P
+    return A - B @ np.linalg.solve(np.eye(plant.m) + BtP @ B, BtP @ A)
+
+
+def _stein_solve(Ac: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Solution D of the Stein equation D - Ac' D Ac = R.
+
+    One n^2 x n^2 Kronecker solve; Ac' (x) Ac' is built by broadcasting,
+    which at n <= 6 costs a fraction of np.kron.
+    """
+    n = len(Ac)
+    T = Ac.T
+    M = np.eye(n * n) - (T[:, None, :, None] * T[None, :, None, :]).reshape(n * n, n * n)
+    return np.linalg.solve(M, R.reshape(-1)).reshape(n, n)
+
+
 def dare_residual(plant: PlantModel, P) -> float:
     """Relative fixed-point residual |P - step(P)| / |P| in spectral norm; P,
     an array or a ValueMatrix, is checked as n x n."""
     P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
     return _sym_norm(P - riccati_step(plant, P)) / _sym_norm(P)
+
+
+def dare_error_estimate(plant: PlantModel, P) -> float:
+    """First-order estimate of the relative error |P* - P| / |P| in spectral norm.
+
+    The Newton correction D of P, the solution of D - Ac' D Ac = step(P) - P
+    with Ac the closed loop at the gain of P, approximates P* - P to second
+    order (J.-G. Sun, Numer. Math. 1998).  inf when that gain does not
+    stabilize the plant.  P, an array or a ValueMatrix, is checked as n x n.
+    """
+    P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
+    Ac = _closed_loop(plant, P)
+    if np.abs(np.linalg.eigvals(Ac)).max() >= 1.0:
+        return np.inf
+    return _spectral_norm(_stein_solve(Ac, riccati_step(plant, P) - P)) / _sym_norm(P)
 
 
 def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
@@ -329,10 +367,15 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
     |D|_2 <= |D|_F and |P_ii| <= |P|_2 for symmetric P, this implies the
     relative spectral step |P_new - P|_2 / |P_new|_2 <= tol.
 
-    Confirm (`p0` given): one step Pn = riccati_step(plant, p0), returned
-    when it passes the same rule at CONFIRM_FRACTION * tol and Pn >= I;
-    otherwise (a failed test, a singular I + B'PB or an iterate over the
-    cap) the result is the cold solve.
+    Confirm, refine by Newton, or cold (`p0` given): from P = p0, take the
+    step Pn = riccati_step(plant, P) and return it when it passes the same
+    rule at CONFIRM_FRACTION * tol and Pn >= I.  Otherwise take one Newton
+    correction (Hewer 1971): solve D - Ac' D Ac = Pn - P with Ac the closed
+    loop at the gain of P, set P = P + D and step again.  After NEWTON_STEPS
+    corrections, or on a singular I + B'PB or Stein operator, a passing Pn
+    not >= I, or an iterate over the cap, the result is the cold solve.  The
+    returned Pn passed the confirm's test, so its error bound is the
+    confirm's.
 
     Raises NotStabilizable when a cold iterate's largest diagonal entry
     exceeds NORM_CAP, the doubling solve is singular to working precision,
@@ -344,10 +387,13 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
     if p0 is not None:
         P = sym(_check_matrix(p0, "p0", (n, n)))
         try:
-            Pn = riccati_step(plant, P)
-            if _converged(P, Pn, CONFIRM_FRACTION * tol):
-                np.linalg.cholesky(Pn - (1.0 - 1e-9) * np.eye(n))
-                return _trusted(ValueMatrix, P=Pn)
+            for newton in range(NEWTON_STEPS + 1):
+                if newton:
+                    P = sym(P + _stein_solve(_closed_loop(plant, P), Pn - P))
+                Pn = riccati_step(plant, P)
+                if _converged(P, Pn, CONFIRM_FRACTION * tol):
+                    np.linalg.cholesky(Pn - (1.0 - 1e-9) * np.eye(n))
+                    return _trusted(ValueMatrix, P=Pn)
         except (np.linalg.LinAlgError, NotStabilizable):
             pass
         return solve_dare(plant, tol, max_iter)

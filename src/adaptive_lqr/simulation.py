@@ -93,7 +93,8 @@ class DisturbanceModel:
 
 
 def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
-    """Evaluate the disturbance at time t; returns (w, internal_state')."""
+    """Evaluate the disturbance at time t; returns (w, internal_state'), with the
+    filtered kind's internal_state (None at the start) checked as a length-n vector."""
     t = _check_int(t, "t", 0)
     x = _check_vector(x, "x")
     u = _check_vector(u, "u")
@@ -110,7 +111,8 @@ def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
     drive = model.delta_a @ x + model.delta_b @ u
     if model.kind == "linear_unmodeled":
         return drive, internal_state
-    xi = np.zeros(n) if internal_state is None else internal_state
+    xi = (np.zeros(n) if internal_state is None
+          else _check_vector(internal_state, "internal_state", n))
     return xi.copy(), model.pole * xi + drive
 
 

@@ -5,9 +5,10 @@ independent oracles for the package's own fixed-point iteration.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 
-from adaptive_lqr import PlantModel
+from adaptive_lqr import PlantModel, estimation, riccati
 
 
 def scalar_p(a: float, b: float) -> float:
@@ -60,3 +61,20 @@ def random_history(rng: np.random.Generator, n: int, m: int, length: int):
         (rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(n))
         for _ in range(length)
     ]
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """The plants of the cold solves (no p0) the package makes: the fall-backs
+    of solve_dare(p0=...) and the controller's first solves."""
+    calls = []
+    solve = riccati.solve_dare
+
+    def counting(plant, *args, p0=None, **kwargs):
+        if p0 is None:
+            calls.append(plant)
+        return solve(plant, *args, p0=p0, **kwargs)
+
+    for module in (riccati, estimation):
+        monkeypatch.setattr(module, "solve_dare", counting)
+    return calls

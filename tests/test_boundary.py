@@ -137,6 +137,13 @@ def test_non_finite_array_is_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("state", ["abc", [1.0, 2.0, 3.0]], ids=["string", "wrong_length"])
+def test_filtered_internal_state_is_a_shape_mismatch(state):
+    filtered = DisturbanceModel.filtered([[0.1]], [[0.0]], 0.5)
+    with pytest.raises(ShapeMismatch, match="internal_state"):
+        disturbance_eval(filtered, 0, [1.0], [0.0], state)
+
+
 EXTERNAL = DisturbanceModel.external([[1.0], [2.0]])
 SCHEDULE = ExcitationSchedule.constant(1, 1.0, seed=3)
 

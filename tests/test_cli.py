@@ -52,6 +52,16 @@ class TestSolveCommand:
         assert abs(summary["k"][0][0] + 1.0 / PHI) < 1e-9
         assert summary["member"] is True
 
+    def test_summary_reports_the_error_estimate(self, tmp_path):
+        # The golden-ratio plant's true relative error is within twice the
+        # reported first-order estimate, which is within tol.
+        cfg = write_config(tmp_path, {"plant": {"A": [[1.0]], "B": [[1.0]]}, "tol": 1e-3})
+        assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        err = abs(summary["p"][0][0] - PHI) / PHI
+        assert 0.0 < err <= 2.0 * summary["error_estimate"] + 1e-14
+        assert summary["error_estimate"] <= 1e-3
+
     def test_zero_plant(self, tmp_path):
         cfg = write_config(tmp_path, {"plant": {"A": [[0.0]], "B": [[1.0]]}})
         assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 0

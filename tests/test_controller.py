@@ -14,6 +14,7 @@ from adaptive_lqr import (
     admissible_rho,
     controller_observe,
     controller_step,
+    dare_error_estimate,
     estimate_model,
     excitation_sample,
     gain_from_q,
@@ -298,3 +299,24 @@ class TestSolveAccuracy:
             err = np.linalg.norm(P - P_ref, 2) / np.linalg.norm(P_ref, 2)
             worst = max(worst, err / tol)
         assert worst <= 1.0, worst
+
+    def test_error_estimate_bounds_the_error_of_every_controller_solve(self, monkeypatch):
+        # On the same oracle set, the true relative error of each solve
+        # against scipy is at most twice its first-order error estimate.
+        import adaptive_lqr.estimation as estimation
+        solves = []
+        solve = estimation.solve_dare
+
+        def recording(plant, *args, **kwargs):
+            P = solve(plant, *args, **kwargs)
+            solves.append((plant, P))
+            return P
+
+        monkeypatch.setattr(estimation, "solve_dare", recording)
+        for sc in criterion5_scenarios(5005, 2):
+            simulate(sc)
+        assert len(solves) > 1000
+        for plant, P in solves:
+            P_ref, _ = scipy_dare(plant)
+            err = np.linalg.norm(P.P - P_ref, 2) / np.linalg.norm(P_ref, 2)
+            assert err <= 2.0 * dare_error_estimate(plant, P) + 1e-14

@@ -1,22 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from adaptive_lqr import (
+    DisturbanceModel,
     DomainError,
+    ExcitationSchedule,
     NonFiniteInput,
     Gain,
     NotStabilizable,
     PlantModel,
     QMatrix,
     HypothesisViolated,
+    Scenario,
     ShapeMismatch,
     SingularQuu,
     ValueMatrix,
     check_membership,
+    dare_error_estimate,
     dare_residual,
     gain_from_q,
     q_from_p,
     riccati_step,
+    simulate,
     solve_dare,
     solve_from_upper,
 )
@@ -117,8 +124,9 @@ class TestSolveDare:
             P = solve_dare(plant, tol=1e-12).P
             assert np.array_equal(solve_dare(plant, p0=P).P, riccati_step(plant, P))
 
-    def test_confirm_uses_a_tenth_of_tol(self, monkeypatch):
-        # A step between CONFIRM_FRACTION * tol and tol is not confirmed.
+    def test_confirm_uses_a_tenth_of_tol(self, cold_solves):
+        # A step between CONFIRM_FRACTION * tol and tol is not returned as is:
+        # Newton refines it, without a cold solve.  A step below is returned.
         plant = PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]])
         P = solve_dare(plant).P
         p0 = P + 1e-11 * np.abs(P).max() * np.eye(2)
@@ -126,18 +134,57 @@ class TestSolveDare:
         step = np.linalg.norm(Pn - sym(p0)) / np.abs(Pn.diagonal()).max()
         tol = 2.0 * step
         assert CONFIRM_FRACTION * tol < step <= tol
-        cold = []
-        solve = riccati.solve_dare
-
-        def counting(*args, **kwargs):
-            cold.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(riccati, "solve_dare", counting)
-        assert np.array_equal(solve_dare(plant, tol=tol, p0=p0).P, solve(plant, tol).P)
-        assert len(cold) == 1
+        P = solve_dare(plant, tol=tol, p0=p0).P
+        assert not np.array_equal(P, Pn) and not cold_solves
+        assert np.linalg.norm(P - solve_dare(plant, tol).P, 2) <= tol * np.linalg.norm(P, 2)
         assert np.array_equal(solve_dare(plant, tol=20.0 * step, p0=p0).P, Pn)
-        assert len(cold) == 1
+        assert not cold_solves
+
+    def test_newton_refines_the_p0_of_a_moved_plant(self, cold_solves):
+        # p0 solved for [A B] moved by 1e-4 fails the confirm; Newton
+        # corrections bring it within tol of scipy, with no cold solve.
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n, m = (int(k) for k in rng.integers(1, 5, size=2))
+            plant = random_stabilizable_plant(rng, n, m)
+            move = rng.uniform(-1.0, 1.0, (n, n + m))
+            move *= 1e-4 / np.abs(move).max()
+            p0 = solve_dare(PlantModel(plant.A + move[:, :n], plant.B + move[:, n:])).P
+            P = solve_dare(plant, p0=p0).P
+            P_ref, _ = scipy_dare(plant)
+            assert np.linalg.norm(P - P_ref, 2) <= DEFAULT_TOL * np.linalg.norm(P_ref, 2)
+        assert not cold_solves
+
+    def test_p0_with_a_destabilizing_gain_is_solved_cold_once(self, monkeypatch, cold_solves):
+        # The gain of p0 = I leaves the closed loop unstable; Newton from it
+        # heads for the non-stabilizing fixed point, which is not >= I, and
+        # the result is the cold solve, without a RuntimeWarning.
+        plant = PlantModel([[1.5, 0.3], [0.0, 1.2]], [[0.1], [0.05]])
+        p0 = np.eye(2)
+        assert np.abs(np.linalg.eigvals(riccati._closed_loop(plant, p0))).min() > 1.0
+        steps = []
+        step = riccati.riccati_step
+
+        def counting(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(riccati, "riccati_step", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            P = solve_dare(plant, p0=p0).P
+        assert len(steps) > 1 and len(cold_solves) == 1
+        assert np.array_equal(P, solve_dare(plant).P)
+
+    def test_simulate_makes_at_most_three_cold_solves(self, cold_solves):
+        # Newton refines the held P of a 200-step adaptive run; only the
+        # start-up transient solves cold.
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        log = simulate(Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
+                                x0=np.ones(2), horizon=200,
+                                excitation=ExcitationSchedule.constant(1, 1.0, seed=5)))
+        assert np.sum(~log.fallback) > 100
+        assert len(cold_solves) <= 3
 
     def test_over_cap_step_falls_back_to_cold(self):
         plant = PlantModel([[0.5]], [[0.0]])
@@ -183,6 +230,33 @@ class TestSolveDare:
             assert np.linalg.norm(cold - P_ref, 2) <= 1e-10 * np.linalg.norm(P_ref, 2)
             assert np.linalg.norm(solve_dare(plant, tol=1e-11).P - P, 2) <= \
                 1e-8 * np.linalg.norm(P, 2)
+
+
+class TestErrorEstimate:
+    def test_bounds_the_error_of_value_iteration_from_below(self):
+        # Value iteration from I stays below the solution and the Newton
+        # step from a stabilizing gain overshoots it (Hewer 1971), so the
+        # estimate bounds the error once the gain stabilizes.
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        P_ref, _ = scipy_dare(plant)
+        P = np.eye(2)
+        for _ in range(30):
+            P = riccati_step(plant, P)
+            err = np.linalg.norm(P - P_ref, 2) / np.linalg.norm(P_ref, 2)
+            assert err <= dare_error_estimate(plant, P) + 1e-14
+        assert dare_error_estimate(plant, ValueMatrix(P)) == dare_error_estimate(plant, P)
+
+    def test_inf_when_the_gain_does_not_stabilize(self):
+        plant = PlantModel([[1.5, 0.3], [0.0, 1.2]], [[0.1], [0.05]])
+        assert dare_error_estimate(plant, np.eye(2)) == np.inf
+        assert dare_error_estimate(plant, solve_dare(plant)) < 1e-12
+
+    def test_p_checked(self):
+        plant = PlantModel([[0.5]], [[1.0]])
+        with pytest.raises(ShapeMismatch):
+            dare_error_estimate(plant, np.eye(2))
+        with pytest.raises(NonFiniteInput):
+            dare_error_estimate(plant, [[np.inf]])
 
 
 class TestQFromP:

@@ -197,10 +197,10 @@ class TestSimulate:
         assert len(simulate(scenario(plant, 200, exc=exc))) == 200
         assert calls == list(range(200))
 
-    def test_no_svd_and_at_most_one_value_iteration_step_per_solve(self, monkeypatch):
+    def test_no_svd_and_at_most_one_value_iteration_step_per_solve(self, monkeypatch, cold_solves):
         # The adaptive step makes no SVD (no svd, cond or spectral norm); the
-        # held P costs one value-iteration step, and an unconfirmed one is
-        # solved by doubling, which takes none.
+        # held P costs one value-iteration step per Newton correction plus
+        # one, and only the start-up transient is solved cold by doubling.
         import adaptive_lqr.riccati as riccati
         counts = {"svd": 0, "cond": 0, "norm2": 0, "riccati_step": 0}
 
@@ -226,7 +226,8 @@ class TestSimulate:
         solved = int(np.sum(~log.fallback))
         assert len(log) == 200 and solved > 0
         assert (counts["svd"], counts["cond"], counts["norm2"]) == (0, 0, 0)
-        assert 0 < counts["riccati_step"] <= solved
+        assert 0 < counts["riccati_step"] <= (riccati.NEWTON_STEPS + 1) * solved
+        assert len(cold_solves) <= 3
 
     def test_step_estimate_and_logged_rho(self, monkeypatch):
         # sigma0 = 1e-17 I makes Sigma ill-conditioned after one data point,
