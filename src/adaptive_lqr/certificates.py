@@ -85,17 +85,6 @@ class CertificateReport:
             "details": dict(self.details),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CertificateReport":
-        return cls(
-            name=d["name"],
-            hypotheses={k: HypothesisCheck(margin=float(h["margin"]), holds=bool(h["holds"]))
-                        for k, h in d["hypotheses"].items()},
-            hypotheses_hold=bool(d["hypotheses_hold"]),
-            conclusion_margin=float(d["margins"]["conclusion"]),
-            details={k: float(v) for k, v in d["details"].items()},
-        )
-
 
 def _hyp(margin: float, slack: float = PSD_SLACK) -> HypothesisCheck:
     margin = _finite(margin)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimateNotStabilizable, IllConditioned, ShapeMismatch
+from .errors import EstimateNotStabilizable, IllConditioned, ShapeMismatch, SingularQuu
 from .estimation import (
     CorrelationState,
     data_riccati_residual,
@@ -120,9 +120,10 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     """Compute u_t = K_t x_t + eps_t from the current correlations.
 
     K_t comes from the data-driven Riccati equation on the step's one model
-    estimate; an unstabilizable or ill-conditioned estimate falls back to
-    the last successful gain and flags the step.  Correlations are updated
-    by controller_observe once x_{t+1} is available, not here.
+    estimate; an unstabilizable or ill-conditioned estimate, or a singular
+    Quu, falls back to the last successful gain and flags the step.
+    Correlations are updated by controller_observe once x_{t+1} is
+    available, not here.
     """
     x = _check_vector(x, "x", state.corr.n)
     t = state.corr.t
@@ -134,7 +135,7 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
         residual = data_riccati_residual(state.corr, q)
         warm = P.P
         fallback = False
-    except (EstimateNotStabilizable, IllConditioned):
+    except (EstimateNotStabilizable, IllConditioned, SingularQuu):
         gain = state.last_gain
         residual = np.nan
         fallback = True

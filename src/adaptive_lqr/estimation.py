@@ -176,17 +176,21 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
 
 def _cond(sigma: np.ndarray) -> float:
     """cond(Sigma) of a symmetric Sigma without an SVD: the ratio of its extreme
-    eigenvalues, infinite when Sigma is not positive definite."""
+    eigenvalues, infinite unless its smallest is a positive normal double
+    (a subnormal one has lost precision)."""
     evals = np.linalg.eigvalsh(sigma)
-    return float(evals[-1] / evals[0]) if evals[0] > 0 else np.inf
+    return float(evals[-1] / evals[0]) if evals[0] >= np.finfo(float).tiny else np.inf
 
 
 def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> PlantModel:
-    """[Ahat Bhat] = SigmaHat Sigma^{-1}; IllConditioned when cond(Sigma) > COND_LIMIT."""
+    """[Ahat Bhat] = SigmaHat Sigma^{-1}; IllConditioned when cond(Sigma) > COND_LIMIT
+    or the solve overflows."""
     cond = _cond(sigma)
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
     ab = np.linalg.solve(sigma, sigma_hat.T).T
+    if not np.isfinite(ab).all():
+        raise IllConditioned("SigmaHat Sigma^{-1} overflows")
     n = sigma_hat.shape[0]
     return _trusted(PlantModel, A=ab[:, :n], B=ab[:, n:])
 

@@ -9,9 +9,9 @@ The same fixed point in the joint state-input matrix Q = I + [A B]' P [A B]
 reads Q - I = [A B]' min_K([I;K]' Q [I;K]) [A B], with the minimizing gain
 K = -(Quu)^{-1} Qux.  A cold solve runs the structure-preserving doubling
 algorithm; a held solution is confirmed by one value-iteration step or
-refined by Newton steps through the closed-loop Stein operator, and the
-descent from an upper bound runs value iteration.  Every iterate is
-re-symmetrized.
+refined by Newton steps through the Stein operator of the closed loop A + BK
+at the gain K that riccati_step returns with its step, and the descent from
+an upper bound runs value iteration.  Every iterate is re-symmetrized.
 
 Public constructors and public functions check array arguments with
 _check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch),
@@ -282,25 +282,18 @@ class MembershipCertificate:
     reason: str = ""
 
 
-def riccati_step(plant: PlantModel, P: np.ndarray) -> np.ndarray:
-    """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)].
+def riccati_step(plant: PlantModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)]:
+    its value Pn and its minimizing gain K = -(I + B'PB)^{-1} B'PA, from one solve.
 
     Unchecked: it runs on every confirm and after every Newton correction of
     solve_dare, and each caller passes a checked n x n P.
     """
     A, B = plant.A, plant.B
     BtP = B.T @ P
-    G = np.eye(plant.m) + BtP @ B
     W = BtP @ A
-    Pn = np.eye(plant.n) + A.T @ P @ A - W.T @ np.linalg.solve(G, W)
-    return sym(Pn)
-
-
-def _closed_loop(plant: PlantModel, P: np.ndarray) -> np.ndarray:
-    """A + B K at the gain K = -(I + B'PB)^{-1} B'PA of P."""
-    A, B = plant.A, plant.B
-    BtP = B.T @ P
-    return A - B @ np.linalg.solve(np.eye(plant.m) + BtP @ B, BtP @ A)
+    K = -np.linalg.solve(np.eye(plant.m) + BtP @ B, W)
+    return sym(np.eye(plant.n) + A.T @ P @ A + W.T @ K), K
 
 
 def _stein_solve(Ac: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -319,22 +312,23 @@ def dare_residual(plant: PlantModel, P) -> float:
     """Relative fixed-point residual |P - step(P)| / |P| in spectral norm; P,
     an array or a ValueMatrix, is checked as n x n."""
     P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
-    return _sym_norm(P - riccati_step(plant, P)) / _sym_norm(P)
+    return _sym_norm(P - riccati_step(plant, P)[0]) / _sym_norm(P)
 
 
 def dare_error_estimate(plant: PlantModel, P) -> float:
     """First-order estimate of the relative error |P* - P| / |P| in spectral norm.
 
     The Newton correction D of P, the solution of D - Ac' D Ac = step(P) - P
-    with Ac the closed loop at the gain of P, approximates P* - P to second
+    with Ac = A + BK at the gain K of step(P), approximates P* - P to second
     order (J.-G. Sun, Numer. Math. 1998).  inf when that gain does not
     stabilize the plant.  P, an array or a ValueMatrix, is checked as n x n.
     """
     P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
-    Ac = _closed_loop(plant, P)
+    Pn, K = riccati_step(plant, P)
+    Ac = plant.A + plant.B @ K
     if np.abs(np.linalg.eigvals(Ac)).max() >= 1.0:
         return np.inf
-    return _spectral_norm(_stein_solve(Ac, riccati_step(plant, P) - P)) / _sym_norm(P)
+    return _spectral_norm(_stein_solve(Ac, Pn - P)) / _sym_norm(P)
 
 
 def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
@@ -368,10 +362,10 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
     relative spectral step |P_new - P|_2 / |P_new|_2 <= tol.
 
     Confirm, refine by Newton, or cold (`p0` given): from P = p0, take the
-    step Pn = riccati_step(plant, P) and return it when it passes the same
-    rule at CONFIRM_FRACTION * tol and Pn >= I.  Otherwise take one Newton
-    correction (Hewer 1971): solve D - Ac' D Ac = Pn - P with Ac the closed
-    loop at the gain of P, set P = P + D and step again.  After NEWTON_STEPS
+    step Pn, K = riccati_step(plant, P) and return Pn when it passes the
+    same rule at CONFIRM_FRACTION * tol and Pn >= I.  Otherwise take one
+    Newton correction (Hewer 1971): solve D - Ac' D Ac = Pn - P with
+    Ac = A + BK, set P = P + D and step again.  After NEWTON_STEPS
     corrections, or on a singular I + B'PB or Stein operator, a passing Pn
     not >= I, or an iterate over the cap, the result is the cold solve.  The
     returned Pn passed the confirm's test, so its error bound is the
@@ -389,8 +383,8 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
         try:
             for newton in range(NEWTON_STEPS + 1):
                 if newton:
-                    P = sym(P + _stein_solve(_closed_loop(plant, P), Pn - P))
-                Pn = riccati_step(plant, P)
+                    P = sym(P + _stein_solve(plant.A + plant.B @ K, Pn - P))
+                Pn, K = riccati_step(plant, P)
                 if _converged(P, Pn, CONFIRM_FRACTION * tol):
                     np.linalg.cholesky(Pn - (1.0 - 1e-9) * np.eye(n))
                     return _trusted(ValueMatrix, P=Pn)
@@ -496,7 +490,7 @@ def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
 
     P = sym(IK.T @ qbar.Q @ IK)
     for _ in range(DEFAULT_MAX_ITER):
-        Pn = riccati_step(plant, P)
+        Pn = riccati_step(plant, P)[0]
         drop = _min_eig(P - Pn)
         if drop < -UPPER_TOL * max(1.0, _sym_norm(P)):
             raise NotConverged(f"iteration not monotone non-increasing (min eig {drop:.3e})")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adaptive_lqr import (
-    CertificateReport,
     DisturbanceModel,
     ExcitationSchedule,
     Gain,
@@ -397,10 +396,10 @@ class TestCertifyCommand:
         out = tmp_path / "out"
         assert main(["certify", cfg, "--out-dir", str(out)]) == 0
         payload = json.loads((out / "reports.json").read_text())
-        reports = [CertificateReport.from_json_dict(d) for d in payload["reports"]]
+        reports = payload["reports"]
         assert len(reports) == 100
-        assert all(r.hypotheses_hold for r in reports)
-        assert all(r.conclusion_margin >= -1e-8 for r in reports)
+        assert all(d["hypotheses_hold"] for d in reports)
+        assert all(d["margins"]["conclusion"] >= -1e-8 for d in reports)
 
     def test_explicit_tightness_instance(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -422,15 +421,6 @@ class TestCertifyCommand:
         assert main(["certify", cfg, "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "'plant'" in err and "not stabilizable" in err and "Traceback" not in err
-
-    def test_reports_round_trip(self, tmp_path):
-        cfg = write_config(tmp_path, {"instances": 3, "seed": 2})
-        out = tmp_path / "out"
-        assert main(["certify", cfg, "--out-dir", str(out)]) == 0
-        payload = json.loads((out / "reports.json").read_text())
-        for d in payload["reports"]:
-            back = CertificateReport.from_json_dict(d)
-            assert back.to_json_dict() == d
 
     def test_rho_scale_sets_every_rho(self, tmp_path):
         cfg = write_config(tmp_path, {"instances": 4, "beta": 3.0, "rho_scale": 0.5,

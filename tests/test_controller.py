@@ -124,6 +124,21 @@ class TestControllerStep:
         assert np.array_equal(diag_fb.gain, diag_ok.gain)
         assert np.isnan(diag_fb.eq6_residual)
 
+    def test_singular_quu_falls_back(self):
+        # A valid state whose estimate B = [1e7, 1] spreads Quu's eigenvalues
+        # over 14 decades: gain_from_q raises SingularQuu, the step falls back.
+        corr = CorrelationState(sigma=np.eye(3), sigma_hat=[[0.5, 1e7, 1.0]], lam=0.99,
+                                sigma0=1e-3 * np.eye(3), t=5)
+        ctrl = replace(initial_controller(1, 2, fallback_gain=[[0.1], [0.2]]), corr=corr,
+                       warm_p=np.eye(1))
+        u, new, diag = controller_step(ctrl, [1.0])
+        assert diag.fallback and np.isnan(diag.eq6_residual)
+        assert np.array_equal(diag.gain, ctrl.last_gain.K) and np.array_equal(u, [0.1, 0.2])
+        assert new.warm_p is ctrl.warm_p
+        est = estimate_model(corr)
+        assert np.array_equal(diag.estimate.A, est.A)
+        assert np.array_equal(diag.estimate.B, est.B)
+
     @pytest.mark.parametrize("kind", ["solved", "not_stabilizable", "ill_conditioned"])
     def test_diagnostics_carry_the_step_estimate(self, kind):
         corr = {

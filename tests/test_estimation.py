@@ -10,9 +10,11 @@ from adaptive_lqr import (
     PlantModel,
     ShapeMismatch,
     batch_correlations,
+    controller_step,
     data_riccati_residual,
     disturbance_correlation,
     estimate_model,
+    initial_controller,
     initial_correlation,
     q_from_p,
     rho_of,
@@ -21,6 +23,7 @@ from adaptive_lqr import (
     update_correlations,
 )
 from adaptive_lqr.estimation import _cond
+from dataclasses import replace
 from adaptive_lqr.riccati import _spectral_norm, _sym_norm, sym
 from conftest import random_history, random_stabilizable_plant, scalar_k, scalar_p
 from hypothesis import given, settings, strategies as st
@@ -181,6 +184,21 @@ class TestEstimateModel:
         state = make_state(np.diag([1.0, 1e-16]), np.zeros((1, 2)))
         with pytest.raises(IllConditioned):
             estimate_model(state)
+
+    @pytest.mark.parametrize("sigma, sigma_hat", [
+        # Subnormal Sigma of moderate cond: the solve returns nan and inf.
+        (1e-315 * np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
+         1e-315 * np.array([[1.0, 0.5, 0.2], [0.0, 1.0, 0.0]])),
+        # Normal, perfectly conditioned Sigma whose solve overflows.
+        (1e-300 * np.eye(3), np.array([[1e10, 0.0, 0.0], [0.0, 1e10, 0.0]])),
+    ])
+    def test_non_finite_estimate_rejected_and_the_controller_falls_back(self, sigma, sigma_hat):
+        state = make_state(sigma, sigma_hat, sigma0=np.eye(3))
+        with pytest.raises(IllConditioned):
+            estimate_model(state)
+        ctrl = replace(initial_controller(2, 1), corr=state)
+        _, _, diag = controller_step(ctrl, [1.0, 1.0])
+        assert diag.fallback and diag.estimate is None
 
 
 class TestSolveDataRiccati:

@@ -30,6 +30,7 @@ from adaptive_lqr import (
 from adaptive_lqr import riccati
 from adaptive_lqr.riccati import CONFIRM_FRACTION, DEFAULT_TOL, _converged, sym
 from conftest import random_stabilizable_plant, scalar_p, scipy_dare
+from hypothesis import given, settings, strategies as st
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -85,7 +86,7 @@ class TestSolveDare:
         def value_iteration(budget):
             X = np.eye(1)
             for _ in range(budget):
-                Xn = riccati_step(plant, X)
+                Xn = riccati_step(plant, X)[0]
                 if _converged(X, Xn, DEFAULT_TOL):
                     return Xn
                 X = Xn
@@ -103,7 +104,7 @@ class TestSolveDare:
             plant = random_stabilizable_plant(rng, 4, 2, max_radius=0.99)
             P = np.eye(4)
             for _ in range(60):
-                Pn = riccati_step(plant, P)
+                Pn = riccati_step(plant, P)[0]
                 if _converged(P, Pn, 1e-6):
                     accepted += 1
                     assert np.linalg.norm(Pn - P, 2) <= 1e-6 * np.linalg.norm(Pn, 2)
@@ -122,7 +123,7 @@ class TestSolveDare:
         for _ in range(20):
             plant = random_stabilizable_plant(rng, 3, 2)
             P = solve_dare(plant, tol=1e-12).P
-            assert np.array_equal(solve_dare(plant, p0=P).P, riccati_step(plant, P))
+            assert np.array_equal(solve_dare(plant, p0=P).P, riccati_step(plant, P)[0])
 
     def test_confirm_uses_a_tenth_of_tol(self, cold_solves):
         # A step between CONFIRM_FRACTION * tol and tol is not returned as is:
@@ -130,7 +131,7 @@ class TestSolveDare:
         plant = PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]])
         P = solve_dare(plant).P
         p0 = P + 1e-11 * np.abs(P).max() * np.eye(2)
-        Pn = riccati_step(plant, sym(p0))
+        Pn = riccati_step(plant, sym(p0))[0]
         step = np.linalg.norm(Pn - sym(p0)) / np.abs(Pn.diagonal()).max()
         tol = 2.0 * step
         assert CONFIRM_FRACTION * tol < step <= tol
@@ -161,7 +162,8 @@ class TestSolveDare:
         # the result is the cold solve, without a RuntimeWarning.
         plant = PlantModel([[1.5, 0.3], [0.0, 1.2]], [[0.1], [0.05]])
         p0 = np.eye(2)
-        assert np.abs(np.linalg.eigvals(riccati._closed_loop(plant, p0))).min() > 1.0
+        K = riccati_step(plant, p0)[1]
+        assert np.abs(np.linalg.eigvals(plant.A + plant.B @ K)).min() > 1.0
         steps = []
         step = riccati.riccati_step
 
@@ -175,6 +177,35 @@ class TestSolveDare:
             P = solve_dare(plant, p0=p0).P
         assert len(steps) > 1 and len(cold_solves) == 1
         assert np.array_equal(P, solve_dare(plant).P)
+
+    def test_one_linear_solve_per_step_and_per_newton_correction(self, monkeypatch, cold_solves):
+        # riccati_step's one solve of I + B'PB also gives the gain of the
+        # Newton correction: c corrections cost c + 1 steps and c Stein
+        # solves, 2c + 1 linear solves, and the error estimate costs two.
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        p0s = [scipy_dare(PlantModel(plant.A + move, plant.B))[0]
+               for move in (0.0, 1e-6, 1e-4, 1e-2)]
+        counts = {"solve": 0, "step": 0}
+        solve, step = np.linalg.solve, riccati.riccati_step
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
+        monkeypatch.setattr(riccati, "riccati_step", counting("step", step))
+        corrections = []
+        for p0 in p0s:
+            counts.update(solve=0, step=0)
+            P = solve_dare(plant, p0=p0).P
+            corrections.append(counts["step"] - 1)
+            assert counts["solve"] == 2 * corrections[-1] + 1
+        assert corrections == [0, 1, 2, 3] and not cold_solves
+        counts.update(solve=0)
+        dare_error_estimate(plant, P)
+        assert counts["solve"] == 2
 
     def test_simulate_makes_at_most_three_cold_solves(self, cold_solves):
         # Newton refines the held P of a 200-step adaptive run; only the
@@ -216,7 +247,7 @@ class TestSolveDare:
             plant = random_stabilizable_plant(rng, n, m)
             P = np.eye(n)
             for _ in range(200_000):
-                Pn = riccati_step(plant, P)
+                Pn = riccati_step(plant, P)[0]
                 assert np.linalg.eigvalsh(Pn - P).min() >= -1e-10
                 done = np.linalg.norm(Pn - P, 2) <= 1e-11 * np.linalg.norm(Pn, 2)
                 P = Pn
@@ -241,7 +272,7 @@ class TestErrorEstimate:
         P_ref, _ = scipy_dare(plant)
         P = np.eye(2)
         for _ in range(30):
-            P = riccati_step(plant, P)
+            P = riccati_step(plant, P)[0]
             err = np.linalg.norm(P - P_ref, 2) / np.linalg.norm(P_ref, 2)
             assert err <= dare_error_estimate(plant, P) + 1e-14
         assert dare_error_estimate(plant, ValueMatrix(P)) == dare_error_estimate(plant, P)
@@ -257,6 +288,41 @@ class TestErrorEstimate:
             dare_error_estimate(plant, np.eye(2))
         with pytest.raises(NonFiniteInput):
             dare_error_estimate(plant, [[np.inf]])
+
+
+def _entries(rows, cols):
+    return st.lists(st.floats(-1.0, 1.0), min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.asarray(v).reshape(rows, cols))
+
+
+def _orthogonal(d):
+    # Q of the QR factorization is orthogonal for any square matrix, zero included.
+    return _entries(d, d).map(lambda M: np.linalg.qr(M)[0])
+
+
+class TestOrthogonalCoordinates:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.floats(0.05, 0.95))
+    def test_solutions_rotate_with_the_plant(self, data, n, m, radius):
+        # In the coordinates x -> U x, u -> V u of orthogonal U and V the plant
+        # is (U A U', U B V'); its step, gain and solutions are the rotated ones.
+        A = data.draw(_entries(n, n))
+        A = A * (radius / max(np.abs(np.linalg.eigvals(A)).max(), radius))
+        plant = PlantModel(A, data.draw(_entries(n, m)))
+        U, V = data.draw(_orthogonal(n)), data.draw(_orthogonal(m))
+        turned = PlantModel(U @ plant.A @ U.T, U @ plant.B @ V.T)
+
+        def close(X, Y, rtol):
+            return np.linalg.norm(X - Y, 2) <= rtol * max(1.0, np.linalg.norm(Y, 2))
+
+        P = solve_dare(plant).P
+        Pn, K = riccati_step(plant, P)
+        Pn_turned, K_turned = riccati_step(turned, U @ P @ U.T)
+        assert close(Pn_turned, U @ Pn @ U.T, 1e-10)
+        assert close(K_turned, V @ K @ U.T, 1e-10)
+        assert close(solve_dare(turned).P, U @ P @ U.T, 1e-8)
+        p0 = sym(P + 1e-4 * np.linalg.norm(P, 2) * data.draw(_entries(n, n)))
+        assert close(solve_dare(turned, p0=U @ p0 @ U.T).P, U @ P @ U.T, 1e-8)
 
 
 class TestQFromP:
