@@ -123,9 +123,12 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     the solve confirms it to DEFAULT_TOL, otherwise on the solved P.
     A beta not above 1, a negative rho, or a beta or rho not finite or whose
     square overflows raises DomainError; a P or gain not shaped for the
-    plant, or correlation data not (n+m) x (n+m) and n x (n+m),
-    ShapeMismatch; a Sigma too ill-conditioned to estimate from, IllConditioned.
+    plant, correlation data not (n+m) x (n+m) and n x (n+m), or only one of
+    sigma and sigma_hat, ShapeMismatch; a Sigma too ill-conditioned to
+    estimate from, IllConditioned.
     """
+    if (sigma is None) != (sigma_hat is None):
+        raise ShapeMismatch("sigma and sigma_hat must be given together or not at all")
     rho = _check_rho(rho, "rho")
     beta = _check_beta(beta, "beta")
     _check_p_and_gain(plant, P, kt)
@@ -138,7 +141,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     hyps["membership"] = _membership_hypothesis(cert)
     details = {"beta": float(beta), "rho": float(rho), "contraction_value": _finite(c),
                "max_eig_Q": _finite(cert.max_eig_Q), "dare_residual": _finite(cert.residual)}
-    if sigma is not None and sigma_hat is not None:
+    if sigma is not None:
         d = plant.n + plant.m
         est = _estimate(_check_matrix(sigma, "sigma", (d, d)),
                         _check_matrix(sigma_hat, "sigma_hat", (plant.n, d)))

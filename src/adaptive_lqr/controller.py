@@ -132,7 +132,7 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     try:
         estimate = estimate_model(state.corr)
         q, gain, P = solve_data_riccati(estimate, tol=state.tol, p0=state.warm_p)
-        residual = data_riccati_residual(state.corr, q)
+        residual = data_riccati_residual(state.corr, q, gain)
         warm = P.P
         fallback = False
     except (EstimateNotStabilizable, IllConditioned, SingularQuu):

@@ -8,9 +8,9 @@ The running correlation pair over data points z_k = (x_k, u_k) is
 with a positive-definite regularizer Sigma0 keeping Sigma_t invertible.
 The model estimate [Ahat Bhat] = SigmaHat Sigma^{-1} feeds the certified
 Riccati solver; the result is checked back against the correlation-weighted
-fixed-point equation
+fixed-point equation at the gain K the controller applies
 
-    Sigma (Q - I) Sigma = SigmaHat' min_K([I;K]' Q [I;K]) SigmaHat.
+    Sigma (Q - I) Sigma = SigmaHat' [I;K]' Q [I;K] SigmaHat.
 
 Public constructors and data arguments are checked; the state returned by
 update_correlations and initial_correlation and the estimate plant of
@@ -218,23 +218,22 @@ def solve_data_riccati(estimate: PlantModel, tol: float = DEFAULT_TOL,
     return q, gain_from_q(q), P
 
 
-def data_riccati_residual(state: CorrelationState, q: QMatrix) -> float:
-    """Residual of Sigma (Q - I) Sigma = SigmaHat' min_K(.) SigmaHat.
+def data_riccati_residual(state: CorrelationState, q: QMatrix, gain: Gain) -> float:
+    """Residual of Sigma (Q - I) Sigma = SigmaHat' [I;K]' Q [I;K] SigmaHat at the gain K.
 
-    Spectral norm of the difference, relative to |Sigma Q Sigma|; scale-free, so
-    a |Sigma Q Sigma| not a normal double is taken on (Sigma, SigmaHat) / max |Sigma|.
+    Spectral norm of the difference relative to |Sigma Q Sigma|, on (Sigma, SigmaHat)
+    divided exactly by the power of two that puts max |Sigma| in [1/2, 1): scale-free,
+    and Q >= I keeps |Sigma Q Sigma| >= 1/4, so nothing overflows or underflows.
     """
-    S, Sh = state.sigma, state.sigma_hat
-    with np.errstate(over="ignore"):
-        sqs = S @ q.Q @ S
-    den = _sym_norm(sqs) if np.isfinite(sqs).all() else np.inf
-    if not np.finfo(float).tiny <= den < np.inf:
-        c = np.abs(S).max()
-        S, Sh = S / c, Sh / c
-        den = _sym_norm(S @ q.Q @ S)
-    lhs = S @ (q.Q - np.eye(S.shape[0])) @ S
-    rhs = Sh.T @ q.min_value() @ Sh
-    return _sym_norm(lhs - rhs) / den
+    n, m = state.n, state.m
+    if (q.n, q.m) != (n, m) or gain.K.shape != (m, n):
+        raise ShapeMismatch(f"q and gain must be shaped for (n, m) = {n, m}")
+    e = np.frexp(np.abs(state.sigma).max())[1]
+    S, Sh = np.ldexp(state.sigma, -e), np.ldexp(state.sigma_hat, -e)
+    IK = np.vstack([np.eye(n), gain.K])
+    lhs = S @ (q.Q - np.eye(n + m)) @ S
+    rhs = Sh.T @ sym(IK.T @ q.Q @ IK) @ Sh
+    return _sym_norm(lhs - rhs) / _sym_norm(S @ q.Q @ S)
 
 
 def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> np.ndarray:

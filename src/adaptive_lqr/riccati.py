@@ -227,6 +227,8 @@ class QMatrix:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _check_int(self.n, "n"))
+        object.__setattr__(self, "m", _check_int(self.m, "m"))
         d = self.n + self.m
         object.__setattr__(self, "Q", _check_cost_matrix(self.Q, "Q", (d, d)))
 
@@ -245,10 +247,6 @@ class QMatrix:
     @property
     def quu(self) -> np.ndarray:
         return self.Q[self.n :, self.n :]
-
-    def min_value(self) -> np.ndarray:
-        """min_K [I;K]' Q [I;K], the Schur complement Qxx - Qxu Quu^{-1} Qux."""
-        return sym(self.qxx - self.qxu @ np.linalg.solve(self.quu, self.qux))
 
 
 @dataclass(frozen=True)
@@ -308,11 +306,25 @@ def _stein_solve(Ac: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M, R.reshape(-1)).reshape(n, n)
 
 
-def dare_residual(plant: PlantModel, P) -> float:
-    """Relative fixed-point residual |P - step(P)| / |P| in spectral norm; P,
-    an array or a ValueMatrix, is checked as n x n."""
+def _checked_step(plant: PlantModel, P):
+    """(P, step(P), its gain, |P|) for P, an array or a ValueMatrix, checked as
+    n x n; DomainError naming P when I + B'PB is singular or sym(P) is zero."""
     P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
-    return _sym_norm(P - riccati_step(plant, P)[0]) / _sym_norm(P)
+    try:
+        Pn, K = riccati_step(plant, P)
+    except np.linalg.LinAlgError:
+        raise DomainError("P makes I + B'PB singular") from None
+    norm = _sym_norm(P)
+    if norm == 0.0:
+        raise DomainError("P has a zero symmetric part")
+    return P, Pn, K, norm
+
+
+def dare_residual(plant: PlantModel, P) -> float:
+    """Relative fixed-point residual |P - step(P)| / |P| in spectral norm; P is
+    checked by _checked_step."""
+    P, Pn, _, norm = _checked_step(plant, P)
+    return _sym_norm(P - Pn) / norm
 
 
 def dare_error_estimate(plant: PlantModel, P) -> float:
@@ -321,14 +333,13 @@ def dare_error_estimate(plant: PlantModel, P) -> float:
     The Newton correction D of P, the solution of D - Ac' D Ac = step(P) - P
     with Ac = A + BK at the gain K of step(P), approximates P* - P to second
     order (J.-G. Sun, Numer. Math. 1998).  inf when that gain does not
-    stabilize the plant.  P, an array or a ValueMatrix, is checked as n x n.
+    stabilize the plant.  P is checked by _checked_step.
     """
-    P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
-    Pn, K = riccati_step(plant, P)
+    P, Pn, K, norm = _checked_step(plant, P)
     Ac = plant.A + plant.B @ K
     if np.abs(np.linalg.eigvals(Ac)).max() >= 1.0:
         return np.inf
-    return _spectral_norm(_stein_solve(Ac, Pn - P)) / _sym_norm(P)
+    return _spectral_norm(_stein_solve(Ac, Pn - P)) / norm
 
 
 def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:

@@ -7,6 +7,7 @@ independent oracles for the package's own fixed-point iteration.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import strategies as st
 
 from adaptive_lqr import PlantModel, estimation, riccati
 
@@ -61,6 +62,12 @@ def random_history(rng: np.random.Generator, n: int, m: int, length: int):
         (rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(n))
         for _ in range(length)
     ]
+
+
+def matrices(rows, cols):
+    """Hypothesis strategy: rows x cols float matrices with entries in [-1, 1]."""
+    return st.lists(st.floats(-1.0, 1.0), min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.asarray(v).reshape(rows, cols))
 
 
 @pytest.fixture

@@ -84,10 +84,10 @@ def test_criterion_2_data_equation_residual():
             state = CorrelationState(sigma=sigma, sigma_hat=ab @ sigma, lam=0.99,
                                      sigma0=1e-3 * np.eye(n + m), t=3)
             try:
-                q, _, _ = solve_data_riccati(estimate_model(state))
+                q, k, _ = solve_data_riccati(estimate_model(state))
             except EstimateNotStabilizable:
                 continue
-            assert data_riccati_residual(state, q) <= 1e-8
+            assert data_riccati_residual(state, q, k) <= 1e-8
             done += 1
 
 

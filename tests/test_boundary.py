@@ -34,7 +34,9 @@ from adaptive_lqr import (
     controller_observe,
     controller_step,
     corollary_bound_check,
+    dare_error_estimate,
     dare_residual,
+    data_riccati_residual,
     disturbance_correlation,
     disturbance_eval,
     excitation_sample,
@@ -120,8 +122,10 @@ def test_malformed_array_is_a_shape_mismatch(probe, kind):
     lambda: dare_residual(PlantModel(np.eye(2), np.ones((2, 1))), np.eye(3)),
     lambda: dare_residual(PlantModel(np.eye(2), np.ones((2, 1))), P),
     lambda: DisturbanceModel.external([0.1, 0.2]),
+    lambda: data_riccati_residual(initial_correlation(1, 1), QMatrix(np.eye(3), 2, 1), KT),
+    lambda: data_riccati_residual(initial_correlation(1, 1), Q, Gain([[0.0, 0.0]])),
 ], ids=["rho_of_n", "rho_of_m", "dare_residual_p", "dare_residual_value_matrix",
-        "external_one_dimensional"])
+        "external_one_dimensional", "data_riccati_residual_q", "data_riccati_residual_gain"])
 def test_mismatched_shape_is_a_shape_mismatch(call):
     with pytest.raises(ShapeMismatch):
         call()
@@ -135,6 +139,16 @@ def test_mismatched_shape_is_a_shape_mismatch(call):
 def test_non_finite_array_is_rejected(call):
     with pytest.raises(NonFiniteInput):
         call()
+
+
+# P = -1 makes I + B'PB = 0 for the plant (0.5, 1); P = 0 has no relative scale.
+@pytest.mark.parametrize("call", [dare_residual, dare_error_estimate])
+@pytest.mark.parametrize("bad, match", [([[-1.0]], "I \\+ B'PB singular"),
+                                        ([[0.0]], "zero symmetric part")],
+                         ids=["singular_step", "zero"])
+def test_p_outside_the_residual_domain_is_a_domain_error(call, bad, match):
+    with pytest.raises(DomainError, match=f"^P .*{match}"):
+        call(PLANT, bad)
 
 
 @pytest.mark.parametrize("state", ["abc", [1.0, 2.0, 3.0]], ids=["string", "wrong_length"])
@@ -168,13 +182,18 @@ SCHEDULE = ExcitationSchedule.constant(1, 1.0, seed=3)
     (lambda: random_plant(np.random.default_rng(0), 1.5, 1, 0.5), ShapeMismatch),
     (lambda: sample_membership_plant(np.random.default_rng(0), 2.0, 0, 1), ShapeMismatch),
     (lambda: corollary_bound_check(LOG, PLANT, 1.5, 20.0, 2.0, 0.01), DomainError),
+    (lambda: QMatrix(2 * np.eye(3), 1.5, 1.5), ShapeMismatch),
+    (lambda: QMatrix(2 * np.eye(3), -1, 4), ShapeMismatch),
+    (lambda: QMatrix(2 * np.eye(3), 3, 0), ShapeMismatch),
+    (lambda: QMatrix(2 * np.eye(2), True, 1), ShapeMismatch),
 ], ids=["disturbance_eval_negative_t", "disturbance_eval_float_t", "excitation_float_m",
         "excitation_bool_m", "excitation_float_seed", "excitation_string_seed",
         "excitation_sample_float_t", "scenario_float_horizon", "correlation_state_float_t",
         "initial_correlation_float_n", "initial_correlation_negative_n",
         "initial_controller_float_n", "batch_correlations_float_n",
         "solve_dare_float_max_iter", "random_plant_zero_n", "random_plant_float_n",
-        "sample_membership_plant_zero_n", "corollary_float_t0"])
+        "sample_membership_plant_zero_n", "corollary_float_t0", "qmatrix_float_n",
+        "qmatrix_negative_n", "qmatrix_zero_m", "qmatrix_bool_n"])
 def test_bad_integer_argument_is_typed(call, error):
     with pytest.raises(error, match="must be an integer >= "):
         call()

@@ -100,6 +100,14 @@ class TestTheorem1Margin:
                                  sigma=inst.sigma, sigma_hat=inst.sigma_hat)
         assert not report.hypotheses["data_consistency"].holds
 
+    @pytest.mark.parametrize("given", ["sigma", "sigma_hat"])
+    def test_correlation_data_comes_in_pairs(self, given):
+        # Either half alone would drop the data_consistency hypothesis unannounced.
+        inst = sample_theorem1_instance(np.random.default_rng(3), 2.0, 2, 1)
+        with pytest.raises(ShapeMismatch, match="sigma and sigma_hat must be given together"):
+            theorem1_margin(inst.plant, inst.P, inst.kt, 2.0, inst.rho,
+                            **{given: getattr(inst, given)})
+
     def test_given_p_not_solved_again(self, monkeypatch):
         plant = PlantModel([[0.5, 0.2], [0.1, 0.3]], [[1.0], [0.3]])
         P = solve_dare(plant)

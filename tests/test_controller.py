@@ -25,6 +25,7 @@ from adaptive_lqr import (
     solve_dare,
     update_correlations,
 )
+from adaptive_lqr import riccati
 from dataclasses import replace
 from conftest import scalar_k, scalar_p, scipy_dare
 
@@ -163,6 +164,29 @@ class TestControllerStep:
         _, new, diag = controller_step(ctrl, [1.0])
         assert not diag.fallback
         assert np.array_equal(new.warm_p, solve_dare(diag.estimate, tol=ctrl.tol).P)
+
+    def test_a_confirmed_step_makes_three_solves_and_four_eigvalsh(self, monkeypatch):
+        # One solve each for the estimate, the confirming step and the gain; one
+        # eigvalsh each for cond(Sigma), the Quu test and the residual's two
+        # norms.  The residual reads the applied gain and does not solve Quu again.
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        ctrl = replace(initial_controller(2, 1), corr=consistent_state(plant))
+        for _ in range(2):   # a cold solve, then the held P refined until it confirms
+            _, ctrl, _ = controller_step(ctrl, [1.0, -0.5])
+        counts = dict.fromkeys(["solve", "eigvalsh", "riccati_step"], 0)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in ((np.linalg, "solve"), (np.linalg, "eigvalsh"),
+                             (riccati, "riccati_step")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        _, _, diag = controller_step(ctrl, [1.0, -0.5])
+        assert not diag.fallback
+        assert counts == {"solve": 3, "eigvalsh": 4, "riccati_step": 1}
 
     def test_excitation_added(self):
         sched = ExcitationSchedule.constant(1, amplitude=0.5, seed=3)

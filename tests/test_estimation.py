@@ -14,6 +14,7 @@ from adaptive_lqr import (
     data_riccati_residual,
     disturbance_correlation,
     estimate_model,
+    gain_from_q,
     initial_controller,
     initial_correlation,
     q_from_p,
@@ -25,7 +26,7 @@ from adaptive_lqr import (
 from adaptive_lqr.estimation import _cond
 from dataclasses import replace
 from adaptive_lqr.riccati import _spectral_norm, _sym_norm, sym
-from conftest import random_history, random_stabilizable_plant, scalar_k, scalar_p
+from conftest import matrices, random_history, random_stabilizable_plant, scalar_k, scalar_p
 from hypothesis import given, settings, strategies as st
 
 
@@ -246,27 +247,52 @@ class TestSolveDataRiccati:
             sigma = G @ G.T + rng.uniform(0.1, 1.0) * np.eye(n + m)
             state = make_state(sigma, plant.ab @ sigma + 0.05 * rng.standard_normal((n, n + m)))
             try:
-                q, _, _ = solve_data_riccati(estimate_model(state))
+                q, k, _ = solve_data_riccati(estimate_model(state))
             except EstimateNotStabilizable:
                 continue
-            assert data_riccati_residual(state, q) <= 1e-8
+            assert data_riccati_residual(state, q, k) <= 1e-8
             count += 1
 
     def test_residual_does_not_depend_on_the_scale(self):
         # A Q that does not solve the equation keeps the residual of order one.
-        # At c = 2^600 |Sigma Q Sigma| overflows, at 2^-600 it underflows; both
-        # are evaluated on (Sigma, SigmaHat) / max |Sigma|, the same matrices.
+        # At c = 2^600 |Sigma Q Sigma| would overflow, at 2^-600 underflow; all
+        # three are evaluated on the same matrices, scaled exactly by powers of two.
         rng = np.random.default_rng(5)
         plant = random_stabilizable_plant(rng, 2, 1)
         G = rng.standard_normal((3, 3))
         sigma = G @ G.T + 0.5 * np.eye(3)
         q = q_from_p(plant, 3.0 * np.eye(2))
-        base = data_riccati_residual(make_state(sigma, plant.ab @ sigma), q)
-        scaled = [data_riccati_residual(make_state(c * sigma, c * plant.ab @ sigma), q)
+        k = gain_from_q(q)
+        base = data_riccati_residual(make_state(sigma, plant.ab @ sigma), q, k)
+        scaled = [data_riccati_residual(make_state(c * sigma, c * plant.ab @ sigma), q, k)
                   for c in (2.0**600, 2.0**-600)]
         assert 1e-3 < base < np.inf
-        assert scaled[0] == scaled[1]
-        assert abs(scaled[0] - base) <= 1e-12 * base
+        assert scaled == [base, base]
+
+
+class TestPowerOfTwoScaling:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(-60, 60))
+    def test_scaling_the_correlations_by_2_to_the_k_keeps_every_bit(self, data, n, m, k):
+        # (2^k Sigma, 2^k SigmaHat) is exact, and so is every rounding of the
+        # data path on it, away from overflow and subnormals (Higham 2002, 2.1).
+        d = n + m
+        G = data.draw(matrices(d, d))
+        sigma = G @ G.T + np.eye(d)
+        plant = PlantModel(data.draw(matrices(n, n)), data.draw(matrices(n, m)))
+        sigma_hat = plant.ab @ sigma + 0.1 * data.draw(matrices(n, d))
+
+        def outputs(state):
+            est = estimate_model(state)
+            try:
+                q, gain, _ = solve_data_riccati(est)
+            except EstimateNotStabilizable:
+                return est.ab, rho_of(est, plant), None, None
+            return est.ab, rho_of(est, plant), gain.K, data_riccati_residual(state, q, gain)
+
+        base = outputs(make_state(sigma, sigma_hat))
+        scaled = outputs(make_state(2.0**k * sigma, 2.0**k * sigma_hat))
+        assert all(np.array_equal(a, b) for a, b in zip(base, scaled))
 
 
 class TestDisturbanceCorrelation:

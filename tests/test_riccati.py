@@ -29,7 +29,7 @@ from adaptive_lqr import (
 )
 from adaptive_lqr import riccati
 from adaptive_lqr.riccati import CONFIRM_FRACTION, DEFAULT_TOL, _converged, sym
-from conftest import random_stabilizable_plant, scalar_p, scipy_dare
+from conftest import matrices, random_stabilizable_plant, scalar_p, scipy_dare
 from hypothesis import given, settings, strategies as st
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -290,14 +290,9 @@ class TestErrorEstimate:
             dare_error_estimate(plant, [[np.inf]])
 
 
-def _entries(rows, cols):
-    return st.lists(st.floats(-1.0, 1.0), min_size=rows * cols, max_size=rows * cols).map(
-        lambda v: np.asarray(v).reshape(rows, cols))
-
-
 def _orthogonal(d):
     # Q of the QR factorization is orthogonal for any square matrix, zero included.
-    return _entries(d, d).map(lambda M: np.linalg.qr(M)[0])
+    return matrices(d, d).map(lambda M: np.linalg.qr(M)[0])
 
 
 class TestOrthogonalCoordinates:
@@ -306,9 +301,9 @@ class TestOrthogonalCoordinates:
     def test_solutions_rotate_with_the_plant(self, data, n, m, radius):
         # In the coordinates x -> U x, u -> V u of orthogonal U and V the plant
         # is (U A U', U B V'); its step, gain and solutions are the rotated ones.
-        A = data.draw(_entries(n, n))
+        A = data.draw(matrices(n, n))
         A = A * (radius / max(np.abs(np.linalg.eigvals(A)).max(), radius))
-        plant = PlantModel(A, data.draw(_entries(n, m)))
+        plant = PlantModel(A, data.draw(matrices(n, m)))
         U, V = data.draw(_orthogonal(n)), data.draw(_orthogonal(m))
         turned = PlantModel(U @ plant.A @ U.T, U @ plant.B @ V.T)
 
@@ -321,7 +316,7 @@ class TestOrthogonalCoordinates:
         assert close(Pn_turned, U @ Pn @ U.T, 1e-10)
         assert close(K_turned, V @ K @ U.T, 1e-10)
         assert close(solve_dare(turned).P, U @ P @ U.T, 1e-8)
-        p0 = sym(P + 1e-4 * np.linalg.norm(P, 2) * data.draw(_entries(n, n)))
+        p0 = sym(P + 1e-4 * np.linalg.norm(P, 2) * data.draw(matrices(n, n)))
         assert close(solve_dare(turned, p0=U @ p0 @ U.T).P, U @ P @ U.T, 1e-8)
 
 
@@ -506,6 +501,6 @@ class TestSolveFromUpper:
             out = solve_from_upper(plant, qbar, gain_from_q(qbar))
             assert np.linalg.norm(out.Q - q.Q, 2) <= 1e-7 * np.linalg.norm(q.Q, 2)
             # Fixed-point residual of the returned Q in its own equation.
-            mv = out.min_value()
+            mv = out.qxx - out.qxu @ np.linalg.solve(out.quu, out.qux)
             resid = np.linalg.norm(out.Q - np.eye(n + m) - plant.ab.T @ mv @ plant.ab, 2)
             assert resid <= 1e-8 * np.linalg.norm(out.Q, 2)
