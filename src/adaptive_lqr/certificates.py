@@ -19,7 +19,6 @@ from .riccati import (
     DEFAULT_TOL,
     PSD_SLACK,
     Gain,
-    MembershipCertificate,
     PlantModel,
     QMatrix,
     ValueMatrix,
@@ -98,12 +97,6 @@ def _check_p_and_gain(plant: PlantModel, P: ValueMatrix, K: Gain) -> None:
                             f"got {P.P.shape} and {K.K.shape}")
 
 
-def _membership_hypothesis(cert: MembershipCertificate) -> HypothesisCheck:
-    if cert.Q is None:
-        return _hyp(UNDEFINED_MARGIN)
-    return _hyp(cert.beta**2 - cert.max_eig_Q)
-
-
 def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rho: float,
                     sigma: np.ndarray | None = None,
                     sigma_hat: np.ndarray | None = None) -> CertificateReport:
@@ -138,7 +131,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     solved, cert = _solve_membership(plant, beta, P.P)
     if solved is not None and not _converged(P.P, solved.P, DEFAULT_TOL):
         P = solved
-    hyps["membership"] = _membership_hypothesis(cert)
+    hyps["membership"] = _hyp(cert.beta**2 - cert.max_eig_Q)
     details = {"beta": float(beta), "rho": float(rho), "contraction_value": _finite(c),
                "max_eig_Q": _finite(cert.max_eig_Q), "dare_residual": _finite(cert.residual)}
     if sigma is not None:
@@ -213,7 +206,7 @@ def corollary_bound_check(log: TrajectoryLog, plant: PlantModel, t0: int,
     hyps = {
         "gamma_exceeds_beta": _hyp(gamma - beta, slack=0.0),
         "alpha_positive": _hyp(alpha, slack=0.0),
-        "membership": _membership_hypothesis(_membership(plant, P, beta)),
+        "membership": _hyp(float(beta)**2 - _membership(plant, P, beta).max_eig_Q),
         "data_consistency": _hyp(rho - max_rho),
     }
     details = {"lhs": _finite(lhs), "rhs": _finite(rhs), "alpha": float(alpha),

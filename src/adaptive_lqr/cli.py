@@ -39,10 +39,10 @@ from .certificates import (
 )
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
-from .riccati import (PSD_SLACK, PlantModel, _check_above, _check_amplitude, _check_beta,
-                      _check_factor, _check_int, _check_matrix, _check_positive, _check_real,
-                      _check_rho, _check_seed, _membership, _spectral_norm,
-                      dare_error_estimate, gain_from_q, solve_dare)
+from .riccati import (DEFAULT_MAX_ITER, DEFAULT_TOL, PSD_SLACK, PlantModel, _check_above,
+                      _check_amplitude, _check_beta, _check_factor, _check_int, _check_matrix,
+                      _check_positive, _check_real, _check_rho, _check_seed, _check_vector,
+                      _membership, _spectral_norm, dare_error_estimate, gain_from_q, solve_dare)
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -144,7 +144,8 @@ def _parse_common(cfg, command):
 def _parse_scenario(cfg, seed) -> Scenario:
     plant = _parse_plant(cfg)
     n, m = plant.n, plant.m
-    x0 = np.ones(n) if cfg.get("x0") is None else cfg["x0"]
+    x0 = np.ones(n) if cfg.get("x0") is None else _field(_check_vector, cfg["x0"], "x0", n)
+    horizon = _field(_check_int, cfg.get("horizon", 1000), "horizon")
     lam = _field(_check_factor, cfg.get("lambda", 0.99), "lambda")
     sigma0_scale = _field(_check_positive, cfg.get("sigma0_scale", 1e-3), "sigma0_scale")
     excitation = _parse_excitation(cfg, m, seed)
@@ -157,7 +158,7 @@ def _parse_scenario(cfg, seed) -> Scenario:
     controller_tol = _field(_check_positive, cfg.get("controller_tol", 1e-11), "controller_tol")
     try:
         return Scenario(plant=plant, disturbance=disturbance, x0=x0,
-                        horizon=cfg.get("horizon", 1000),
+                        horizon=horizon,
                         lam=lam, sigma0=sigma0_scale * np.eye(n + m), excitation=excitation,
                         fallback_gain=fallback, controller_tol=controller_tol)
     except AdaptiveLqError as exc:
@@ -188,9 +189,10 @@ def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     _reject_unknown(cfg, _COMMON_KEYS + ("plant", "beta", "tol", "max_iter"), "config")
     plant = _parse_plant(cfg)
     beta = _field(_check_beta, cfg.get("beta", 2.0), "beta")
-    tol = _field(_check_positive, cfg.get("tol", 1e-10), "tol")
+    tol = _field(_check_positive, cfg.get("tol", DEFAULT_TOL), "tol")
+    max_iter = _field(_check_int, cfg.get("max_iter", DEFAULT_MAX_ITER), "max_iter", 1, DomainError)
     try:
-        P = solve_dare(plant, tol=tol, max_iter=cfg.get("max_iter", 100_000))
+        P = solve_dare(plant, tol=tol, max_iter=max_iter)
     except NotStabilizable as exc:
         _write_json(out_dir / "summary.json", {"error": f"NotStabilizable: {exc}"})
         print(f"not stabilizable: {exc}", file=sys.stderr)

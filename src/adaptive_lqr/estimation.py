@@ -66,15 +66,16 @@ class CorrelationState:
     def __post_init__(self):
         sigma = _check_matrix(self.sigma, "sigma", square=True)
         d = sigma.shape[0]
+        sym_sigma = _check_pd(sigma, "sigma", d)
         if _spectral_norm(sigma - sigma.T) > 1e-12 * max(1.0, _sym_norm(sigma)):
             raise ShapeMismatch("sigma is not symmetric to 1e-12 relative")
         sigma_hat = _check_matrix(self.sigma_hat, "sigma_hat")
         if sigma_hat.shape[1] != d or not 1 <= sigma_hat.shape[0] < d:
             raise ShapeMismatch(f"sigma_hat must be n x {d} with 1 <= n < {d}, got {sigma_hat.shape}")
-        object.__setattr__(self, "sigma0", _check_sigma0(self.sigma0, d))
+        object.__setattr__(self, "sigma0", _check_pd(self.sigma0, "sigma0", d))
         object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
         object.__setattr__(self, "t", _check_int(self.t, "t", 0))
-        object.__setattr__(self, "sigma", sym(sigma))
+        object.__setattr__(self, "sigma", sym_sigma)
         object.__setattr__(self, "sigma_hat", sigma_hat)
 
     @property
@@ -86,12 +87,15 @@ class CorrelationState:
         return self.sigma.shape[0] - self.n
 
 
-def _check_sigma0(sigma0, d: int) -> np.ndarray:
-    """sigma0 checked d x d and positive definite; returned symmetrized."""
-    sigma0 = sym(_check_matrix(sigma0, "sigma0", (d, d)))
-    if _min_eig(sigma0) <= 0:
-        raise ShapeMismatch("sigma0 must be positive definite")
-    return sigma0
+def _check_pd(M, name: str, d: int) -> np.ndarray:
+    """M checked d x d with a finite, positive-definite symmetric part, which is returned."""
+    with np.errstate(over="ignore"):
+        M = sym(_check_matrix(M, name, (d, d)))
+    if not np.isfinite(M).all():
+        raise NonFiniteInput(f"{name} has a symmetric part that overflows")
+    if _min_eig(M) <= 0:
+        raise ShapeMismatch(f"{name} must be positive definite")
+    return M
 
 
 def initial_correlation(n: int, m: int, lam: float = 0.99,
@@ -100,7 +104,7 @@ def initial_correlation(n: int, m: int, lam: float = 0.99,
     n, m = _check_int(n, "n"), _check_int(m, "m")
     if sigma0 is None:
         sigma0 = 1e-3 * np.eye(n + m)
-    sigma0 = _check_sigma0(sigma0, n + m)
+    sigma0 = _check_pd(sigma0, "sigma0", n + m)
     return _trusted(CorrelationState, sigma=sigma0.copy(), sigma_hat=np.zeros((n, n + m)),
                     lam=_check_factor(lam, "lam"), sigma0=sigma0, t=0)
 

@@ -10,8 +10,8 @@ reads Q - I = [A B]' min_K([I;K]' Q [I;K]) [A B], with the minimizing gain
 K = -(Quu)^{-1} Qux.  A cold solve runs the structure-preserving doubling
 algorithm; a held solution is confirmed by one value-iteration step or
 refined by Newton steps through the Stein operator of the closed loop A + BK
-at the gain K that riccati_step returns with its step, and the descent from
-an upper bound runs value iteration.  Every iterate is re-symmetrized.
+at the gain K that riccati_step returns with its step; solve_from_upper
+checks the cold solve against a super-solution.  Every iterate is re-symmetrized.
 
 Public constructors and public functions check array arguments with
 _check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch),
@@ -44,7 +44,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 # Absolute eigenvalue slack of every non-strict PSD comparison in the package.
 PSD_SLACK = 1e-8
-# Relative tolerance of solve_from_upper's hypothesis, monotonicity and stopping tests.
+# Relative tolerance of solve_from_upper's hypothesis and upper-bound tests.
 UPPER_TOL = 1e-9
 # solve_dare accepts a one-step confirm of p0 at this fraction of tol: the
 # error of the accepted iterate is at most c / (1 - c) times its step for a
@@ -481,37 +481,25 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
 
 
 def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
-    """Solve the Q-form fixed point downward from a certified upper bound.
+    """The Q-form fixed point below a certified upper bound.
 
     Requires the super-solution hypothesis
         [A B]' [I;Kbar]' Qbar [I;Kbar] [A B]  <=  Qbar - I
-    within UPPER_TOL (HypothesisViolated otherwise).  Value iteration then
-    starts from P0 = [I;Kbar]' Qbar [I;Kbar] and is asserted monotone
-    non-increasing each step; the limit satisfies I <= Q <= Qbar.
+    within UPPER_TOL (HypothesisViolated otherwise).  Value iteration from it
+    descends to the unique fixed point, so Q = q_from_p(solve_dare), tested
+    Q <= Qbar (NotConverged otherwise); I <= Q as P >= I.  A hypothesis met
+    only within UPPER_TOL by an unstabilizable plant raises NotStabilizable.
     """
     n, m = plant.n, plant.m
     if (qbar.n, qbar.m) != (n, m) or kbar.K.shape != (m, n):
         raise ShapeMismatch("qbar/kbar dimensions do not match the plant")
-    IK = np.vstack([np.eye(n), kbar.K])            # (n+m) x n
-    M = IK @ plant.ab                              # (n+m) x (n+m)
+    M = np.vstack([np.eye(n), kbar.K]) @ plant.ab   # (n+m) x (n+m)
     qscale = max(1.0, _sym_norm(qbar.Q))
     hyp = _min_eig(qbar.Q - np.eye(n + m) - M.T @ qbar.Q @ M)
     if hyp < -UPPER_TOL * qscale:
         raise HypothesisViolated(f"upper-bound hypothesis fails by {hyp:.3e}")
-
-    P = sym(IK.T @ qbar.Q @ IK)
-    for _ in range(DEFAULT_MAX_ITER):
-        Pn = riccati_step(plant, P)[0]
-        drop = _min_eig(P - Pn)
-        if drop < -UPPER_TOL * max(1.0, _sym_norm(P)):
-            raise NotConverged(f"iteration not monotone non-increasing (min eig {drop:.3e})")
-        res = _sym_norm(P - Pn) / _sym_norm(Pn)
-        P = Pn
-        if res <= UPPER_TOL:
-            q = q_from_p(plant, P)
-            above = _min_eig(qbar.Q - q.Q)
-            if above < -UPPER_TOL * qscale:
-                raise NotConverged(f"limit escapes the upper bound by {above:.3e}")
-            return q
-    raise NotConverged(f"no convergence to tol={UPPER_TOL:.1e} "
-                       f"within {DEFAULT_MAX_ITER} iterations")
+    q = q_from_p(plant, solve_dare(plant))
+    above = _min_eig(qbar.Q - q.Q)
+    if above < -UPPER_TOL * qscale:
+        raise NotConverged(f"fixed point escapes the upper bound by {above:.3e}")
+    return q

@@ -19,7 +19,7 @@ from .controller import (
     initial_controller,
 )
 from .errors import DomainError, ShapeMismatch
-from .estimation import _check_sigma0, rho_of
+from .estimation import _check_pd, rho_of
 from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_positive,
                       _check_real, _check_vector)
 
@@ -147,7 +147,7 @@ class Scenario:
             object.__setattr__(self, "fallback_gain",
                                _check_matrix(self.fallback_gain, "fallback_gain", (m, n)))
         if self.sigma0 is not None:
-            object.__setattr__(self, "sigma0", _check_sigma0(self.sigma0, n + m))
+            object.__setattr__(self, "sigma0", _check_pd(self.sigma0, "sigma0", n + m))
         object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
         object.__setattr__(self, "controller_tol",
                            _check_positive(self.controller_tol, "controller_tol"))

@@ -70,6 +70,12 @@ def matrices(rows, cols):
         lambda v: np.asarray(v).reshape(rows, cols))
 
 
+def orthogonal(d):
+    """Hypothesis strategy: d x d orthogonal matrices, the Q of the QR factorization
+    of a matrix from `matrices` (orthogonal for any square matrix, zero included)."""
+    return matrices(d, d).map(lambda M: np.linalg.qr(M)[0])
+
+
 @pytest.fixture
 def cold_solves(monkeypatch):
     """The plants of the cold solves (no p0) the package makes: the fall-backs

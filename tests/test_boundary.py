@@ -322,6 +322,17 @@ def test_scenario_checks_sigma0_when_built():
         Scenario(PLANT, ZERO, x0=[1.0], horizon=5, sigma0=np.eye(3))
 
 
+@pytest.mark.parametrize("sigma, error, match", [
+    (np.zeros((2, 2)), ShapeMismatch, "sigma must be positive definite"),
+    (np.diag([1.0, -1.0]), ShapeMismatch, "sigma must be positive definite"),
+    (1e308 * np.array([[1.5, 0.2], [0.2, 1.0]]), NonFiniteInput, "sigma has a symmetric part"),
+], ids=["zero", "indefinite", "symmetric_part_overflows"])
+def test_correlation_state_sigma_is_finite_and_positive_definite(sigma, error, match):
+    # Each of these broke data_riccati_residual: 0/0, a wrong residual, inf entries.
+    with pytest.raises(error, match=match):
+        CorrelationState(sigma=sigma, sigma_hat=[[1.0, 1.0]], lam=0.99, sigma0=np.eye(2), t=1)
+
+
 def test_numpy_reals_are_reals():
     schedule = ExcitationSchedule.decaying(1, np.float32(0.5), np.float64(0.9), seed=3)
     assert (type(schedule.amplitude), type(schedule.decay_rate)) == (float, float)

@@ -191,12 +191,16 @@ class TestConfigValidation:
          "'disturbance': kind must be one of"),
         ("simulate", {"disturbance": {"kind": "external_sequence"}}, [],
          "'disturbance': sequence is required"),
+        ("solve", {"max_iter": 0}, [], "'max_iter'"),
+        ("simulate", {"horizon": 0}, [], "'horizon'"),
+        ("simulate", {"x0": [1, 2]}, [], "'x0'"),
     ], ids=["certify_rho_negative", "certify_rho_scale_negative", "certify_seed_negative",
             "certify_n_zero", "certify_m_negative", "certify_sampler_budget", "solve_tol_nan",
             "simulate_controller_tol_nan", "simulate_fallback_gain_shape",
             "simulate_excitation_seed_negative", "sweep_magnitude_infinite",
             "sweep_amplitude_negative", "sweep_seed_negative", "simulate_disturbance_kind",
-            "simulate_disturbance_sequence_missing"])
+            "simulate_disturbance_sequence_missing", "solve_max_iter_zero",
+            "simulate_horizon_zero", "simulate_x0_length"])
     def test_malformed_input_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch,
                                                       command, payload, argv, needle):
         # Only the sampler-budget case reaches the search; keep it short.

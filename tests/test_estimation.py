@@ -26,7 +26,7 @@ from adaptive_lqr import (
 from adaptive_lqr.estimation import _cond
 from dataclasses import replace
 from adaptive_lqr.riccati import _spectral_norm, _sym_norm, sym
-from conftest import matrices, random_history, random_stabilizable_plant, scalar_k, scalar_p
+from conftest import matrices, orthogonal, random_history, random_stabilizable_plant, scalar_k, scalar_p
 from hypothesis import given, settings, strategies as st
 
 
@@ -293,6 +293,45 @@ class TestPowerOfTwoScaling:
         base = outputs(make_state(sigma, sigma_hat))
         scaled = outputs(make_state(2.0**k * sigma, 2.0**k * sigma_hat))
         assert all(np.array_equal(a, b) for a, b in zip(base, scaled))
+
+
+class TestOrthogonalCoordinates:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.floats(0.05, 0.95))
+    def test_the_data_path_rotates_with_the_correlations(self, data, n, m, radius):
+        # In the coordinates x -> U x, u -> V u the data points are z -> W z with
+        # W = diag(U, V), so the correlations are (W Sigma W', U SigmaHat W').
+        # The estimate is then (U A U', U B V'), the gain V K U', and the
+        # residual and rho against the rotated plant are unchanged.
+        d = n + m
+        G = data.draw(matrices(d, d))
+        sigma = G @ G.T + np.eye(d)
+        A = data.draw(matrices(n, n))
+        A = A * (radius / max(np.abs(np.linalg.eigvals(A)).max(), radius))
+        plant = PlantModel(A, data.draw(matrices(n, m)))
+        sigma_hat = plant.ab @ sigma + 0.1 * data.draw(matrices(n, d))
+        U, V = data.draw(orthogonal(n)), data.draw(orthogonal(m))
+        W = np.block([[U, np.zeros((n, m))], [np.zeros((m, n)), V]])
+        turned = PlantModel(U @ plant.A @ U.T, U @ plant.B @ V.T)
+
+        def close(X, Y):
+            return np.linalg.norm(np.atleast_2d(X - Y), 2) <= 1e-10 * max(
+                1.0, np.linalg.norm(np.atleast_2d(Y), 2))
+
+        state = make_state(sigma, sigma_hat)
+        state_turned = make_state(W @ sigma @ W.T, U @ sigma_hat @ W.T)
+        est, est_turned = estimate_model(state), estimate_model(state_turned)
+        assert close(est_turned.A, U @ est.A @ U.T)
+        assert close(est_turned.B, U @ est.B @ V.T)
+        assert close(rho_of(est_turned, turned), rho_of(est, plant))
+        try:
+            q, gain, _ = solve_data_riccati(est)
+        except EstimateNotStabilizable:
+            return
+        q_turned, gain_turned, _ = solve_data_riccati(est_turned)
+        assert close(gain_turned.K, V @ gain.K @ U.T)
+        assert close(data_riccati_residual(state_turned, q_turned, gain_turned),
+                     data_riccati_residual(state, q, gain))
 
 
 class TestDisturbanceCorrelation:

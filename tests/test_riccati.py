@@ -29,7 +29,7 @@ from adaptive_lqr import (
 )
 from adaptive_lqr import riccati
 from adaptive_lqr.riccati import CONFIRM_FRACTION, DEFAULT_TOL, _converged, sym
-from conftest import matrices, random_stabilizable_plant, scalar_p, scipy_dare
+from conftest import matrices, orthogonal, random_stabilizable_plant, scalar_p, scipy_dare
 from hypothesis import given, settings, strategies as st
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -290,11 +290,6 @@ class TestErrorEstimate:
             dare_error_estimate(plant, [[np.inf]])
 
 
-def _orthogonal(d):
-    # Q of the QR factorization is orthogonal for any square matrix, zero included.
-    return matrices(d, d).map(lambda M: np.linalg.qr(M)[0])
-
-
 class TestOrthogonalCoordinates:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.floats(0.05, 0.95))
@@ -304,7 +299,7 @@ class TestOrthogonalCoordinates:
         A = data.draw(matrices(n, n))
         A = A * (radius / max(np.abs(np.linalg.eigvals(A)).max(), radius))
         plant = PlantModel(A, data.draw(matrices(n, m)))
-        U, V = data.draw(_orthogonal(n)), data.draw(_orthogonal(m))
+        U, V = data.draw(orthogonal(n)), data.draw(orthogonal(m))
         turned = PlantModel(U @ plant.A @ U.T, U @ plant.B @ V.T)
 
         def close(X, Y, rtol):
@@ -489,18 +484,32 @@ class TestSolveFromUpper:
         with pytest.raises(HypothesisViolated):
             solve_from_upper(plant, qbar, Gain(np.zeros((2, 1))))
 
-    def test_agrees_with_direct_solution(self):
+    @staticmethod
+    def upper_bound_cases():
+        """(plant, Q*, Qbar = c Q*) for 20 plants, c in [1.2, 3]."""
         rng = np.random.default_rng(42)
         for _ in range(20):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
             plant = random_stabilizable_plant(rng, n, m, max_radius=0.95)
             q = q_from_p(plant, solve_dare(plant, tol=1e-12))
-            c = rng.uniform(1.2, 3.0)
-            qbar = QMatrix(c * q.Q, n, m)
+            yield plant, q, QMatrix(rng.uniform(1.2, 3.0) * q.Q, n, m)
+
+    def test_agrees_with_direct_solution(self):
+        for plant, q, qbar in self.upper_bound_cases():
             out = solve_from_upper(plant, qbar, gain_from_q(qbar))
-            assert np.linalg.norm(out.Q - q.Q, 2) <= 1e-7 * np.linalg.norm(q.Q, 2)
+            assert np.linalg.norm(out.Q - q.Q, 2) <= 1e-12 * np.linalg.norm(q.Q, 2)
             # Fixed-point residual of the returned Q in its own equation.
             mv = out.qxx - out.qxu @ np.linalg.solve(out.quu, out.qux)
-            resid = np.linalg.norm(out.Q - np.eye(n + m) - plant.ab.T @ mv @ plant.ab, 2)
-            assert resid <= 1e-8 * np.linalg.norm(out.Q, 2)
+            resid = np.linalg.norm(out.Q - np.eye(out.n + out.m) - plant.ab.T @ mv @ plant.ab, 2)
+            assert resid <= 1e-12 * np.linalg.norm(out.Q, 2)
+
+    def test_takes_no_value_iteration_step(self, monkeypatch):
+        # The fixed point below Qbar is solve_dare's cold solve, which runs
+        # doubling and never calls riccati_step.
+        steps = []
+        step = riccati.riccati_step
+        monkeypatch.setattr(riccati, "riccati_step", lambda *a: steps.append(a) or step(*a))
+        for plant, _, qbar in self.upper_bound_cases():
+            solve_from_upper(plant, qbar, gain_from_q(qbar))
+        assert steps == []
