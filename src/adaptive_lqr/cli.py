@@ -85,18 +85,21 @@ def _field_list(check, val, ctx):
     return [_field(check, v, f"{ctx}[{i}]") for i, v in enumerate(val)]
 
 
+def _build(cls, ctx, **fields):
+    """cls(**fields); a library error becomes ConfigError naming '<ctx>'."""
+    try:
+        return cls(**fields)
+    except AdaptiveLqError as exc:
+        raise ConfigError(f"invalid '{ctx}': {exc}") from exc
+
+
 def _parse_plant(cfg, ctx="plant") -> PlantModel:
     if "plant" not in cfg or cfg["plant"] is None:
         raise ConfigError("field 'plant' with matrices A and B is required")
     d = _ensure_mapping(cfg["plant"], ctx)
     _reject_unknown(d, ("A", "B"), ctx)
-    if "A" not in d or "B" not in d:
-        raise ConfigError(f"'{ctx}' must provide both A and B")
-    try:
-        return PlantModel(_field(_check_matrix, d["A"], f"{ctx}.A"),
-                          _field(_check_matrix, d["B"], f"{ctx}.B"))
-    except AdaptiveLqError as exc:
-        raise ConfigError(f"invalid '{ctx}': {exc}") from exc
+    return _build(PlantModel, ctx, A=_field(_check_matrix, d.get("A"), f"{ctx}.A"),
+                  B=_field(_check_matrix, d.get("B"), f"{ctx}.B"))
 
 
 def _parse_excitation(cfg, m, default_seed, ctx="excitation") -> ExcitationSchedule:
@@ -106,11 +109,8 @@ def _parse_excitation(cfg, m, default_seed, ctx="excitation") -> ExcitationSched
     # Non-numbers are named by field path here; ranges, by the schedule below.
     amplitude = _field(_check_real, d.get("amplitude", 0.0), f"{ctx}.amplitude")
     decay_rate = _field(_check_real, d.get("decay_rate", 0.9), f"{ctx}.decay_rate")
-    try:
-        return ExcitationSchedule(kind=d.get("kind", "none"), m=m, amplitude=amplitude,
-                                  decay_rate=decay_rate, seed=seed)
-    except AdaptiveLqError as exc:
-        raise ConfigError(f"invalid '{ctx}': {exc}") from exc
+    return _build(ExcitationSchedule, ctx, kind=d.get("kind", "none"), m=m, amplitude=amplitude,
+                  decay_rate=decay_rate, seed=seed)
 
 
 def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
@@ -120,10 +120,7 @@ def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
     arrays = {key: _field(_check_matrix, d[key], f"{ctx}.{key}")
               for key in ("sequence", "delta_a", "delta_b") if d.get(key) is not None}
     pole = _field(_check_real, d.get("pole", 0.0), f"{ctx}.pole")
-    try:
-        return DisturbanceModel(kind=d.get("kind", "zero"), pole=pole, **arrays)
-    except AdaptiveLqError as exc:
-        raise ConfigError(f"invalid '{ctx}': {exc}") from exc
+    return _build(DisturbanceModel, ctx, kind=d.get("kind", "zero"), pole=pole, **arrays)
 
 
 _COMMON_KEYS = ("command", "seed", "out_dir")
@@ -156,13 +153,9 @@ def _parse_scenario(cfg, seed) -> Scenario:
     _field(_check_real, cfg.get("beta", 2.0), "beta")
     _field(_check_real, cfg.get("gamma", 20.0), "gamma")
     controller_tol = _field(_check_positive, cfg.get("controller_tol", 1e-11), "controller_tol")
-    try:
-        return Scenario(plant=plant, disturbance=disturbance, x0=x0,
-                        horizon=horizon,
-                        lam=lam, sigma0=sigma0_scale * np.eye(n + m), excitation=excitation,
-                        fallback_gain=fallback, controller_tol=controller_tol)
-    except AdaptiveLqError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+    return _build(Scenario, "scenario", plant=plant, disturbance=disturbance, x0=x0,
+                  horizon=horizon, lam=lam, sigma0=sigma0_scale * np.eye(n + m),
+                  excitation=excitation, fallback_gain=fallback, controller_tol=controller_tol)
 
 
 def _derive_seed(seed: int, *key: int) -> int:

@@ -1,9 +1,9 @@
 """Correlation recursions with forgetting and the data-driven Riccati path.
 
-The running correlation pair over data points z_k = (x_k, u_k) is
+The running correlation pair over data points z_k = (x_k, u_k), from (Sigma0, 0), is
 
-    Sigma_t    = sum_k lambda^(t-1-k) z_k z_k' + lambda^t Sigma0,
-    SigmaHat_t = sum_k lambda^(t-1-k) x_{k+1} z_k',
+    Sigma_{k+1}    = lambda Sigma_k + z_k z_k',
+    SigmaHat_{k+1} = lambda SigmaHat_k + x_{k+1} z_k',
 
 with a positive-definite regularizer Sigma0 keeping Sigma_t invertible.
 The model estimate [Ahat Bhat] = SigmaHat Sigma^{-1} feeds the certified
@@ -43,8 +43,8 @@ from .riccati import (
     _check_factor,
     _check_int,
     _check_matrix,
+    _check_pd,
     _check_vector,
-    _min_eig,
     _spectral_norm,
     _sym_norm,
     _trusted,
@@ -64,18 +64,15 @@ class CorrelationState:
     t: int
 
     def __post_init__(self):
-        sigma = _check_matrix(self.sigma, "sigma", square=True)
+        sigma = _check_pd(self.sigma, "sigma")
         d = sigma.shape[0]
-        sym_sigma = _check_pd(sigma, "sigma", d)
-        if _spectral_norm(sigma - sigma.T) > 1e-12 * max(1.0, _sym_norm(sigma)):
-            raise ShapeMismatch("sigma is not symmetric to 1e-12 relative")
         sigma_hat = _check_matrix(self.sigma_hat, "sigma_hat")
         if sigma_hat.shape[1] != d or not 1 <= sigma_hat.shape[0] < d:
             raise ShapeMismatch(f"sigma_hat must be n x {d} with 1 <= n < {d}, got {sigma_hat.shape}")
         object.__setattr__(self, "sigma0", _check_pd(self.sigma0, "sigma0", d))
         object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
         object.__setattr__(self, "t", _check_int(self.t, "t", 0))
-        object.__setattr__(self, "sigma", sym_sigma)
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "sigma_hat", sigma_hat)
 
     @property
@@ -85,17 +82,6 @@ class CorrelationState:
     @property
     def m(self) -> int:
         return self.sigma.shape[0] - self.n
-
-
-def _check_pd(M, name: str, d: int) -> np.ndarray:
-    """M checked d x d with a finite, positive-definite symmetric part, which is returned."""
-    with np.errstate(over="ignore"):
-        M = sym(_check_matrix(M, name, (d, d)))
-    if not np.isfinite(M).all():
-        raise NonFiniteInput(f"{name} has a symmetric part that overflows")
-    if _min_eig(M) <= 0:
-        raise ShapeMismatch(f"{name} must be positive definite")
-    return M
 
 
 def initial_correlation(n: int, m: int, lam: float = 0.99,
@@ -110,12 +96,13 @@ def initial_correlation(n: int, m: int, lam: float = 0.99,
 
 
 def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationState:
-    """One-step recursion: Sigma' = lam Sigma + z z', SigmaHat' = lam SigmaHat + x_next z'."""
+    """One-step recursion Sigma' = lam Sigma + z z', SigmaHat' = lam SigmaHat + x_next z';
+    Sigma' is exactly symmetric when Sigma is, since IEEE + and * commute."""
     x = _check_vector(x, "x", state.n)
     u = _check_vector(u, "u", state.m)
     x_next = _check_vector(x_next, "x_next", state.n)
     z = np.concatenate([x, u])
-    sigma = sym(state.lam * state.sigma + np.outer(z, z))
+    sigma = state.lam * state.sigma + np.outer(z, z)
     sigma_hat = state.lam * state.sigma_hat + np.outer(x_next, z)
     if not (np.isfinite(sigma).all() and np.isfinite(sigma_hat).all()):
         raise NonFiniteInput("the data point overflows the correlations")
@@ -141,41 +128,23 @@ def _triple(entry, k):
     return a, b, c
 
 
-def _weighted_history(history, lam, n, m, last):
-    """(lambda^(t-1-k), z_k = [x_k; u_k], v_k) per entry (x_k, u_k, v_k) of a
-    history list of length t, each vector checked; v_k is named `last`."""
-    t = len(history)
-    for k, entry in enumerate(history):
-        x, u, v = _triple(entry, k)
-        z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
-        yield lam ** (t - 1 - k), z, _check_vector(v, last, n)
-
-
 def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> CorrelationState:
-    """Closed-form discounted sums over an iterable of (x_k, u_k, x_{k+1})
-    triples, read once into a list (not iterable: ShapeMismatch).
-
-    Equals folding update_correlations over the history, up to floating-point
-    associativity.  For an empty history the state dimension `n` must be
-    given (the result is then Sigma = Sigma0, SigmaHat = 0 at t = 0).
+    """update_correlations folded from initial_correlation over an iterable of
+    (x_k, u_k, x_{k+1}) triples, read once into a list (not iterable: ShapeMismatch):
+    the state the controller holds after observing them, bit for bit.  An empty
+    history needs the state dimension `n` (the result is then (Sigma0, 0) at t = 0).
     """
     history = _as_history(history)
     lam = _check_factor(lam, "lam")
-    sigma0 = _check_matrix(sigma0, "sigma0", square=True)
-    d = sigma0.shape[0]
-    t = len(history)
+    d = _check_matrix(sigma0, "sigma0", square=True).shape[0]
     if n is None:
-        if t == 0:
+        if not history:
             raise ShapeMismatch("empty history requires the state dimension n")
         n = _check_vector(_triple(history[0], 0)[0], "x").size
-    n = _check_int(n, "n")
-    sigma = lam ** t * sigma0
-    sigma_hat = np.zeros((n, d))
-    for w, z, x_next in _weighted_history(history, lam, n, d - n, "x_next"):
-        sigma = sigma + w * np.outer(z, z)
-        sigma_hat = sigma_hat + w * np.outer(x_next, z)
-    return CorrelationState(sigma=sym(sigma), sigma_hat=sigma_hat,
-                            lam=lam, sigma0=sigma0, t=t)
+    state = initial_correlation(_check_int(n, "n"), d - n, lam, sigma0)
+    for k, entry in enumerate(history):
+        state = update_correlations(state, *_triple(entry, k))
+    return CorrelationState(**vars(state))
 
 
 def _cond(sigma: np.ndarray) -> float:
@@ -243,18 +212,19 @@ def data_riccati_residual(state: CorrelationState, q: QMatrix, gain: Gain) -> fl
 def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> np.ndarray:
     """Discounted disturbance correlations over (x_k, u_k, w_k) triples.
 
-    Returns the n x (n+m) array
-    [Swx Swu] = sum_k lambda^(t-1-k) w_k z_k' - lambda^t [A B] Sigma0, which
-    equals SigmaHat - [A B] Sigma for the correlations of the same run.
+    Returns the n x (n+m) array [Swx Swu] of the SigmaHat recursion with w_k
+    for x_{k+1}, from -[A B] Sigma0: it equals SigmaHat - [A B] Sigma for the
+    correlations of the same run.
     `history` is read as in batch_correlations.
     """
     n, m = plant.n, plant.m
     history = _as_history(history)
     lam = _check_factor(lam, "lam")
-    sigma0 = _check_matrix(sigma0, "sigma0", (n + m, n + m))
-    acc = -lam ** len(history) * plant.ab @ sigma0
-    for c, z, w in _weighted_history(history, lam, n, m, "w"):
-        acc = acc + c * np.outer(w, z)
+    acc = -plant.ab @ _check_matrix(sigma0, "sigma0", (n + m, n + m))
+    for k, entry in enumerate(history):
+        x, u, w = _triple(entry, k)
+        z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
+        acc = lam * acc + np.outer(_check_vector(w, "w", n), z)
     return acc
 
 

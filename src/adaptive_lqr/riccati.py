@@ -163,13 +163,31 @@ _check_above = partial(_check_real, high=SQUARE_MAX, ends="(]")
 _check_beta = partial(_check_above, low=1.0)
 
 
-def _check_cost_matrix(M, name, shape=None):
-    """M checked square, symmetric to 1e-12 relative and >= I; returned re-symmetrized."""
+def _check_symmetric(M, name, shape=None):
+    """M checked square and symmetric to 1e-12 relative (an overflowing M - M' is not);
+    its symmetric part is returned, NonFiniteInput if that overflows."""
     M = _check_matrix(M, name, shape, square=True)
-    if _spectral_norm(M - M.T) > 1e-12 * max(1.0, _sym_norm(M)):
+    with np.errstate(over="ignore"):
+        S, D = sym(M), M - M.T
+    if not np.isfinite(S).all():
+        raise NonFiniteInput(f"{name} has a symmetric part that overflows")
+    if not (np.isfinite(D).all() and _spectral_norm(D) <= 1e-12 * max(1.0, _sym_norm(S))):
         raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
+    return S
+
+
+def _check_pd(M, name, d=None):
+    """M checked by _check_symmetric, d x d if d is given, and positive definite."""
+    M = _check_symmetric(M, name, None if d is None else (d, d))
+    if _min_eig(M) <= 0:
+        raise ShapeMismatch(f"{name} must be positive definite")
+    return M
+
+
+def _check_cost_matrix(M, name, shape=None):
+    """M checked by _check_symmetric and >= I; returned re-symmetrized."""
     # Symmetrizing makes the qux == qxu' block identity of Q exact.
-    M = sym(M)
+    M = _check_symmetric(M, name, shape)
     if _min_eig(M) < 1.0 - 1e-9:
         raise DomainError(f"{name} must satisfy {name} >= I (unit stage cost)")
     return M

@@ -19,9 +19,9 @@ from .controller import (
     initial_controller,
 )
 from .errors import DomainError, ShapeMismatch
-from .estimation import _check_pd, rho_of
-from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_positive,
-                      _check_real, _check_vector)
+from .estimation import rho_of
+from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_pd,
+                      _check_positive, _check_real, _check_vector)
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12

@@ -326,11 +326,37 @@ def test_scenario_checks_sigma0_when_built():
     (np.zeros((2, 2)), ShapeMismatch, "sigma must be positive definite"),
     (np.diag([1.0, -1.0]), ShapeMismatch, "sigma must be positive definite"),
     (1e308 * np.array([[1.5, 0.2], [0.2, 1.0]]), NonFiniteInput, "sigma has a symmetric part"),
-], ids=["zero", "indefinite", "symmetric_part_overflows"])
+    (np.array([[2.0, 1e308], [-1e308, 2.0]]), ShapeMismatch, "sigma is not symmetric"),
+], ids=["zero", "indefinite", "symmetric_part_overflows", "difference_overflows"])
 def test_correlation_state_sigma_is_finite_and_positive_definite(sigma, error, match):
     # Each of these broke data_riccati_residual: 0/0, a wrong residual, inf entries.
     with pytest.raises(error, match=match):
         CorrelationState(sigma=sigma, sigma_hat=[[1.0, 1.0]], lam=0.99, sigma0=np.eye(2), t=1)
+
+
+# M - M' overflows for ANTI; sym(M) overflows for HUGE; ASYM is plainly asymmetric.
+ANTI = np.array([[2.0, 1e308], [-1e308, 2.0]])
+HUGE = 1e308 * np.array([[1.5, 0.2], [0.2, 1.0]])
+ASYM = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ValueMatrix(ANTI), ShapeMismatch, "P is not symmetric"),
+    (lambda: QMatrix(ANTI, 1, 1), ShapeMismatch, "Q is not symmetric"),
+    (lambda: ValueMatrix(HUGE), NonFiniteInput, "P has a symmetric part that overflows"),
+    (lambda: QMatrix(HUGE, 1, 1), NonFiniteInput, "Q has a symmetric part that overflows"),
+    (lambda: initial_correlation(1, 1, sigma0=ASYM), ShapeMismatch, "sigma0 is not symmetric"),
+    (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, sigma0=ASYM), ShapeMismatch,
+     "sigma0 is not symmetric"),
+    (lambda: batch_correlations([], 0.99, ASYM, n=1), ShapeMismatch, "sigma0 is not symmetric"),
+], ids=["value_matrix_difference_overflows", "qmatrix_difference_overflows",
+        "value_matrix_symmetric_part_overflows",
+        "qmatrix_symmetric_part_overflows", "initial_correlation_asymmetric_sigma0",
+        "scenario_asymmetric_sigma0", "batch_correlations_asymmetric_sigma0"])
+def test_one_symmetric_matrix_rule(call, error, match):
+    # RuntimeWarnings are errors here, so the checker must not overflow numpy either.
+    with pytest.raises(error, match=f"^{match}"):
+        call()
 
 
 def test_numpy_reals_are_reals():

@@ -24,6 +24,7 @@ from adaptive_lqr import (
     corollary_bound_check,
     gain_from_q,
     lemma1_check,
+    lemma1_instance_for_plant,
     lyapunov_decay_check,
     q_from_p,
     sample_lemma1_instance,
@@ -37,7 +38,8 @@ from adaptive_lqr import (
 )
 from adaptive_lqr import certificates, riccati
 from adaptive_lqr.cli import main
-from adaptive_lqr.riccati import ValueMatrix, _trusted
+from adaptive_lqr.estimation import COND_LIMIT
+from adaptive_lqr.riccati import PSD_SLACK, ValueMatrix, _trusted, sym
 
 
 def count_cold_solves(monkeypatch, plant):
@@ -318,6 +320,61 @@ class TestLyapunovDecay:
         report = lyapunov_decay_check(plant, P, Gain([[1.0]]))   # |a+bk| = 1.5
         assert report.conclusion_margin < 0.0
         assert report.details["closed_loop_radius"] > 1.0
+
+
+class TestInvariantAtTheBoundaries:
+    """No report whose hypotheses hold is falsified (conclusion below -PSD_SLACK)
+    with beta just above 1, rho just below the contraction root, or cond(Sigma)
+    near COND_LIMIT."""
+
+    BETAS = (1.01, 1.05)
+    SIZES = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+    def plants(self, rng):
+        """(plant, P, q, beta, rho): 5 membership plants per beta and (n, m)."""
+        for beta in self.BETAS:
+            rho = (1.0 - 1e-6) * contraction_rho_root(beta)
+            for n, m in self.SIZES:
+                for _ in range(5):
+                    yield (*sample_membership_plant(rng, beta, n, m), beta, rho)
+
+    @staticmethod
+    def assert_not_falsified(reports):
+        falsified = [r for r in reports if r.hypotheses_hold and r.conclusion_margin < -PSD_SLACK]
+        assert not falsified, falsified[0]
+
+    def test_beta_and_rho_at_their_bounds(self):
+        rng = np.random.default_rng(2024)
+        reports = []
+        for plant, P, q, beta, rho in self.plants(rng):
+            inst = theorem1_instance_for_plant(rng, plant, P, beta, rho)
+            reports.append(theorem1_margin(plant, P, inst.kt, beta, rho,
+                                           sigma=inst.sigma, sigma_hat=inst.sigma_hat))
+            lem = lemma1_instance_for_plant(rng, plant, P, q, beta, rho)
+            reports.append(lemma1_check(lem.sigma, lem.sigma_hat, lem.sigma_tilde,
+                                        lem.P, lem.Q, beta, rho))
+            reports.append(lyapunov_decay_check(plant, P, gain_from_q(q)))
+        # Sampled instances meet their hypotheses, so none of the checks is vacuous.
+        assert len(reports) == 120 and all(r.hypotheses_hold for r in reports)
+        self.assert_not_falsified(reports)
+
+    def test_sigma_conditioned_near_the_limit(self):
+        rng = np.random.default_rng(2025)
+        reports = []
+        for plant, P, _, beta, rho in self.plants(rng):
+            n, d = plant.n, plant.n + plant.m
+            # Sigma = U diag(1 .. 2 / COND_LIMIT) U': cond(Sigma) = COND_LIMIT / 2.
+            U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            sigma = sym((U * np.geomspace(1.0, 2.0 / COND_LIMIT, d)) @ U.T)
+            delta = rng.standard_normal((n, d))
+            delta *= rho / np.linalg.norm(delta, 2)
+            est = PlantModel(plant.A + delta[:, :n], plant.B + delta[:, n:])
+            kt = gain_from_q(q_from_p(est, solve_dare(est, tol=1e-12)))
+            reports.append(theorem1_margin(plant, P, kt, beta, rho, sigma=sigma,
+                                           sigma_hat=(plant.ab + delta) @ sigma))
+        # Rounding at this conditioning may break data_consistency, but not all of it.
+        assert any(r.hypotheses_hold for r in reports)
+        self.assert_not_falsified(reports)
 
 
 class TestAdmissibleRho:

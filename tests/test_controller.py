@@ -27,7 +27,7 @@ from adaptive_lqr import (
 )
 from adaptive_lqr import riccati
 from dataclasses import replace
-from conftest import scalar_k, scalar_p, scipy_dare
+from conftest import random_history, scalar_k, scalar_p, scipy_dare
 
 
 def consistent_state(plant, seed=0, lam=0.99):
@@ -222,8 +222,16 @@ class TestControllerObserve:
         for x, u, xn in history:
             ctrl = controller_observe(ctrl, x, u, xn)
         batch = batch_correlations(history, 1.0, np.eye(2))
-        assert np.allclose(ctrl.corr.sigma, batch.sigma, atol=1e-14)
-        assert np.allclose(ctrl.corr.sigma_hat, batch.sigma_hat, atol=1e-14)
+        assert np.array_equal(ctrl.corr.sigma, batch.sigma)
+        assert np.array_equal(ctrl.corr.sigma_hat, batch.sigma_hat)
+        # A longer run with forgetting, where reordering the sums would change bits.
+        ctrl = initial_controller(2, 1, lam=0.9, sigma0=np.eye(3))
+        history = random_history(np.random.default_rng(5), 2, 1, 20)
+        for x, u, xn in history:
+            ctrl = controller_observe(ctrl, x, u, xn)
+        batch = batch_correlations(history, 0.9, np.eye(3))
+        assert np.array_equal(ctrl.corr.sigma, batch.sigma)
+        assert np.array_equal(ctrl.corr.sigma_hat, batch.sigma_hat)
 
 
 def run_loop(plant, ctrl, x0, steps):
