@@ -131,7 +131,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     solved, cert = _solve_membership(plant, beta, P.P)
     if solved is not None and not _converged(P.P, solved.P, DEFAULT_TOL):
         P = solved
-    hyps["membership"] = _hyp(cert.beta**2 - cert.max_eig_Q)
+    hyps["membership"] = _hyp(beta**2 - cert.max_eig_Q)
     details = {"beta": float(beta), "rho": float(rho), "contraction_value": _finite(c),
                "max_eig_Q": _finite(cert.max_eig_Q), "dare_residual": _finite(cert.residual)}
     if sigma is not None:

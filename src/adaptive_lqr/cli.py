@@ -39,7 +39,7 @@ from .certificates import (
 )
 from .controller import ExcitationSchedule
 from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
-from .riccati import (DEFAULT_MAX_ITER, DEFAULT_TOL, PSD_SLACK, PlantModel, _check_above,
+from .riccati import (DEFAULT_TOL, PSD_SLACK, PlantModel, _check_above,
                       _check_amplitude, _check_beta, _check_factor, _check_int, _check_matrix,
                       _check_positive, _check_real, _check_rho, _check_seed, _check_vector,
                       _membership, _spectral_norm, dare_error_estimate, gain_from_q, solve_dare)
@@ -168,7 +168,6 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -179,13 +178,12 @@ def _write_json(path: Path, payload) -> None:
 
 def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     """Solve the fixed point for one plant; write {P, Q, K, residual, error_estimate, member}."""
-    _reject_unknown(cfg, _COMMON_KEYS + ("plant", "beta", "tol", "max_iter"), "config")
+    _reject_unknown(cfg, _COMMON_KEYS + ("plant", "beta", "tol"), "config")
     plant = _parse_plant(cfg)
     beta = _field(_check_beta, cfg.get("beta", 2.0), "beta")
     tol = _field(_check_positive, cfg.get("tol", DEFAULT_TOL), "tol")
-    max_iter = _field(_check_int, cfg.get("max_iter", DEFAULT_MAX_ITER), "max_iter", 1, DomainError)
     try:
-        P = solve_dare(plant, tol=tol, max_iter=max_iter)
+        P = solve_dare(plant, tol=tol)
     except NotStabilizable as exc:
         _write_json(out_dir / "summary.json", {"error": f"NotStabilizable: {exc}"})
         print(f"not stabilizable: {exc}", file=sys.stderr)
@@ -209,7 +207,6 @@ def run_simulate(cfg: dict, seed: int, out_dir: Path) -> int:
     _reject_unknown(cfg, _COMMON_KEYS + _SCENARIO_KEYS, "config")
     scenario = _parse_scenario(cfg, seed)
     log = simulate(scenario)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log.to_csv(out_dir / "trajectory.csv")
     try:
         k_opt = gain_from_q(q_from_p(scenario.plant, solve_dare(scenario.plant))).K
@@ -393,7 +390,6 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
     rows = [_sweep_row(scenario_base, t0_cfg, idx, *point)
             for idx, point in enumerate(points)]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)

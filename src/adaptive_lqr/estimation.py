@@ -55,12 +55,11 @@ COND_LIMIT = 1e14
 
 @dataclass(frozen=True)
 class CorrelationState:
-    """Running pair (Sigma, SigmaHat) with forgetting factor and regularizer."""
+    """Running pair (Sigma, SigmaHat) with its forgetting factor and step count."""
 
     sigma: np.ndarray       # (n+m) x (n+m), symmetric positive definite
     sigma_hat: np.ndarray   # n x (n+m)
     lam: float
-    sigma0: np.ndarray
     t: int
 
     def __post_init__(self):
@@ -69,7 +68,6 @@ class CorrelationState:
         sigma_hat = _check_matrix(self.sigma_hat, "sigma_hat")
         if sigma_hat.shape[1] != d or not 1 <= sigma_hat.shape[0] < d:
             raise ShapeMismatch(f"sigma_hat must be n x {d} with 1 <= n < {d}, got {sigma_hat.shape}")
-        object.__setattr__(self, "sigma0", _check_pd(self.sigma0, "sigma0", d))
         object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
         object.__setattr__(self, "t", _check_int(self.t, "t", 0))
         object.__setattr__(self, "sigma", sigma)
@@ -92,7 +90,7 @@ def initial_correlation(n: int, m: int, lam: float = 0.99,
         sigma0 = 1e-3 * np.eye(n + m)
     sigma0 = _check_pd(sigma0, "sigma0", n + m)
     return _trusted(CorrelationState, sigma=sigma0.copy(), sigma_hat=np.zeros((n, n + m)),
-                    lam=_check_factor(lam, "lam"), sigma0=sigma0, t=0)
+                    lam=_check_factor(lam, "lam"), t=0)
 
 
 def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationState:
@@ -102,8 +100,9 @@ def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationSta
     u = _check_vector(u, "u", state.m)
     x_next = _check_vector(x_next, "x_next", state.n)
     z = np.concatenate([x, u])
-    sigma = state.lam * state.sigma + np.outer(z, z)
-    sigma_hat = state.lam * state.sigma_hat + np.outer(x_next, z)
+    with np.errstate(over="ignore"):
+        sigma = state.lam * state.sigma + np.outer(z, z)
+        sigma_hat = state.lam * state.sigma_hat + np.outer(x_next, z)
     if not (np.isfinite(sigma).all() and np.isfinite(sigma_hat).all()):
         raise NonFiniteInput("the data point overflows the correlations")
     return _trusted(CorrelationState, **{**vars(state), "sigma": sigma,

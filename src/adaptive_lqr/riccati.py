@@ -41,7 +41,10 @@ from .errors import (
 # An iterate whose largest diagonal entry exceeds this is treated as divergence.
 NORM_CAP = 1e12
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
+# Doubling steps of a cold solve: step 64 is value-iteration step 2^64 - 1, so a
+# contraction c that has not met a tol >= 1e-300 there has 1 - c < 691 / 2^64,
+# below the 1.1e-16 spacing of doubles under 1; divergence trips NORM_CAP by step 40.
+DOUBLING_STEPS = 64
 # Absolute eigenvalue slack of every non-strict PSD comparison in the package.
 PSD_SLACK = 1e-8
 # Relative tolerance of solve_from_upper's hypothesis and upper-bound tests.
@@ -164,22 +167,23 @@ _check_beta = partial(_check_above, low=1.0)
 
 
 def _check_symmetric(M, name, shape=None):
-    """M checked square and symmetric to 1e-12 relative (an overflowing M - M' is not);
-    its symmetric part is returned, NonFiniteInput if that overflows."""
+    """(sym(M), the smallest eigenvalue of sym(M / 2^e), 2^-e) for M checked square and
+    symmetric to 1e-12 relative.  Both tests run on M / 2^e, e the binary exponent of
+    max |M| but at least -1021 (so 2^-e is finite): exact, and nothing overflows."""
     M = _check_matrix(M, name, shape, square=True)
-    with np.errstate(over="ignore"):
-        S, D = sym(M), M - M.T
-    if not np.isfinite(S).all():
-        raise NonFiniteInput(f"{name} has a symmetric part that overflows")
-    if not (np.isfinite(D).all() and _spectral_norm(D) <= 1e-12 * max(1.0, _sym_norm(S))):
+    e = max(np.frexp(np.abs(M).max())[1], -1021)
+    Ms, unit = np.ldexp(M, -e), np.ldexp(1.0, -e)
+    S = sym(Ms)
+    evals = np.linalg.eigvalsh(S)
+    if _spectral_norm(Ms - Ms.T) > 1e-12 * max(unit, np.abs(evals).max()):
         raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
-    return S
+    return (M if (M == M.T).all() else np.ldexp(S, e)), evals[0], unit
 
 
 def _check_pd(M, name, d=None):
     """M checked by _check_symmetric, d x d if d is given, and positive definite."""
-    M = _check_symmetric(M, name, None if d is None else (d, d))
-    if _min_eig(M) <= 0:
+    M, low, _ = _check_symmetric(M, name, None if d is None else (d, d))
+    if low <= 0:
         raise ShapeMismatch(f"{name} must be positive definite")
     return M
 
@@ -187,8 +191,8 @@ def _check_pd(M, name, d=None):
 def _check_cost_matrix(M, name, shape=None):
     """M checked by _check_symmetric and >= I; returned re-symmetrized."""
     # Symmetrizing makes the qux == qxu' block identity of Q exact.
-    M = _check_symmetric(M, name, shape)
-    if _min_eig(M) < 1.0 - 1e-9:
+    M, low, unit = _check_symmetric(M, name, shape)
+    if low < unit * (1.0 - 1e-9):
         raise DomainError(f"{name} must satisfy {name} >= I (unit stage cost)")
     return M
 
@@ -230,10 +234,6 @@ class ValueMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "P", _check_cost_matrix(self.P, "P"))
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
 
 
 @dataclass(frozen=True)
@@ -277,20 +277,11 @@ class Gain:
         K = _check_matrix(self.K, "K")
         object.__setattr__(self, "K", K)
 
-    @property
-    def m(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[1]
-
 
 @dataclass(frozen=True)
 class MembershipCertificate:
     """Outcome of testing I <= Q <= beta^2 I for a plant's Riccati solution."""
 
-    beta: float
     member: bool
     Q: QMatrix | None
     max_eig_Q: float
@@ -371,8 +362,8 @@ def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
     return np.linalg.norm(Pn - P) <= tol * scale
 
 
-def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, p0: np.ndarray | None = None) -> ValueMatrix:
+def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
+               p0: np.ndarray | None = None) -> ValueMatrix:
     """Solve the fixed-point equation.
 
     Cold start (`p0` None): the structure-preserving doubling algorithm of
@@ -385,7 +376,7 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
 
     H_k is value iteration from the identity after 2^k - 1 steps, so the
     iterates are monotone non-decreasing and >= I, and each doubling step
-    squares the contraction; `max_iter` counts doubling steps.  It stops at
+    squares the contraction; it takes at most DOUBLING_STEPS steps.  It stops at
     the first step with |P_new - P|_F <= tol * max_i |P_new_ii|.  As
     |D|_2 <= |D|_F and |P_ii| <= |P|_2 for symmetric P, this implies the
     relative spectral step |P_new - P|_2 / |P_new|_2 <= tol.
@@ -402,10 +393,9 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
 
     Raises NotStabilizable when a cold iterate's largest diagonal entry
     exceeds NORM_CAP, the doubling solve is singular to working precision,
-    or the budget runs out first.
+    or DOUBLING_STEPS steps pass first.
     """
     tol = _check_positive(tol, "tol")
-    max_iter = _check_int(max_iter, "max_iter", error=DomainError)
     n = plant.n
     if p0 is not None:
         P = sym(_check_matrix(p0, "p0", (n, n)))
@@ -419,21 +409,22 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL,
                     return _trusted(ValueMatrix, P=Pn)
         except (np.linalg.LinAlgError, NotStabilizable):
             pass
-        return solve_dare(plant, tol, max_iter)
+        return solve_dare(plant, tol)
     eye = np.eye(n)
-    A, G, H = plant.A, plant.B @ plant.B.T, eye
-    for _ in range(max_iter):
-        try:
-            W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
-        except np.linalg.LinAlgError:
-            # G, H >= 0 make I + G H nonsingular; singular means lost precision.
-            raise NotStabilizable("I + G H is singular to working precision") from None
-        WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
-        Hn = sym(H + A.T @ H @ WA)
-        if _converged(H, Hn, tol):
-            return _trusted(ValueMatrix, P=Hn)
-        A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
-    raise NotStabilizable(f"no convergence to tol={tol:.1e} within {max_iter} doubling steps")
+    with np.errstate(over="ignore", invalid="ignore"):   # _converged rejects what overflows
+        A, G, H = plant.A, plant.B @ plant.B.T, eye
+        for _ in range(DOUBLING_STEPS):
+            try:
+                W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            except np.linalg.LinAlgError:
+                # G, H >= 0 make I + G H nonsingular; singular means lost precision.
+                raise NotStabilizable("I + G H is singular to working precision") from None
+            WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
+            Hn = sym(H + A.T @ H @ WA)
+            if _converged(H, Hn, tol):
+                return _trusted(ValueMatrix, P=Hn)
+            A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
+    raise NotStabilizable(f"no convergence to tol={tol:.1e} within {DOUBLING_STEPS} doubling steps")
 
 
 def q_from_p(plant: PlantModel, P) -> QMatrix:
@@ -479,9 +470,8 @@ def _solve_membership(plant: PlantModel, beta: float, p0: np.ndarray | None = No
     try:
         P = solve_dare(plant, p0=p0)
     except NotStabilizable as exc:
-        return None, MembershipCertificate(beta=float(beta), member=False, Q=None,
-                                           max_eig_Q=np.inf, residual=np.inf,
-                                           reason=f"riccati solve failed: {exc}")
+        return None, MembershipCertificate(member=False, Q=None, max_eig_Q=np.inf,
+                                           residual=np.inf, reason=f"riccati solve failed: {exc}")
     return P, _membership(plant, P, beta)
 
 
@@ -493,7 +483,7 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
     max_eig = float(evals[-1])
     member = max_eig <= beta**2 + PSD_SLACK and evals[0] >= 1.0 - PSD_SLACK
     reason = "" if member else f"max eig {max_eig:.6g} exceeds beta^2 = {beta**2:.6g}"
-    return MembershipCertificate(beta=float(beta), member=bool(member), Q=q,
+    return MembershipCertificate(member=bool(member), Q=q,
                                  max_eig_Q=max_eig, residual=dare_residual(plant, P),
                                  reason=reason)
 

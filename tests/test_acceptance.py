@@ -81,8 +81,7 @@ def test_criterion_2_data_equation_residual():
             ab = np.hstack([A, rng.uniform(-1, 1, (n, m))])
             G = rng.standard_normal((n + m, n + m))
             sigma = G @ G.T + rng.uniform(0.1, 1.0) * np.eye(n + m)
-            state = CorrelationState(sigma=sigma, sigma_hat=ab @ sigma, lam=0.99,
-                                     sigma0=1e-3 * np.eye(n + m), t=3)
+            state = CorrelationState(sigma=sigma, sigma_hat=ab @ sigma, lam=0.99, t=3)
             try:
                 q, k, _ = solve_data_riccati(estimate_model(state))
             except EstimateNotStabilizable:

@@ -52,6 +52,7 @@ from adaptive_lqr import (
     simulate,
     solve_dare,
     solve_data_riccati,
+    solve_from_upper,
     theorem1_instance_for_plant,
     theorem1_margin,
     update_correlations,
@@ -83,7 +84,7 @@ PROBES = {
     "dare_residual": lambda bad: dare_residual(PLANT, bad),
     "initial_correlation": lambda bad: initial_correlation(1, 1, sigma0=bad),
     "CorrelationState": lambda bad: CorrelationState(sigma=bad, sigma_hat=[[0.0, 0.0]],
-                                                     lam=0.99, sigma0=np.eye(2), t=0),
+                                                     lam=0.99, t=0),
     "update_correlations": lambda bad: update_correlations(initial_correlation(1, 1),
                                                            bad, [0.0], [0.0]),
     "batch_correlations.history": lambda bad: batch_correlations([(bad, [0.0], [0.0])],
@@ -124,8 +125,16 @@ def test_malformed_array_is_a_shape_mismatch(probe, kind):
     lambda: DisturbanceModel.external([0.1, 0.2]),
     lambda: data_riccati_residual(initial_correlation(1, 1), QMatrix(np.eye(3), 2, 1), KT),
     lambda: data_riccati_residual(initial_correlation(1, 1), Q, Gain([[0.0, 0.0]])),
+    lambda: initial_controller(1, 1, excitation=ExcitationSchedule.none(2)),
+    lambda: CorrelationState(sigma=np.eye(2), sigma_hat=[[0.0, 0.0, 0.0]], lam=0.99, t=0),
+    lambda: batch_correlations([], 0.99, np.eye(2)),
+    lambda: solve_from_upper(PLANT, QMatrix(2 * np.eye(3), 2, 1), KT),
+    lambda: DisturbanceModel.linear([[0.1, 0.0]], [[0.0]]),
 ], ids=["rho_of_n", "rho_of_m", "dare_residual_p", "dare_residual_value_matrix",
-        "external_one_dimensional", "data_riccati_residual_q", "data_riccati_residual_gain"])
+        "external_one_dimensional", "data_riccati_residual_q", "data_riccati_residual_gain",
+        "controller_excitation_m", "correlation_state_sigma_hat",
+        "batch_correlations_empty_without_n", "solve_from_upper_qbar",
+        "disturbance_delta_a_not_square"])
 def test_mismatched_shape_is_a_shape_mismatch(call):
     with pytest.raises(ShapeMismatch):
         call()
@@ -171,13 +180,12 @@ SCHEDULE = ExcitationSchedule.constant(1, 1.0, seed=3)
     (lambda: ExcitationSchedule.constant(1, 1.0, seed="1"), DomainError),
     (lambda: excitation_sample(SCHEDULE, 1.5), ShapeMismatch),
     (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=2.5), ShapeMismatch),
-    (lambda: CorrelationState(sigma=np.eye(2), sigma_hat=[[0.0, 0.0]], lam=0.99,
-                              sigma0=np.eye(2), t=1.5), ShapeMismatch),
+    (lambda: CorrelationState(sigma=np.eye(2), sigma_hat=[[0.0, 0.0]], lam=0.99, t=1.5),
+     ShapeMismatch),
     (lambda: initial_correlation(1.5, 1), ShapeMismatch),
     (lambda: initial_correlation(-1, 2), ShapeMismatch),
     (lambda: initial_controller(1.5, 1), ShapeMismatch),
     (lambda: batch_correlations([], 0.99, np.eye(2), n=1.5), ShapeMismatch),
-    (lambda: solve_dare(PLANT, max_iter=2.5), DomainError),
     (lambda: random_plant(np.random.default_rng(0), 0, 1, 0.5), ShapeMismatch),
     (lambda: random_plant(np.random.default_rng(0), 1.5, 1, 0.5), ShapeMismatch),
     (lambda: sample_membership_plant(np.random.default_rng(0), 2.0, 0, 1), ShapeMismatch),
@@ -191,7 +199,7 @@ SCHEDULE = ExcitationSchedule.constant(1, 1.0, seed=3)
         "excitation_sample_float_t", "scenario_float_horizon", "correlation_state_float_t",
         "initial_correlation_float_n", "initial_correlation_negative_n",
         "initial_controller_float_n", "batch_correlations_float_n",
-        "solve_dare_float_max_iter", "random_plant_zero_n", "random_plant_float_n",
+        "random_plant_zero_n", "random_plant_float_n",
         "sample_membership_plant_zero_n", "corollary_float_t0", "qmatrix_float_n",
         "qmatrix_negative_n", "qmatrix_zero_m", "qmatrix_bool_n"])
 def test_bad_integer_argument_is_typed(call, error):
@@ -240,7 +248,7 @@ REAL_PROBES = {
     "solve_data_riccati.tol": ("tol", lambda bad: solve_data_riccati(PLANT, tol=bad)),
     "check_membership.beta": ("beta", lambda bad: check_membership(PLANT, bad)),
     "CorrelationState.lam": ("lam", lambda bad: CorrelationState(
-        sigma=np.eye(2), sigma_hat=[[0.0, 0.0]], lam=bad, sigma0=np.eye(2), t=0)),
+        sigma=np.eye(2), sigma_hat=[[0.0, 0.0]], lam=bad, t=0)),
     "initial_correlation.lam": ("lam", lambda bad: initial_correlation(1, 1, lam=bad)),
     "batch_correlations.lam": ("lam", lambda bad: batch_correlations([], bad, np.eye(2), n=1)),
     "disturbance_correlation.lam": ("lam", lambda bad: disturbance_correlation(
@@ -325,38 +333,53 @@ def test_scenario_checks_sigma0_when_built():
 @pytest.mark.parametrize("sigma, error, match", [
     (np.zeros((2, 2)), ShapeMismatch, "sigma must be positive definite"),
     (np.diag([1.0, -1.0]), ShapeMismatch, "sigma must be positive definite"),
-    (1e308 * np.array([[1.5, 0.2], [0.2, 1.0]]), NonFiniteInput, "sigma has a symmetric part"),
     (np.array([[2.0, 1e308], [-1e308, 2.0]]), ShapeMismatch, "sigma is not symmetric"),
-], ids=["zero", "indefinite", "symmetric_part_overflows", "difference_overflows"])
+], ids=["zero", "indefinite", "difference_overflows"])
 def test_correlation_state_sigma_is_finite_and_positive_definite(sigma, error, match):
     # Each of these broke data_riccati_residual: 0/0, a wrong residual, inf entries.
     with pytest.raises(error, match=match):
-        CorrelationState(sigma=sigma, sigma_hat=[[1.0, 1.0]], lam=0.99, sigma0=np.eye(2), t=1)
+        CorrelationState(sigma=sigma, sigma_hat=[[1.0, 1.0]], lam=0.99, t=1)
 
 
-# M - M' overflows for ANTI; sym(M) overflows for HUGE; ASYM is plainly asymmetric.
+# M - M' overflows for ANTI; M + M' overflows for HUGE, which is symmetric and
+# valid; SKEW is 5% asymmetric with a spectral norm that overflows; ASYM is
+# plainly asymmetric.
 ANTI = np.array([[2.0, 1e308], [-1e308, 2.0]])
 HUGE = 1e308 * np.array([[1.5, 0.2], [0.2, 1.0]])
+SKEW = 0.6e308 * np.ones((3, 3)) + 0.2e308 * np.eye(3)
+SKEW[1, 0] = 0.5e308
 ASYM = np.array([[1.0, 0.5], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: ValueMatrix(ANTI), ShapeMismatch, "P is not symmetric"),
     (lambda: QMatrix(ANTI, 1, 1), ShapeMismatch, "Q is not symmetric"),
-    (lambda: ValueMatrix(HUGE), NonFiniteInput, "P has a symmetric part that overflows"),
-    (lambda: QMatrix(HUGE, 1, 1), NonFiniteInput, "Q has a symmetric part that overflows"),
+    (lambda: ValueMatrix(SKEW), ShapeMismatch, "P is not symmetric"),
+    (lambda: CorrelationState(sigma=SKEW, sigma_hat=[[1.0, 1.0, 1.0]], lam=0.99, t=1),
+     ShapeMismatch, "sigma is not symmetric"),
     (lambda: initial_correlation(1, 1, sigma0=ASYM), ShapeMismatch, "sigma0 is not symmetric"),
     (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, sigma0=ASYM), ShapeMismatch,
      "sigma0 is not symmetric"),
     (lambda: batch_correlations([], 0.99, ASYM, n=1), ShapeMismatch, "sigma0 is not symmetric"),
 ], ids=["value_matrix_difference_overflows", "qmatrix_difference_overflows",
-        "value_matrix_symmetric_part_overflows",
-        "qmatrix_symmetric_part_overflows", "initial_correlation_asymmetric_sigma0",
-        "scenario_asymmetric_sigma0", "batch_correlations_asymmetric_sigma0"])
+        "value_matrix_five_percent_asymmetric", "correlation_state_five_percent_asymmetric",
+        "initial_correlation_asymmetric_sigma0", "scenario_asymmetric_sigma0",
+        "batch_correlations_asymmetric_sigma0"])
 def test_one_symmetric_matrix_rule(call, error, match):
     # RuntimeWarnings are errors here, so the checker must not overflow numpy either.
     with pytest.raises(error, match=f"^{match}"):
         call()
+
+
+@pytest.mark.parametrize("stored, given", [
+    (lambda: ValueMatrix(HUGE).P, HUGE),
+    (lambda: QMatrix(HUGE, 1, 1).Q, HUGE),
+    (lambda: CorrelationState(sigma=HUGE, sigma_hat=[[1.0, 1.0]], lam=0.99, t=1).sigma, HUGE),
+    (lambda: ValueMatrix(1.5e308 * np.eye(1)).P, 1.5e308 * np.eye(1)),
+], ids=["value_matrix", "qmatrix", "correlation_state", "value_matrix_1x1"])
+def test_symmetric_matrix_at_the_top_of_the_range_is_stored_as_given(stored, given):
+    # M + M' overflows here; the check runs on M scaled by a power of two.
+    assert np.array_equal(stored(), given)
 
 
 def test_numpy_reals_are_reals():

@@ -122,6 +122,20 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    @pytest.mark.parametrize("content, needle", [
+        (None, "cannot read config"),
+        ("[1, 2]", "config must be a JSON object"),
+    ], ids=["unreadable", "not_an_object"])
+    def test_unusable_config_exits_1(self, tmp_path, capsys, content, needle):
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "solve",
                                       "plant": {"A": [[0.0]], "B": [[1.0]]}})
@@ -191,7 +205,9 @@ class TestConfigValidation:
          "'disturbance': kind must be one of"),
         ("simulate", {"disturbance": {"kind": "external_sequence"}}, [],
          "'disturbance': sequence is required"),
-        ("solve", {"max_iter": 0}, [], "'max_iter'"),
+        ("solve", {"max_iter": 100}, [], "unknown key 'max_iter'"),
+        ("certify", {"instances": 1, "rho": 0.1, "rho_scale": 0.5}, [],
+         "at most one of 'rho' and 'rho_scale'"),
         ("simulate", {"horizon": 0}, [], "'horizon'"),
         ("simulate", {"x0": [1, 2]}, [], "'x0'"),
     ], ids=["certify_rho_negative", "certify_rho_scale_negative", "certify_seed_negative",
@@ -199,7 +215,8 @@ class TestConfigValidation:
             "simulate_controller_tol_nan", "simulate_fallback_gain_shape",
             "simulate_excitation_seed_negative", "sweep_magnitude_infinite",
             "sweep_amplitude_negative", "sweep_seed_negative", "simulate_disturbance_kind",
-            "simulate_disturbance_sequence_missing", "solve_max_iter_zero",
+            "simulate_disturbance_sequence_missing", "solve_max_iter_unknown",
+            "certify_rho_and_rho_scale",
             "simulate_horizon_zero", "simulate_x0_length"])
     def test_malformed_input_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch,
                                                       command, payload, argv, needle):
@@ -251,10 +268,11 @@ class TestConfigValidation:
         assert f"'{field}'" in err and "DomainError" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    @pytest.mark.parametrize("scale", [1e-170, 1e200, 1e308])
     def test_extreme_sigma0_scale_logs_finite_residuals(self, tmp_path, capsys, scale):
-        # |Sigma Q Sigma| underflows to 0 (1e-170) or overflows (1e200) on the
-        # first steps; the relative residual is then taken on rescaled data.
+        # |Sigma Q Sigma| underflows to 0 (1e-170) or overflows (1e200, 1e308) on
+        # the first steps; the relative residual is then taken on rescaled data.
+        # At 1e308, Sigma0 + Sigma0' overflows too, but Sigma0 is symmetric and valid.
         cfg = write_config(tmp_path, {
             "plant": {"A": [[0.9, 0.2], [0.0, 0.8]], "B": [[1.0], [0.5]]}, "horizon": 30,
             "sigma0_scale": scale,
@@ -284,7 +302,7 @@ class TestConfigValidation:
 
 # Small valid configs; the fuzz replaces one field of one of them.
 FUZZ_BASES = {
-    "solve": {"command": "solve", "seed": 0, "beta": 2.0, "tol": 1e-10, "max_iter": 100,
+    "solve": {"command": "solve", "seed": 0, "beta": 2.0, "tol": 1e-10,
               "plant": {"A": [[0.5, 0.1], [0.0, 0.4]], "B": [[1.0], [0.2]]}},
     "simulate": {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5, "x0": [1.0],
                  "lambda": 0.99, "fallback_gain": [[0.0]],
@@ -434,6 +452,23 @@ class TestCertifyCommand:
         reports = json.loads((out / "reports.json").read_text())["reports"]
         assert len(reports) == 8
         assert all(r["details"]["rho"] == 0.5 * contraction_rho_root(3.0) for r in reports)
+
+    @pytest.mark.parametrize("checks, rho, alpha", [
+        (["theorem1", "lemma1", "lyapunov"], 0.01, True),
+        (["lemma1"], 0.5, False),
+    ], ids=["defined", "undefined"])
+    def test_gamma_records_alpha_where_it_is_defined(self, tmp_path, checks, rho, alpha):
+        # At beta = 2, rho = 0.5 breaks 2 beta^2 rho (rho+2) < 1: no alpha, still exit 0.
+        cfg = write_config(tmp_path, {"instances": 2, "checks": checks, "rho": rho,
+                                      "gamma": 10.0, "seed": 4})
+        out = tmp_path / "out"
+        assert main(["certify", cfg, "--out-dir", str(out)]) == 0
+        reports = json.loads((out / "reports.json").read_text())["reports"]
+        assert len(reports) == 2 * len(checks)
+        if alpha:
+            assert all(r["details"]["alpha"] == alpha_of(2.0, rho, 10.0) for r in reports)
+        else:
+            assert all("alpha" not in r["details"] for r in reports)
 
     def test_falsified_conclusion_exit_4(self, tmp_path, monkeypatch):
         # The inequality cannot actually be falsified; fake a violating report

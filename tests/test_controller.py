@@ -36,8 +36,7 @@ def consistent_state(plant, seed=0, lam=0.99):
     d = plant.n + plant.m
     G = rng.standard_normal((d, d))
     sigma = G @ G.T + 0.3 * np.eye(d)
-    return CorrelationState(sigma=sigma, sigma_hat=plant.ab @ sigma,
-                            lam=lam, sigma0=1e-3 * np.eye(d), t=5)
+    return CorrelationState(sigma=sigma, sigma_hat=plant.ab @ sigma, lam=lam, t=5)
 
 
 class TestExcitationSample:
@@ -128,8 +127,7 @@ class TestControllerStep:
     def test_singular_quu_falls_back(self):
         # A valid state whose estimate B = [1e7, 1] spreads Quu's eigenvalues
         # over 14 decades: gain_from_q raises SingularQuu, the step falls back.
-        corr = CorrelationState(sigma=np.eye(3), sigma_hat=[[0.5, 1e7, 1.0]], lam=0.99,
-                                sigma0=1e-3 * np.eye(3), t=5)
+        corr = CorrelationState(sigma=np.eye(3), sigma_hat=[[0.5, 1e7, 1.0]], lam=0.99, t=5)
         ctrl = replace(initial_controller(1, 2, fallback_gain=[[0.1], [0.2]]), corr=corr,
                        warm_p=np.eye(1))
         u, new, diag = controller_step(ctrl, [1.0])
@@ -146,8 +144,7 @@ class TestControllerStep:
             "solved": lambda: consistent_state(PlantModel([[0.5]], [[1.0]])),
             "not_stabilizable": lambda: consistent_state(PlantModel([[2.0]], [[0.0]])),
             "ill_conditioned": lambda: CorrelationState(
-                sigma=np.diag([1.0, 1e-16]), sigma_hat=np.zeros((1, 2)), lam=0.99,
-                sigma0=1e-3 * np.eye(2), t=1),
+                sigma=np.diag([1.0, 1e-16]), sigma_hat=np.zeros((1, 2)), lam=0.99, t=1),
         }[kind]()
         ctrl = replace(initial_controller(1, 1), corr=corr)
         _, _, diag = controller_step(ctrl, [1.0])

@@ -27,15 +27,12 @@ from adaptive_lqr.estimation import _cond
 from dataclasses import replace
 from adaptive_lqr.riccati import _spectral_norm, _sym_norm, sym
 from conftest import matrices, orthogonal, random_history, random_stabilizable_plant, scalar_k, scalar_p
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 
-def make_state(sigma, sigma_hat, lam=0.99, sigma0=None, t=1):
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma0 is None:
-        sigma0 = 1e-3 * np.eye(sigma.shape[0])
-    return CorrelationState(sigma=sigma, sigma_hat=np.asarray(sigma_hat, dtype=float),
-                            lam=lam, sigma0=sigma0, t=t)
+def make_state(sigma, sigma_hat, lam=0.99, t=1):
+    return CorrelationState(sigma=np.asarray(sigma, dtype=float),
+                            sigma_hat=np.asarray(sigma_hat, dtype=float), lam=lam, t=t)
 
 
 class TestUpdateCorrelations:
@@ -62,8 +59,8 @@ class TestUpdateCorrelations:
         with pytest.raises(NonFiniteInput):
             update_correlations(state, [np.nan], [0.0], [0.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_data_point_rejected(self):
+        # Rejected with no RuntimeWarning, which Tier-1 turns into an error.
         state = initial_correlation(1, 1)
         with pytest.raises(NonFiniteInput):
             update_correlations(state, [1e200], [0.0], [0.0])
@@ -78,8 +75,10 @@ class TestUpdateCorrelations:
             make_state(sigma, [[0.4, 0.2]], lam=lam)
 
     def test_initial_conditions(self):
-        state = initial_correlation(2, 1, lam=0.9)
-        assert np.array_equal(state.sigma, state.sigma0)
+        sigma0 = np.diag([1.0, 2.0, 3.0])
+        state = initial_correlation(2, 1, lam=0.9, sigma0=sigma0)
+        assert np.array_equal(state.sigma, sigma0)
+        assert np.array_equal(initial_correlation(2, 1).sigma, 1e-3 * np.eye(3))
         assert np.array_equal(state.sigma_hat, np.zeros((2, 3)))
         assert state.t == 0
 
@@ -186,7 +185,7 @@ class TestEstimateModel:
         (1e-300 * np.eye(3), np.array([[1e10, 0.0, 0.0], [0.0, 1e10, 0.0]])),
     ])
     def test_non_finite_estimate_rejected_and_the_controller_falls_back(self, sigma, sigma_hat):
-        state = make_state(sigma, sigma_hat, sigma0=np.eye(3))
+        state = make_state(sigma, sigma_hat)
         with pytest.raises(IllConditioned):
             estimate_model(state)
         ctrl = replace(initial_controller(2, 1), corr=state)
@@ -285,6 +284,43 @@ class TestPowerOfTwoScaling:
         base = outputs(make_state(sigma, sigma_hat))
         scaled = outputs(make_state(2.0**k * sigma, 2.0**k * sigma_hat))
         assert all(np.array_equal(a, b) for a, b in zip(base, scaled))
+
+
+class TestGeneralScaling:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.floats(-6.0, 0.0),
+           st.floats(0.05, 0.95), st.floats(-100.0, 100.0))
+    def test_any_positive_scale_changes_only_roundings(self, data, n, m, shift, radius, log_c):
+        # Scaling by c rounds each entry of (Sigma, SigmaHat) once, a relative
+        # perturbation of eps that the solve for [A B] amplifies by cond(Sigma);
+        # rho moves by at most as much, and the gain by up to |P| times more
+        # (the sensitivity of the Riccati solution).
+        c = 10.0**log_c
+        assume(np.frexp(c)[0] != 0.5)
+        d = n + m
+        G = data.draw(matrices(d, d))
+        sigma = G @ G.T + 10.0**shift * np.eye(d)
+        A = data.draw(matrices(n, n))
+        A = A * (radius / max(np.abs(np.linalg.eigvals(A)).max(), radius))
+        plant = PlantModel(A, data.draw(matrices(n, m)))
+        sigma_hat = plant.ab @ sigma + 0.1 * data.draw(matrices(n, d))
+        tol = 4 * d * _cond(sigma) * np.finfo(float).eps
+
+        def outputs(state):
+            est = estimate_model(state)
+            try:
+                _, gain, P = solve_data_riccati(est)
+            except EstimateNotStabilizable:
+                return est.ab, rho_of(est, plant), None, None
+            return est.ab, rho_of(est, plant), gain.K, _spectral_norm(P.P)
+
+        ab, rho, K, p_norm = outputs(make_state(sigma, sigma_hat))
+        ab_c, rho_c, K_c, _ = outputs(make_state(c * sigma, c * sigma_hat))
+        assert _spectral_norm(ab_c - ab) <= tol * _spectral_norm(ab)
+        assert abs(rho_c - rho) <= tol * _spectral_norm(ab)
+        assert (K is None) == (K_c is None)
+        if K is not None:
+            assert _spectral_norm(K_c - K) <= 16 * tol * p_norm * max(1.0, _spectral_norm(K))
 
 
 class TestOrthogonalCoordinates:

@@ -54,15 +54,24 @@ class TestSolveDare:
         with pytest.raises(NotStabilizable):
             solve_dare(PlantModel([[2.0]], [[0.0]]))
 
+    def test_overflow_in_the_cold_iterates_is_no_warning(self):
+        # Tier-1 turns RuntimeWarning into an error. A'H W A overflows on the
+        # first step and is reported as divergence; B B' overflows to inf,
+        # yet the fixed point of a stable A with so large an input is I.
+        with pytest.raises(NotStabilizable, match="exceeds cap"):
+            solve_dare(PlantModel([[1.3e154, 0.1], [0.0, 0.4]], [[1.0], [0.2]]))
+        assert np.array_equal(solve_dare(PlantModel([[0.5]], [[1.35e154]])).P, [[1.0]])
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
     def test_tol_not_positive_rejected(self, tol):
         # A NaN tol would otherwise never stop and spend the whole budget.
         with pytest.raises(DomainError):
             solve_dare(PlantModel([[0.5]], [[1.0]]), tol=tol)
 
-    def test_max_iter_exhaustion_raises(self):
-        with pytest.raises(NotStabilizable):
-            solve_dare(PlantModel([[0.9]], [[1.0]]), tol=1e-10, max_iter=2)
+    def test_max_iter_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(riccati, "DOUBLING_STEPS", 2)
+        with pytest.raises(NotStabilizable, match="within 2 doubling steps"):
+            solve_dare(PlantModel([[0.9]], [[1.0]]), tol=1e-10)
 
     def test_residual_definition(self):
         plant = PlantModel([[0.8, 0.1], [0.0, 0.6]], [[1.0], [0.5]])
@@ -77,11 +86,16 @@ class TestSolveDare:
         p_neg = (0.25 - np.sqrt(0.25**2 + 4.0)) / 2.0
         assert np.array_equal(solve_dare(plant, p0=[[p_neg]]).P, solve_dare(plant).P)
 
-    def test_max_iter_counts_doubling_steps_when_cold(self):
+    def test_max_iter_counts_doubling_steps_when_cold(self, monkeypatch):
         # Closed-loop pole ~0.9: value iteration needs over a hundred steps,
-        # the doubling cold path covers 2^k - 1 of them in k steps.
+        # the doubling cold path covers 2^k - 1 of them in k steps, one
+        # linear solve each.
         plant = PlantModel([[0.99]], [[0.1]])
-        P = solve_dare(plant, max_iter=10)
+        solve, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        P = solve_dare(plant)
+        monkeypatch.undo()
+        assert 1 <= len(solves) <= 10
 
         def value_iteration(budget):
             X = np.eye(1)
@@ -236,10 +250,11 @@ class TestSolveDare:
         with pytest.raises(NotStabilizable, match="singular"):
             solve_dare(plant)
 
-    def test_invariants_on_500_random_plants(self):
+    def test_invariants_on_500_random_plants(self, monkeypatch):
         # Residual, P >= I, monotone value iteration from the identity, and
         # agreement with the independent scipy oracle.  A cold solve meets
         # its tol as an error against scipy, within 10 doubling steps.
+        monkeypatch.setattr(riccati, "DOUBLING_STEPS", 10)
         rng = np.random.default_rng(2024)
         for _ in range(500):
             n = int(rng.integers(1, 5))
@@ -257,7 +272,7 @@ class TestSolveDare:
             assert np.linalg.eigvalsh(P).min() >= 1.0 - 1e-9
             P_ref, _ = scipy_dare(plant)
             assert np.linalg.norm(P - P_ref, 2) <= 1e-6 * np.linalg.norm(P_ref, 2)
-            cold = solve_dare(plant, max_iter=10).P
+            cold = solve_dare(plant).P
             assert np.linalg.norm(cold - P_ref, 2) <= 1e-10 * np.linalg.norm(P_ref, 2)
             assert np.linalg.norm(solve_dare(plant, tol=1e-11).P - P, 2) <= \
                 1e-8 * np.linalg.norm(P, 2)
