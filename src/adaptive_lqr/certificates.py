@@ -302,12 +302,24 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
 
 def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
                             m: int) -> tuple[PlantModel, ValueMatrix, QMatrix]:
-    """Rejection-sample a plant with Q <= beta^2 I; NotConverged after MAX_SAMPLE_TRIES tries."""
+    """Rejection-sample a plant with Q <= beta^2 I; NotConverged after MAX_SAMPLE_TRIES tries.
+
+    P >= I makes Q = I + [A B]' P [A B] >= I + [A B]'[A B], so a candidate with
+    1 + |[A B]|^2 > beta^2 is no member: it is rejected before its Riccati
+    solve, after its draws, and counts as a try.  The samples and the
+    generator's state are those of solving every candidate.
+    """
     beta = _check_beta(beta, "beta")
+    # The doubling iterate is >= I only to rounding, so the computed max
+    # eigenvalue of Q may sit below 1 + |[A B]|^2 by rounding; the 1e-9 guard
+    # keeps the screen from rejecting a candidate the eigenvalue test accepts.
+    screen = beta**2 * (1.0 + 1e-9)
     for _ in range(MAX_SAMPLE_TRIES):
         plant = random_plant(rng, n, m,
                              spectral_radius=rng.uniform(0.02, 0.9),
                              input_scale=rng.uniform(0.05, 1.0))
+        if 1.0 + _spectral_norm(plant.ab)**2 > screen:
+            continue
         try:
             P = solve_dare(plant)
         except NotStabilizable:

@@ -169,8 +169,11 @@ _check_beta = partial(_check_above, low=1.0)
 def _check_symmetric(M, name, shape=None):
     """(sym(M), the smallest eigenvalue of sym(M / 2^e), 2^-e) for M checked square and
     symmetric to 1e-12 relative.  Both tests run on M / 2^e, e the binary exponent of
-    max |M| but at least -1021 (so 2^-e is finite): exact, and nothing overflows."""
+    max |M| but at least -1021 (so 2^-e is finite): exact, and nothing overflows.
+    An empty M has no max: ShapeMismatch."""
     M = _check_matrix(M, name, shape, square=True)
+    if M.size == 0:
+        raise ShapeMismatch(f"{name} must not be empty")
     e = max(np.frexp(np.abs(M).max())[1], -1021)
     Ms, unit = np.ldexp(M, -e), np.ldexp(1.0, -e)
     S = sym(Ms)

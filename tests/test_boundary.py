@@ -130,11 +130,13 @@ def test_malformed_array_is_a_shape_mismatch(probe, kind):
     lambda: batch_correlations([], 0.99, np.eye(2)),
     lambda: solve_from_upper(PLANT, QMatrix(2 * np.eye(3), 2, 1), KT),
     lambda: DisturbanceModel.linear([[0.1, 0.0]], [[0.0]]),
+    lambda: ValueMatrix(np.zeros((0, 0))),
+    lambda: CorrelationState(sigma=np.zeros((0, 0)), sigma_hat=np.zeros((0, 0)), lam=0.9, t=0),
 ], ids=["rho_of_n", "rho_of_m", "dare_residual_p", "dare_residual_value_matrix",
         "external_one_dimensional", "data_riccati_residual_q", "data_riccati_residual_gain",
         "controller_excitation_m", "correlation_state_sigma_hat",
         "batch_correlations_empty_without_n", "solve_from_upper_qbar",
-        "disturbance_delta_a_not_square"])
+        "disturbance_delta_a_not_square", "value_matrix_empty", "correlation_state_empty"])
 def test_mismatched_shape_is_a_shape_mismatch(call):
     with pytest.raises(ShapeMismatch):
         call()

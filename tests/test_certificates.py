@@ -12,6 +12,7 @@ from adaptive_lqr import (
     IllConditioned,
     NonFiniteInput,
     NotConverged,
+    NotStabilizable,
     PlantModel,
     QMatrix,
     Scenario,
@@ -27,6 +28,7 @@ from adaptive_lqr import (
     lemma1_instance_for_plant,
     lyapunov_decay_check,
     q_from_p,
+    random_plant,
     sample_lemma1_instance,
     sample_membership_plant,
     sample_theorem1_instance,
@@ -399,12 +401,79 @@ class TestAdmissibleRho:
             admissible_rho(1.0)
 
 
+def unscreened_membership_plant(rng, beta, n, m):
+    """sample_membership_plant as it would be without the screen: every
+    candidate is solved cold and tested on the max eigenvalue of its Q."""
+    for _ in range(certificates.MAX_SAMPLE_TRIES):
+        plant = random_plant(rng, n, m, spectral_radius=rng.uniform(0.02, 0.9),
+                             input_scale=rng.uniform(0.05, 1.0))
+        try:
+            P = solve_dare(plant)
+        except NotStabilizable:
+            continue
+        q = q_from_p(plant, P)
+        if np.linalg.eigvalsh(q.Q).max() <= beta**2:
+            return plant, P, q
+    raise NotConverged("budget exhausted")
+
+
 class TestSampleMembershipPlant:
     def test_exhausted_budget_raises_typed_error(self, monkeypatch):
-        # Q <= 1.001^2 I is all but empty for n = 3; the search gives up.
+        # Q <= 1.001^2 I is all but empty for n = 3; the search gives up.  Every
+        # candidate has 1 + |[A B]|^2 > 1.001^2, so the screen rejects all five
+        # before a solve, and each counts as a try.
+        calls = {"random_plant": 0, "solve_dare": 0}
+
+        def counting(name):
+            f = getattr(certificates, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            monkeypatch.setattr(certificates, name, wrapped)
+
+        counting("random_plant")
+        counting("solve_dare")
         monkeypatch.setattr(certificates, "MAX_SAMPLE_TRIES", 5)
         with pytest.raises(NotConverged, match="after 5 tries"):
             sample_membership_plant(np.random.default_rng(0), 1.001, 3, 1)
+        assert calls == {"random_plant": 5, "solve_dare": 0}
+
+    @pytest.mark.parametrize("beta", [1.05, 1.2, 2.0, 5.0])
+    def test_screen_keeps_every_sample_bit_for_bit(self, beta):
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                screened, unscreened = np.random.default_rng(5), np.random.default_rng(5)
+                for _ in range(3):
+                    plant, P, q = sample_membership_plant(screened, beta, n, m)
+                    ref_plant, ref_P, ref_q = unscreened_membership_plant(unscreened, beta, n, m)
+                    for got, want in [(plant.A, ref_plant.A), (plant.B, ref_plant.B),
+                                      (P.P, ref_P.P), (q.Q, ref_q.Q)]:
+                        assert got.tobytes() == want.tobytes()
+                assert screened.random() == unscreened.random()
+
+    def test_screen_bound_is_below_the_max_eigenvalue_of_q(self):
+        # P >= I gives lambda_max(Q) >= 1 + |[A B]|^2; equality at A = 0, where P = I.
+        rng = np.random.default_rng(17)
+        plants = [PlantModel(np.zeros((n, n)), rng.uniform(-1.0, 1.0, (n, m)))
+                  for n in (1, 2, 3) for m in (1, 2, 3)]
+        plants += [random_plant(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                                spectral_radius=rng.uniform(0.02, 1.5),
+                                input_scale=rng.uniform(0.05, 2.0)) for _ in range(300)]
+        checked = 0
+        for plant in plants:
+            try:
+                P = solve_dare(plant)
+            except NotStabilizable:
+                continue
+            bound = 1.0 + certificates._spectral_norm(plant.ab)**2
+            lam = np.linalg.eigvalsh(q_from_p(plant, P).Q).max()
+            assert bound <= lam * (1.0 + 1e-12)
+            if not plant.A.any():
+                assert np.array_equal(P.P, np.eye(plant.n))
+                assert bound == pytest.approx(lam, rel=1e-12)
+            checked += 1
+        assert checked >= 300
 
 
 class TestReportSerialization:
