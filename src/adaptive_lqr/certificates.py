@@ -85,6 +85,14 @@ class CertificateReport:
         }
 
 
+def _report(name: str, hyps: dict[str, HypothesisCheck], margin: float,
+            details: dict[str, float]) -> CertificateReport:
+    """The report of one check: its hypotheses hold when each one does."""
+    return CertificateReport(name=name, hypotheses=hyps,
+                             hypotheses_hold=all(h.holds for h in hyps.values()),
+                             conclusion_margin=_finite(margin), details=details)
+
+
 def _hyp(margin: float, slack: float = PSD_SLACK) -> HypothesisCheck:
     margin = _finite(margin)
     return HypothesisCheck(margin=margin, holds=margin >= -slack)
@@ -148,9 +156,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
         closed = plant.A + plant.B @ K
         margin = _min_eig(P.P / (1.0 - c)
                           - (np.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
-    return CertificateReport(name="theorem1", hypotheses=hyps,
-                             hypotheses_hold=all(h.holds for h in hyps.values()),
-                             conclusion_margin=_finite(margin), details=details)
+    return _report("theorem1", hyps, margin, details)
 
 
 def alpha_of(beta: float, rho: float, gamma: float) -> float:
@@ -213,9 +219,7 @@ def corollary_bound_check(log: TrajectoryLog, plant: PlantModel, t0: int,
                "t0": float(t0), "drive_energy": _finite(drive_energy),
                "initial_energy": _finite(initial_energy), "max_rho": _finite(max_rho),
                "beta": float(beta), "rho": float(rho), "gamma": float(gamma)}
-    return CertificateReport(name="corollary", hypotheses=hyps,
-                             hypotheses_hold=all(h.holds for h in hyps.values()),
-                             conclusion_margin=_finite(rhs - lhs), details=details)
+    return _report("corollary", hyps, rhs - lhs, details)
 
 
 def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -> CertificateReport:
@@ -249,10 +253,7 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
         "q_upper": _hyp(_min_eig(beta**2 * np.eye(d) - Q)),
     }
     margin = _min_eig(S @ Q @ S + (beta**2 * rho * (rho + 2.0) - 1.0) * S @ S - Sh.T @ P @ Sh)
-    return CertificateReport(name="lemma1", hypotheses=hyps,
-                             hypotheses_hold=all(h.holds for h in hyps.values()),
-                             conclusion_margin=_finite(margin),
-                             details={"beta": float(beta), "rho": float(rho)})
+    return _report("lemma1", hyps, margin, {"beta": float(beta), "rho": float(rho)})
 
 
 def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> CertificateReport:
@@ -264,9 +265,8 @@ def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> Certific
     _check_p_and_gain(plant, P, K)
     closed = plant.A + plant.B @ K.K
     margin = _min_eig(P.P - closed.T @ P.P @ closed - np.eye(plant.n) - K.K.T @ K.K)
-    return CertificateReport(name="lyapunov_decay", hypotheses={}, hypotheses_hold=True,
-                             conclusion_margin=_finite(margin),
-                             details={"closed_loop_radius": float(np.max(np.abs(np.linalg.eigvals(closed))))})
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    return _report("lyapunov_decay", {}, margin, {"closed_loop_radius": radius})
 
 
 def admissible_rho(beta: float) -> float:

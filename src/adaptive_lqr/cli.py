@@ -125,7 +125,7 @@ def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
 
 _COMMON_KEYS = ("command", "seed", "out_dir")
 _SCENARIO_KEYS = ("plant", "horizon", "x0", "lambda", "sigma0_scale", "excitation",
-                  "disturbance", "fallback_gain", "beta", "gamma", "controller_tol")
+                  "disturbance", "fallback_gain")
 
 
 def _parse_common(cfg, command):
@@ -149,13 +149,9 @@ def _parse_scenario(cfg, seed) -> Scenario:
     disturbance = _parse_disturbance(cfg)
     fallback = (None if cfg.get("fallback_gain") is None
                 else _field(_check_matrix, cfg["fallback_gain"], "fallback_gain"))
-    # Read by nothing; still parsed and checked so that archived configs load.
-    _field(_check_real, cfg.get("beta", 2.0), "beta")
-    _field(_check_real, cfg.get("gamma", 20.0), "gamma")
-    controller_tol = _field(_check_positive, cfg.get("controller_tol", 1e-11), "controller_tol")
     return _build(Scenario, "scenario", plant=plant, disturbance=disturbance, x0=x0,
                   horizon=horizon, lam=lam, sigma0=sigma0_scale * np.eye(n + m),
-                  excitation=excitation, fallback_gain=fallback, controller_tol=controller_tol)
+                  excitation=excitation, fallback_gain=fallback)
 
 
 def _derive_seed(seed: int, *key: int) -> int:

@@ -23,9 +23,11 @@ from .estimation import (
     update_correlations,
 )
 from .riccati import (Gain, PlantModel, _check_amplitude, _check_factor, _check_int,
-                      _check_positive, _check_seed, _check_vector, _trusted)
+                      _check_seed, _check_vector, _trusted)
 
 EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
+# Tolerance of each step's data-driven Riccati solve.
+SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,6 @@ class ControllerState:
     last_gain: Gain
     excitation: ExcitationSchedule
     warm_p: np.ndarray | None = None   # previous cost-to-go, for the next solve to confirm
-    tol: float = 1e-11
 
     def __post_init__(self):
         n, m = self.corr.n, self.corr.m
@@ -101,19 +102,17 @@ class ControllerState:
             raise ShapeMismatch(f"last_gain must be {m} x {n}, got {self.last_gain.K.shape}")
         if self.excitation.m != m:
             raise ShapeMismatch("excitation dimension does not match the input dimension")
-        object.__setattr__(self, "tol", _check_positive(self.tol, "tol"))
 
 
 def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | None = None,
                        excitation: ExcitationSchedule | None = None,
-                       fallback_gain: np.ndarray | None = None,
-                       tol: float = 1e-11) -> ControllerState:
+                       fallback_gain: np.ndarray | None = None) -> ControllerState:
     """Controller before any data: Sigma = Sigma0, SigmaHat = 0, last gain = fallback_gain."""
     corr = initial_correlation(n, m, lam=lam, sigma0=sigma0)
     if excitation is None:
         excitation = ExcitationSchedule.none(m)
     fb = Gain(np.zeros((m, n)) if fallback_gain is None else fallback_gain)
-    return ControllerState(corr=corr, last_gain=fb, excitation=excitation, tol=tol)
+    return ControllerState(corr=corr, last_gain=fb, excitation=excitation)
 
 
 def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
@@ -131,7 +130,7 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     estimate = None
     try:
         estimate = estimate_model(state.corr)
-        q, gain, P = solve_data_riccati(estimate, tol=state.tol, p0=state.warm_p)
+        q, gain, P = solve_data_riccati(estimate, tol=SOLVE_TOL, p0=state.warm_p)
         residual = data_riccati_residual(state.corr, q, gain)
         warm = P.P
         fallback = False

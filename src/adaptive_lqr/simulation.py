@@ -21,7 +21,7 @@ from .controller import (
 from .errors import DomainError, ShapeMismatch
 from .estimation import rho_of
 from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_pd,
-                      _check_positive, _check_real, _check_vector)
+                      _check_real, _check_vector)
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12
@@ -130,7 +130,6 @@ class Scenario:
     fallback_gain: np.ndarray | None = None
     beta: float = 2.0
     gamma: float = 20.0
-    controller_tol: float = 1e-11
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _check_int(self.horizon, "horizon"))
@@ -149,8 +148,6 @@ class Scenario:
         if self.sigma0 is not None:
             object.__setattr__(self, "sigma0", _check_pd(self.sigma0, "sigma0", n + m))
         object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
-        object.__setattr__(self, "controller_tol",
-                           _check_positive(self.controller_tol, "controller_tol"))
         if self.excitation is None:
             object.__setattr__(self, "excitation", ExcitationSchedule.none(self.plant.m))
 
@@ -222,12 +219,8 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
     """
     plant = scenario.plant
     n, m = plant.n, plant.m
-    ctrl = initial_controller(
-        n, m, lam=scenario.lam, sigma0=scenario.sigma0,
-        excitation=scenario.excitation,
-        fallback_gain=scenario.fallback_gain,
-        tol=scenario.controller_tol,
-    )
+    ctrl = initial_controller(n, m, lam=scenario.lam, sigma0=scenario.sigma0,
+                              excitation=scenario.excitation, fallback_gain=scenario.fallback_gain)
     x = scenario.x0.copy()
     dist_state = None
     rows = []

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from adaptive_lqr import (
-    ControllerState,
     CorrelationState,
     DisturbanceModel,
     DomainError,
@@ -48,7 +47,9 @@ from adaptive_lqr import (
     q_from_p,
     random_plant,
     rho_of,
+    sample_lemma1_instance,
     sample_membership_plant,
+    sample_theorem1_instance,
     simulate,
     solve_dare,
     solve_data_riccati,
@@ -258,15 +259,10 @@ REAL_PROBES = {
     "ExcitationSchedule.amplitude": ("amplitude", lambda bad: ExcitationSchedule.constant(1, bad)),
     "ExcitationSchedule.decay_rate": ("decay_rate",
                                       lambda bad: ExcitationSchedule.decaying(1, 1.0, bad)),
-    "ControllerState.tol": ("tol", lambda bad: ControllerState(
-        initial_correlation(1, 1), Gain([[0.0]]), ExcitationSchedule.none(1), tol=bad)),
     "initial_controller.lam": ("lam", lambda bad: initial_controller(1, 1, lam=bad)),
-    "initial_controller.tol": ("tol", lambda bad: initial_controller(1, 1, tol=bad)),
     "DisturbanceModel.pole": ("pole", lambda bad: DisturbanceModel.filtered([[0.1]], [[0.0]], bad)),
     "DisturbanceModel.scaled": ("magnitude", lambda bad: LINEAR.scaled(bad)),
     "Scenario.lam": ("lam", lambda bad: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=bad)),
-    "Scenario.controller_tol": ("controller_tol", lambda bad: Scenario(
-        PLANT, ZERO, x0=[1.0], horizon=5, controller_tol=bad)),
     "alpha_of.beta": ("beta", lambda bad: alpha_of(bad, 0.0, 10.0)),
     "alpha_of.rho": ("rho", lambda bad: alpha_of(2.0, bad, 10.0)),
     "alpha_of.gamma": ("gamma", lambda bad: alpha_of(2.0, 0.0, bad)),
@@ -279,11 +275,19 @@ REAL_PROBES = {
     "consistent_start.rho": ("rho", lambda bad: consistent_start(LOG, bad)),
     "corollary_bound_check.gamma": ("gamma", lambda bad: corollary_bound_check(
         LOG, PLANT, 0, bad, 2.0, 0.01)),
+    "corollary_bound_check.beta": ("beta", lambda bad: corollary_bound_check(
+        LOG, PLANT, 0, 20.0, bad, 0.01)),
+    "corollary_bound_check.rho": ("rho", lambda bad: corollary_bound_check(
+        LOG, PLANT, 0, 20.0, 2.0, bad)),
     "random_plant.spectral_radius": ("spectral_radius", lambda bad: random_plant(
         np.random.default_rng(0), 1, 1, bad)),
     "random_plant.input_scale": ("input_scale", lambda bad: random_plant(
         np.random.default_rng(0), 1, 1, 0.5, bad)),
     "sample_membership_plant.beta": ("beta", lambda bad: sample_membership_plant(
+        np.random.default_rng(0), bad, 1, 1)),
+    "sample_theorem1_instance.beta": ("beta", lambda bad: sample_theorem1_instance(
+        np.random.default_rng(0), bad, 1, 1)),
+    "sample_lemma1_instance.beta": ("beta", lambda bad: sample_lemma1_instance(
         np.random.default_rng(0), bad, 1, 1)),
     "theorem1_instance_for_plant.beta": ("beta", lambda bad: theorem1_instance_for_plant(
         np.random.default_rng(0), PLANT, P, bad, 0.01)),
@@ -307,8 +311,8 @@ def test_malformed_real_is_a_domain_error_naming_the_argument(probe, kind):
 @pytest.mark.parametrize("call, name", [
     (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=2.0), "lam"),
     (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=0.0), "lam"),
-    (lambda: initial_controller(1, 1, tol="x"), "tol"),
-    (lambda: initial_controller(1, 1, tol=0.0), "tol"),
+    (lambda: solve_data_riccati(PLANT, tol="x"), "tol"),
+    (lambda: solve_data_riccati(PLANT, tol=0.0), "tol"),
     (lambda: solve_dare(PLANT, tol=-1e-10), "tol"),
     (lambda: ExcitationSchedule.constant(1, -1.0), "amplitude"),
     (lambda: ExcitationSchedule.constant(1, 1e308), "amplitude"),
@@ -316,8 +320,8 @@ def test_malformed_real_is_a_domain_error_naming_the_argument(probe, kind):
     (lambda: check_membership(PLANT, 1.0), "beta"),
     (lambda: alpha_of(2.0, 0.0, 2.0), "gamma"),
     (lambda: alpha_of(2.0, -0.1, 10.0), "rho"),
-], ids=["scenario_lam_above_1", "scenario_lam_zero", "initial_controller_string_tol",
-        "initial_controller_zero_tol", "solve_dare_negative_tol", "amplitude_negative",
+], ids=["scenario_lam_above_1", "scenario_lam_zero", "solve_data_riccati_string_tol",
+        "solve_data_riccati_zero_tol", "solve_dare_negative_tol", "amplitude_negative",
         "amplitude_range_overflows", "pole_on_unit_circle", "beta_one", "gamma_not_above_beta",
         "rho_negative"])
 def test_real_out_of_range_is_a_domain_error_naming_the_argument(call, name):

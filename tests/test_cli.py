@@ -1,6 +1,8 @@
 import copy
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,14 @@ class TestSolveCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["p"] == [[1.0]]
         assert summary["k"] == [[0.0]]
+
+    def test_large_input_plant_is_a_member(self, tmp_path):
+        # lambda_min(Q) is 1 exactly, and eigvalsh gives it only to about
+        # eps lambda_max = 3e-8 here; the verdict reads only lambda_max.
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5, 0.1], [0.0, 0.3]],
+                                                "B": [[1e4], [7e3]]}, "beta": 1e9})
+        assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["member"] is True
 
     def test_not_stabilizable_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"plant": {"A": [[2.0]], "B": [[0.0]]}})
@@ -192,7 +202,7 @@ class TestConfigValidation:
         ("certify", {"instances": 1, "m": -1}, [], "'m'"),
         ("certify", {"instances": 1, "beta": 1.001, "n": 3}, [], "beta = 1.001"),
         ("solve", {"tol": float("nan")}, [], "'tol'"),
-        ("simulate", {"controller_tol": float("nan")}, [], "'controller_tol'"),
+        ("simulate", {"controller_tol": float("nan")}, [], "unknown key 'controller_tol'"),
         ("simulate", {"fallback_gain": [[1.0, 2.0]]}, [], "fallback_gain"),
         ("simulate", {"excitation": {"kind": "constant_amplitude", "amplitude": 1.0,
                                      "seed": -1}}, [], "'excitation': seed"),
@@ -256,16 +266,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("field, value", [("lambda", 2.0), ("lambda", 0.0),
-                                              ("sigma0_scale", -1.0), ("controller_tol", "1e-11")])
+                                              ("sigma0_scale", -1.0), ("controller_tol", "1e-11"),
+                                              ("beta", 5.0), ("gamma", 50.0)])
     def test_scenario_scalar_exits_1_naming_the_field(self, tmp_path, capsys, command,
                                                       field, value):
         # A lambda outside (0, 1] used to fail only inside simulate; sweep then
-        # exited 0 with the error in every row.
+        # exited 0 with the error in every row.  A scenario key that changes
+        # nothing (the controller's solve tolerance, a top-level beta or gamma;
+        # a sweep takes beta and gamma from its grid) is an unknown key.
         cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5,
                                       field: value})
         assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert f"'{field}'" in err and "DomainError" in err and "Traceback" not in err
+        kind = "unknown key" if field in ("controller_tol", "beta", "gamma") else "DomainError"
+        assert f"'{field}'" in err and kind in err and "Traceback" not in err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     @pytest.mark.parametrize("scale", [1e-170, 1e200, 1e308])
@@ -353,6 +367,14 @@ class TestConfigFuzz:
 
 
 class TestSimulateCommand:
+    def test_readme_config_runs(self, tmp_path):
+        # The config reference's simulate example lists only keys the parser accepts.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("`simulate` (and the scenario base of `sweep`):", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        cfg = write_config(tmp_path, json.loads(block))
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+
     def test_noiseless_gain_convergence_summary(self, tmp_path):
         cfg = write_config(tmp_path, {
             "plant": {"A": [[0.5]], "B": [[1.0]]},

@@ -26,6 +26,7 @@ from adaptive_lqr import (
     update_correlations,
 )
 from adaptive_lqr import riccati
+from adaptive_lqr.controller import SOLVE_TOL
 from dataclasses import replace
 from conftest import random_history, scalar_k, scalar_p, scipy_dare
 
@@ -99,14 +100,14 @@ class TestControllerStep:
 
     def test_golden_ratio_gain_applied(self):
         plant = PlantModel([[1.0]], [[1.0]])
-        ctrl = replace(initial_controller(1, 1, tol=1e-12), corr=consistent_state(plant))
+        ctrl = replace(initial_controller(1, 1), corr=consistent_state(plant))
         u, _, diag = controller_step(ctrl, [1.0])
         assert abs(u[0] - (-0.6180)) < 1e-4
         assert diag.eq6_residual <= 1e-9
 
     def test_scaled_state(self):
         plant = PlantModel([[0.5]], [[1.0]])
-        ctrl = replace(initial_controller(1, 1, tol=1e-12), corr=consistent_state(plant))
+        ctrl = replace(initial_controller(1, 1), corr=consistent_state(plant))
         u, _, _ = controller_step(ctrl, [2.0])
         expected = 2.0 * scalar_k(0.5, 1.0, scalar_p(0.5, 1.0))
         assert abs(u[0] - expected) < 1e-9
@@ -160,7 +161,7 @@ class TestControllerStep:
         ctrl = replace(initial_controller(1, 1), corr=consistent_state(PlantModel([[0.5]], [[1.0]])))
         _, new, diag = controller_step(ctrl, [1.0])
         assert not diag.fallback
-        assert np.array_equal(new.warm_p, solve_dare(diag.estimate, tol=ctrl.tol).P)
+        assert np.array_equal(new.warm_p, solve_dare(diag.estimate, tol=SOLVE_TOL).P)
 
     def test_a_confirmed_step_makes_three_solves_and_four_eigvalsh(self, monkeypatch):
         # One solve each for the estimate, the confirming step and the gain; one
@@ -259,7 +260,7 @@ class TestClosedLoopProperties:
         # The gain applied each step equals the cold re-solve on the estimate.
         plant = PlantModel([[0.7, 0.2], [0.1, 0.4]], [[1.0], [0.3]])
         sched = ExcitationSchedule.decaying(1, amplitude=2.0, decay_rate=0.9, seed=5)
-        ctrl = initial_controller(2, 1, excitation=sched, tol=1e-12)
+        ctrl = initial_controller(2, 1, excitation=sched)
         x = np.array([1.0, 0.5])
         for _ in range(40):
             u, ctrl, diag = controller_step(ctrl, x)

@@ -26,8 +26,10 @@ from adaptive_lqr import (
     simulate,
     solve_dare,
     solve_from_upper,
+    theorem1_margin,
 )
 from adaptive_lqr import riccati
+from adaptive_lqr.certificates import random_plant
 from adaptive_lqr.riccati import CONFIRM_FRACTION, DEFAULT_TOL, _converged, sym
 from conftest import matrices, orthogonal, random_stabilizable_plant, scalar_p, scipy_dare
 from hypothesis import given, settings, strategies as st
@@ -357,13 +359,29 @@ class TestQFromP:
         (lambda: ValueMatrix([[2.0, 0.1], [0.0, 2.0]]), ShapeMismatch),
         (lambda: ValueMatrix(0.5 * np.eye(2)), DomainError),
         (lambda: QMatrix(0.5 * np.eye(3), n=2, m=1), DomainError),
+        (lambda: ValueMatrix([[1.0 - 1e-6]]), DomainError),
+        (lambda: ValueMatrix(np.diag([0.999, 2.0])), DomainError),
         (lambda: q_from_p(PlantModel(np.eye(2), [[1.0], [0.0]]), [[2.0, 0.5], [0.0, 2.0]]),
          ShapeMismatch),
     ], ids=["value_asymmetric", "value_below_identity", "q_below_identity",
+            "value_just_below_identity", "value_one_eigenvalue_below_1",
             "q_from_raw_asymmetric_p"])
     def test_boundary_checks_kept(self, build, error):
         with pytest.raises(error):
             build()
+
+    def test_every_q_the_package_builds_is_accepted(self):
+        # Q - I = [A B]'P[A B] has rank n < n + m, so lambda_min(Q) is 1 exactly;
+        # eigvalsh returns it only to about d eps lambda_max, below 1 at |B| ~ 1e4.
+        rng = np.random.default_rng(1804)
+        plants = [PlantModel([[0.5, 0.1], [0.0, 0.3]], [[1e4], [7e3]])]
+        plants += [random_plant(rng, 2, 1, rng.uniform(0.1, 0.95), 10 ** rng.uniform(-2, 6))
+                   for _ in range(200)]
+        for plant in plants:
+            P = solve_dare(plant)
+            q = q_from_p(plant, P)
+            assert np.array_equal(QMatrix(q.Q, plant.n, plant.m).Q, q.Q)
+            assert np.array_equal(q_from_p(plant, P.P).Q, q.Q)
 
     def test_block_layout_exact_transpose(self):
         rng = np.random.default_rng(3)
@@ -454,6 +472,23 @@ class TestCheckMembership:
     def test_beta_out_of_range_rejected(self, beta):
         with pytest.raises(DomainError, match="beta"):
             check_membership(PlantModel([[0.5]], [[1.0]]), beta)
+
+    def test_agrees_with_theorem1_membership(self):
+        # The verdict reads only lambda_max(Q): P >= I already gives Q >= I, and
+        # eigvalsh gives lambda_min(Q) = 1 only to about eps lambda_max.
+        rng = np.random.default_rng(1805)
+        for _ in range(100):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            plant = random_plant(rng, n, m, rng.uniform(0.1, 0.95), 10 ** rng.uniform(-2, 6))
+            P = solve_dare(plant)
+            q = q_from_p(plant, P)
+            beta = max(1.01, np.sqrt(np.linalg.eigvalsh(q.Q)[-1]) * 10 ** rng.uniform(-0.5, 0.5))
+            report = theorem1_margin(plant, P, gain_from_q(q), beta, 0.0)
+            assert check_membership(plant, beta).member == report.hypotheses["membership"].holds
+
+    def test_large_input_plant_is_a_member(self):
+        cert = check_membership(PlantModel([[0.5, 0.1], [0.0, 0.3]], [[1e4], [7e3]]), 1e9)
+        assert cert.member and cert.reason == ""
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(55)
