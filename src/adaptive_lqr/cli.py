@@ -104,13 +104,13 @@ def _parse_plant(cfg, ctx="plant") -> PlantModel:
 
 def _parse_excitation(cfg, m, default_seed, ctx="excitation") -> ExcitationSchedule:
     d = _ensure_mapping(cfg.get("excitation", {}), ctx)
-    _reject_unknown(d, ("kind", "amplitude", "decay_rate", "seed"), ctx)
+    _reject_unknown(d, ("amplitude", "decay_rate", "seed"), ctx)
     seed = default_seed if d.get("seed") is None else d["seed"]
     # Non-numbers are named by field path here; ranges, by the schedule below.
     amplitude = _field(_check_real, d.get("amplitude", 0.0), f"{ctx}.amplitude")
-    decay_rate = _field(_check_real, d.get("decay_rate", 0.9), f"{ctx}.decay_rate")
-    return _build(ExcitationSchedule, ctx, kind=d.get("kind", "none"), m=m, amplitude=amplitude,
-                  decay_rate=decay_rate, seed=seed)
+    decay_rate = _field(_check_real, d.get("decay_rate", 1.0), f"{ctx}.decay_rate")
+    return _build(ExcitationSchedule, ctx, m=m, amplitude=amplitude, decay_rate=decay_rate,
+                  seed=seed)
 
 
 def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
@@ -313,7 +313,7 @@ SWEEP_COLUMNS = ["beta", "rho", "gamma", "excitation_amplitude", "disturbance_ma
                  "corollary_margin", "realized_cost", "overflowed", "error"]
 
 
-def _parse_sweep_grids(cfg):
+def _parse_sweep_grids(cfg, base_amplitude):
     d = _ensure_mapping(cfg.get("sweep", {}), "sweep")
     _reject_unknown(d, _SWEEP_GRID_KEYS, "sweep")
     betas = _field_list(_check_beta, d.get("beta", [2.0]), "sweep.beta")
@@ -324,9 +324,9 @@ def _parse_sweep_grids(cfg):
     if not rhos and not rho_scales:
         rho_scales = [0.5]
     gammas = _field_list(_check_real, d.get("gamma", [20.0]), "sweep.gamma")
-    amps = _field_list(_check_amplitude, d.get("excitation_amplitude", [1.0]),
+    amps = _field_list(_check_amplitude, d.get("excitation_amplitude", [base_amplitude]),
                        "sweep.excitation_amplitude")
-    mags = _field_list(_check_real, d.get("disturbance_magnitude", [0.0]),
+    mags = _field_list(_check_real, d.get("disturbance_magnitude", [1.0]),
                        "sweep.disturbance_magnitude")
     for name, grid in (("beta", betas), ("gamma", gammas),
                        ("excitation_amplitude", amps), ("disturbance_magnitude", mags)):
@@ -381,7 +381,8 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
     t0_cfg = cfg.get("t0", "auto")
     if t0_cfg != "auto":
         t0_cfg = _field(_check_int, t0_cfg, "t0", 0)
-    betas, rho_entries, gammas, amps, mags = _parse_sweep_grids(cfg)
+    betas, rho_entries, gammas, amps, mags = _parse_sweep_grids(
+        cfg, scenario_base.excitation.amplitude)
     points = itertools.product(betas, rho_entries, gammas, amps, mags)
     rows = [_sweep_row(scenario_base, t0_cfg, idx, *point)
             for idx, point in enumerate(points)]

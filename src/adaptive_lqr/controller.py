@@ -25,54 +25,45 @@ from .estimation import (
 from .riccati import (Gain, PlantModel, _check_amplitude, _check_factor, _check_int,
                       _check_seed, _check_vector, _trusted)
 
-EXCITATION_KINDS = ("none", "constant_amplitude", "decaying")
 # Tolerance of each step's data-driven Riccati solve.
 SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class ExcitationSchedule:
-    """Deterministic probing-signal generator keyed by (seed, t)."""
+    """Deterministic probing signal keyed by (seed, t): uniform on
+    [-amplitude, amplitude]^m, scaled by decay_rate**t."""
 
-    kind: str
     m: int
     amplitude: float = 0.0
     decay_rate: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in EXCITATION_KINDS:
-            raise ShapeMismatch(f"kind must be one of {EXCITATION_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "m", _check_int(self.m, "m"))
         object.__setattr__(self, "amplitude", _check_amplitude(self.amplitude, "amplitude"))
         object.__setattr__(self, "decay_rate", _check_factor(self.decay_rate, "decay_rate"))
         object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
 
     @classmethod
-    def none(cls, m: int) -> "ExcitationSchedule":
-        return cls(kind="none", m=m)
-
-    @classmethod
     def constant(cls, m: int, amplitude: float, seed: int = 0) -> "ExcitationSchedule":
-        return cls(kind="constant_amplitude", m=m, amplitude=amplitude, seed=seed)
+        return cls(m=m, amplitude=amplitude, seed=seed)
 
     @classmethod
     def decaying(cls, m: int, amplitude: float, decay_rate: float, seed: int = 0) -> "ExcitationSchedule":
-        return cls(kind="decaying", m=m, amplitude=amplitude, decay_rate=decay_rate, seed=seed)
+        return cls(m=m, amplitude=amplitude, decay_rate=decay_rate, seed=seed)
 
 
 def excitation_sample(schedule: ExcitationSchedule, t: int) -> np.ndarray:
     """Excitation vector at time t; identical (schedule, t) gives identical output."""
     t = _check_int(t, "t", 0)
-    if schedule.kind == "none" or schedule.amplitude == 0.0:
+    if schedule.amplitude == 0.0:
         return np.zeros(schedule.m)
     # Counter-based stream: a fresh generator keyed by (seed, t) makes the
     # sample independent of call order.
     rng = np.random.default_rng((schedule.seed, t))
     v = rng.uniform(-schedule.amplitude, schedule.amplitude, schedule.m)
-    if schedule.kind == "decaying":
-        v = v * schedule.decay_rate ** t
-    return v
+    return v * schedule.decay_rate ** t
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | N
     """Controller before any data: Sigma = Sigma0, SigmaHat = 0, last gain = fallback_gain."""
     corr = initial_correlation(n, m, lam=lam, sigma0=sigma0)
     if excitation is None:
-        excitation = ExcitationSchedule.none(m)
+        excitation = ExcitationSchedule(m)
     fb = Gain(np.zeros((m, n)) if fallback_gain is None else fallback_gain)
     return ControllerState(corr=corr, last_gain=fb, excitation=excitation)
 

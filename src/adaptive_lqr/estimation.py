@@ -219,7 +219,7 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     n, m = plant.n, plant.m
     history = _as_history(history)
     lam = _check_factor(lam, "lam")
-    acc = -plant.ab @ _check_matrix(sigma0, "sigma0", (n + m, n + m))
+    acc = -plant.ab @ _check_pd(sigma0, "sigma0", n + m)
     for k, entry in enumerate(history):
         x, u, w = _triple(entry, k)
         z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])

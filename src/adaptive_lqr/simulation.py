@@ -149,7 +149,7 @@ class Scenario:
             object.__setattr__(self, "sigma0", _check_pd(self.sigma0, "sigma0", n + m))
         object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
         if self.excitation is None:
-            object.__setattr__(self, "excitation", ExcitationSchedule.none(self.plant.m))
+            object.__setattr__(self, "excitation", ExcitationSchedule(self.plant.m))
 
 
 @dataclass(frozen=True, eq=False)

@@ -230,7 +230,7 @@ def test_criterion_9_sweep_determinism(tmp_path):
             "plant": {"A": [[0.6, 0.1], [0.0, 0.5]], "B": [[1.0], [0.3]]},
             "horizon": 200,
             "x0": [1.0, -1.0],
-            "excitation": {"kind": "decaying", "amplitude": 30.0, "decay_rate": 0.9},
+            "excitation": {"amplitude": 30.0, "decay_rate": 0.9},
             "sweep": {
                 "beta": [2.0, 5.0],
                 "rho_scale": [0.7],

@@ -126,18 +126,21 @@ def test_malformed_array_is_a_shape_mismatch(probe, kind):
     lambda: DisturbanceModel.external([0.1, 0.2]),
     lambda: data_riccati_residual(initial_correlation(1, 1), QMatrix(np.eye(3), 2, 1), KT),
     lambda: data_riccati_residual(initial_correlation(1, 1), Q, Gain([[0.0, 0.0]])),
-    lambda: initial_controller(1, 1, excitation=ExcitationSchedule.none(2)),
+    lambda: initial_controller(1, 1, excitation=ExcitationSchedule(2)),
     lambda: CorrelationState(sigma=np.eye(2), sigma_hat=[[0.0, 0.0, 0.0]], lam=0.99, t=0),
     lambda: batch_correlations([], 0.99, np.eye(2)),
     lambda: solve_from_upper(PLANT, QMatrix(2 * np.eye(3), 2, 1), KT),
     lambda: DisturbanceModel.linear([[0.1, 0.0]], [[0.0]]),
     lambda: ValueMatrix(np.zeros((0, 0))),
     lambda: CorrelationState(sigma=np.zeros((0, 0)), sigma_hat=np.zeros((0, 0)), lam=0.9, t=0),
+    lambda: disturbance_correlation([], PLANT, 0.99, [[1.0, 5.0], [0.0, 1.0]]),
+    lambda: disturbance_correlation([], PLANT, 0.99, np.diag([-1.0, 1.0])),
 ], ids=["rho_of_n", "rho_of_m", "dare_residual_p", "dare_residual_value_matrix",
         "external_one_dimensional", "data_riccati_residual_q", "data_riccati_residual_gain",
         "controller_excitation_m", "correlation_state_sigma_hat",
         "batch_correlations_empty_without_n", "solve_from_upper_qbar",
-        "disturbance_delta_a_not_square", "value_matrix_empty", "correlation_state_empty"])
+        "disturbance_delta_a_not_square", "value_matrix_empty", "correlation_state_empty",
+        "disturbance_correlation_sigma0_asymmetric", "disturbance_correlation_sigma0_indefinite"])
 def test_mismatched_shape_is_a_shape_mismatch(call):
     with pytest.raises(ShapeMismatch):
         call()

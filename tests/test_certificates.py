@@ -439,6 +439,21 @@ class TestSampleMembershipPlant:
             sample_membership_plant(np.random.default_rng(0), 1.001, 3, 1)
         assert calls == {"random_plant": 5, "solve_dare": 0}
 
+    def test_unstabilizable_candidates_are_skipped(self, monkeypatch):
+        # Every candidate passes the screen at beta = 5, and every solve fails;
+        # each failure is a rejected try, not a raw NotStabilizable.
+        calls = []
+
+        def unstabilizable(plant, *args, **kwargs):
+            calls.append(plant)
+            raise NotStabilizable("patched")
+
+        monkeypatch.setattr(certificates, "solve_dare", unstabilizable)
+        monkeypatch.setattr(certificates, "MAX_SAMPLE_TRIES", 5)
+        with pytest.raises(NotConverged, match="after 5 tries"):
+            sample_membership_plant(np.random.default_rng(0), 5.0, 2, 1)
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("beta", [1.05, 1.2, 2.0, 5.0])
     def test_screen_keeps_every_sample_bit_for_bit(self, beta):
         for n in (1, 2, 3):
@@ -620,7 +635,7 @@ def test_certificates_solvers_and_cli_make_no_svd(monkeypatch, tmp_path):
     cfg = tmp_path / "simulate.json"
     cfg.write_text(json.dumps({
         "plant": {"A": [[0.9, 0.2], [0.0, 0.7]], "B": [[1.0, 0.0], [0.3, 0.5]]},
-        "horizon": 30, "excitation": {"kind": "constant_amplitude", "amplitude": 1.0}}))
+        "horizon": 30, "excitation": {"amplitude": 1.0}}))
     assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["gain_error"] is not None

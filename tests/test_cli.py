@@ -181,7 +181,7 @@ class TestConfigValidation:
                                               ("amplitude", float("nan")),
                                               ("decay_rate", 1.5)])
     def test_excitation_scalar_out_of_range(self, tmp_path, capsys, command, field, value):
-        excitation = {"kind": "decaying", "amplitude": 1.0, "decay_rate": 0.9, field: value}
+        excitation = {"amplitude": 1.0, "decay_rate": 0.9, field: value}
         payload = {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 20,
                    "excitation": excitation}
         if command == "sweep":
@@ -204,8 +204,7 @@ class TestConfigValidation:
         ("solve", {"tol": float("nan")}, [], "'tol'"),
         ("simulate", {"controller_tol": float("nan")}, [], "unknown key 'controller_tol'"),
         ("simulate", {"fallback_gain": [[1.0, 2.0]]}, [], "fallback_gain"),
-        ("simulate", {"excitation": {"kind": "constant_amplitude", "amplitude": 1.0,
-                                     "seed": -1}}, [], "'excitation': seed"),
+        ("simulate", {"excitation": {"amplitude": 1.0, "seed": -1}}, [], "'excitation': seed"),
         ("sweep", {"sweep": {"disturbance_magnitude": [1e308, float("inf")]}}, [],
          "'sweep.disturbance_magnitude[1]'"),
         ("sweep", {"sweep": {"excitation_amplitude": [-1.0]}}, [],
@@ -216,6 +215,8 @@ class TestConfigValidation:
         ("simulate", {"disturbance": {"kind": "external_sequence"}}, [],
          "'disturbance': sequence is required"),
         ("solve", {"max_iter": 100}, [], "unknown key 'max_iter'"),
+        ("simulate", {"excitation": {"kind": "decaying", "amplitude": 1.0}}, [],
+         "unknown key 'kind' in 'excitation'"),
         ("certify", {"instances": 1, "rho": 0.1, "rho_scale": 0.5}, [],
          "at most one of 'rho' and 'rho_scale'"),
         ("simulate", {"horizon": 0}, [], "'horizon'"),
@@ -226,6 +227,7 @@ class TestConfigValidation:
             "simulate_excitation_seed_negative", "sweep_magnitude_infinite",
             "sweep_amplitude_negative", "sweep_seed_negative", "simulate_disturbance_kind",
             "simulate_disturbance_sequence_missing", "solve_max_iter_unknown",
+            "simulate_excitation_kind_unknown",
             "certify_rho_and_rho_scale",
             "simulate_horizon_zero", "simulate_x0_length"])
     def test_malformed_input_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch,
@@ -290,7 +292,7 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {
             "plant": {"A": [[0.9, 0.2], [0.0, 0.8]], "B": [[1.0], [0.5]]}, "horizon": 30,
             "sigma0_scale": scale,
-            "excitation": {"kind": "constant_amplitude", "amplitude": 1.0, "seed": 3}})
+            "excitation": {"amplitude": 1.0, "seed": 3}})
         assert main(["simulate", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
         rows = read_rows(tmp_path / "sim" / "trajectory.csv")
         solved = [float(r["eq6_residual"]) for r in rows if r["fallback"] == "0"]
@@ -320,7 +322,7 @@ FUZZ_BASES = {
               "plant": {"A": [[0.5, 0.1], [0.0, 0.4]], "B": [[1.0], [0.2]]}},
     "simulate": {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5, "x0": [1.0],
                  "lambda": 0.99, "fallback_gain": [[0.0]],
-                 "excitation": {"kind": "decaying", "amplitude": 1.0, "decay_rate": 0.9},
+                 "excitation": {"amplitude": 1.0, "decay_rate": 0.9},
                  "disturbance": {"kind": "external_sequence", "sequence": [[0.1], [0.2]]}},
     "certify": {"seed": 3, "instances": 1, "n": 1, "m": 1, "beta": 2.0, "gamma": 20.0,
                 "rho_scale": 0.5, "checks": ["theorem1", "lemma1", "lyapunov"]},
@@ -380,7 +382,7 @@ class TestSimulateCommand:
             "plant": {"A": [[0.5]], "B": [[1.0]]},
             "horizon": 1000,
             "x0": [1.0],
-            "excitation": {"kind": "decaying", "amplitude": 10000.0, "decay_rate": 0.9},
+            "excitation": {"amplitude": 10000.0, "decay_rate": 0.9},
             "seed": 3,
         })
         out = tmp_path / "out"
@@ -415,7 +417,7 @@ class TestSimulateCommand:
             "horizon": 300,
             "disturbance": {"kind": "linear_unmodeled",
                             "delta_a": [[2.0]], "delta_b": [[-1.0]]},
-            "excitation": {"kind": "decaying", "amplitude": 1.0, "decay_rate": 0.9},
+            "excitation": {"amplitude": 1.0, "decay_rate": 0.9},
             "seed": 5,
         })
         out = tmp_path / "out"
@@ -512,7 +514,7 @@ def sweep_config(tmp_path, **overrides):
         "plant": {"A": [[0.5]], "B": [[1.0]]},
         "horizon": 250,
         "x0": [1.0],
-        "excitation": {"kind": "decaying", "amplitude": 50.0, "decay_rate": 0.9},
+        "excitation": {"amplitude": 50.0, "decay_rate": 0.9},
         "sweep": {
             "beta": [2.0],
             "rho_scale": [0.7],

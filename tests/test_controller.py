@@ -42,7 +42,7 @@ def consistent_state(plant, seed=0, lam=0.99):
 
 class TestExcitationSample:
     def test_none_is_zero(self):
-        sched = ExcitationSchedule.none(3)
+        sched = ExcitationSchedule(3)
         for t in [0, 1, 17]:
             assert np.array_equal(excitation_sample(sched, t), np.zeros(3))
 
@@ -67,9 +67,32 @@ class TestExcitationSample:
         other = ExcitationSchedule.constant(3, amplitude=1.0, seed=10)
         assert not np.array_equal(excitation_sample(sched, 5), excitation_sample(other, 5))
 
-    def test_invalid_kind_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            ExcitationSchedule(kind="gaussian", m=1)
+    @staticmethod
+    def _kind_formula(kind, m, amplitude, decay_rate, seed, t):
+        """The per-kind sample the schedule used to compute, kept as a reference."""
+        if kind == "none" or amplitude == 0.0:
+            return np.zeros(m)
+        v = np.random.default_rng((seed, t)).uniform(-amplitude, amplitude, m)
+        if kind == "decaying":
+            v = v * decay_rate ** t
+        return v
+
+    @pytest.mark.parametrize("sched, kind", [
+        (ExcitationSchedule.constant(3, amplitude=0.7, seed=2), "constant_amplitude"),
+        (ExcitationSchedule.constant(2, amplitude=0.0, seed=4), "constant_amplitude"),
+        (ExcitationSchedule.decaying(2, amplitude=5.0, decay_rate=0.9, seed=6), "decaying"),
+        (ExcitationSchedule.decaying(1, amplitude=1e4, decay_rate=0.5, seed=11), "decaying"),
+        (ExcitationSchedule.decaying(3, amplitude=0.0, decay_rate=0.9, seed=1), "decaying"),
+        (ExcitationSchedule(2), "none"),
+        (ExcitationSchedule(3, amplitude=1.5, seed=8), "constant_amplitude"),
+        (ExcitationSchedule(2, amplitude=2.0, decay_rate=0.98, seed=5), "decaying"),
+    ], ids=["constant", "constant_zero", "decaying", "decaying_fast", "decaying_zero", "bare",
+            "bare_constant", "bare_decaying"])
+    def test_one_formula_keeps_the_bits_of_each_kind(self, sched, kind):
+        for t in range(61):
+            ref = self._kind_formula(kind, sched.m, sched.amplitude, sched.decay_rate,
+                                     sched.seed, t)
+            assert excitation_sample(sched, t).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("amplitude, decay_rate", [
         (np.nan, 0.9), (np.inf, 0.9), (-1.0, 0.9), (1e308, 0.9), (1.0, 0.0), (1.0, np.nan),

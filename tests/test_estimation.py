@@ -376,8 +376,8 @@ class TestDisturbanceCorrelation:
 
     def test_single_disturbance_term(self):
         plant = PlantModel([[0.5]], [[1.0]])
-        out = disturbance_correlation([([1.0], [0.0], [1.0])], plant, 1.0, np.zeros((2, 2)))
-        assert np.allclose(out, [[1.0, 0.0]], atol=1e-15)
+        out = disturbance_correlation([([1.0], [0.0], [1.0])], plant, 1.0, np.eye(2))
+        assert np.allclose(out, np.array([[1.0, 0.0]]) - plant.ab, atol=1e-15)
 
     def test_identity_against_batch_on_200_histories(self):
         rng = np.random.default_rng(303)
@@ -402,9 +402,9 @@ class TestDisturbanceCorrelation:
     def test_returns_the_stacked_array(self):
         plant = PlantModel([[0.5, 0.0], [0.1, 0.2]], [[1.0], [0.0]])
         history = [([1.0, 0.0], [2.0], [0.5, -1.0])]
-        out = disturbance_correlation(history, plant, 1.0, np.zeros((3, 3)))
+        out = disturbance_correlation(history, plant, 1.0, np.eye(3))
         assert isinstance(out, np.ndarray)
-        assert np.array_equal(out, [[0.5, 0.0, 1.0], [-1.0, 0.0, -2.0]])
+        assert np.array_equal(out, np.array([[0.5, 0.0, 1.0], [-1.0, 0.0, -2.0]]) - plant.ab)
 
 
 class TestRhoOf:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ def scenario(plant, horizon, x0=None, dist=None, exc=None, **kw):
                     disturbance=dist if dist is not None else DisturbanceModel.zero(),
                     x0=np.ones(n) if x0 is None else x0,
                     horizon=horizon,
-                    excitation=exc if exc is not None else ExcitationSchedule.none(m), **kw)
+                    excitation=exc if exc is not None else ExcitationSchedule(m), **kw)
 
 
 class TestSimulate:
@@ -111,6 +113,17 @@ class TestSimulate:
             replay = log.x @ plant.A.T + log.u @ plant.B.T + log.w
             actual = np.vstack([log.x[1:], log.x_final])
             assert np.max(np.abs(replay - actual)) <= 1e-12
+            assert logs_equal(log, simulate(scenario(plant, 40, dist=dist, exc=exc)))
+        u = log.u.copy()
+        u[7, 0] = np.nextafter(u[7, 0], np.inf)
+        assert not logs_equal(log, replace(log, u=u))
+        # Fallback steps log a NaN residual, which must still compare equal.
+        plant = PlantModel([[0.5]], [[1.0]])
+        dist = DisturbanceModel.linear([[2.0]], [[-1.0]])
+        exc = ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.9, seed=2)
+        log = simulate(scenario(plant, 300, dist=dist, exc=exc))
+        assert np.isnan(log.eq6_residual).any()
+        assert logs_equal(log, simulate(scenario(plant, 300, dist=dist, exc=exc)))
 
     def test_causality_prefix_invariance(self):
         rng = np.random.default_rng(23)
