@@ -29,6 +29,7 @@ from .riccati import (
     _check_positive,
     _check_real,
     _check_rho,
+    _check_symmetric,
     _converged,
     _membership,
     _min_eig,
@@ -124,9 +125,9 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     the solve confirms it to DEFAULT_TOL, otherwise on the solved P.
     A beta not above 1, a negative rho, or a beta or rho not finite or whose
     square overflows raises DomainError; a P or gain not shaped for the
-    plant, correlation data not (n+m) x (n+m) and n x (n+m), or only one of
-    sigma and sigma_hat, ShapeMismatch; a Sigma too ill-conditioned to
-    estimate from, IllConditioned.
+    plant, correlation data not (n+m) x (n+m) and n x (n+m), a sigma not
+    symmetric, or only one of sigma and sigma_hat, ShapeMismatch; a Sigma
+    too ill-conditioned to estimate from, IllConditioned.
     """
     if (sigma is None) != (sigma_hat is None):
         raise ShapeMismatch("sigma and sigma_hat must be given together or not at all")
@@ -144,7 +145,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
                "max_eig_Q": _finite(cert.max_eig_Q), "dare_residual": _finite(cert.residual)}
     if sigma is not None:
         d = plant.n + plant.m
-        est = _estimate(_check_matrix(sigma, "sigma", (d, d)),
+        est = _estimate(_check_symmetric(sigma, "sigma", (d, d))[0],
                         _check_matrix(sigma_hat, "sigma_hat", (plant.n, d)))
         rho_data = rho_of(est, plant)
         hyps["data_consistency"] = _hyp(rho - rho_data)
@@ -288,7 +289,7 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
     """A with i.i.d. uniform [-1,1] entries rescaled to the target spectral
     radius, B with i.i.d. uniform [-1,1] entries times input_scale."""
     n, m = _check_int(n, "n"), _check_int(m, "m")
-    spectral_radius = _check_real(spectral_radius, "spectral_radius")
+    spectral_radius = _check_real(spectral_radius, "spectral_radius", low=0.0)
     input_scale = _check_real(input_scale, "input_scale")
     while True:
         A = rng.uniform(-1.0, 1.0, (n, n))

@@ -154,11 +154,6 @@ def _parse_scenario(cfg, seed) -> Scenario:
                   excitation=excitation, fallback_gain=fallback)
 
 
-def _derive_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -336,7 +331,7 @@ def _parse_sweep_grids(cfg, base_amplitude):
     return betas, rho_entries, gammas, amps, mags
 
 
-def _sweep_row(scenario_base: Scenario, t0_cfg, idx: int,
+def _sweep_row(scenario_base: Scenario, t0_cfg,
                beta: float, rho_entry, gamma: float, amp: float, mag: float) -> list[str]:
     """One sweep.csv row; an error of this grid point goes to its error column."""
     rho_star = admissible_rho(beta)
@@ -349,11 +344,9 @@ def _sweep_row(scenario_base: Scenario, t0_cfg, idx: int,
     except DomainError as exc:
         error = f"alpha: {exc}"
     try:
-        excitation = replace(scenario_base.excitation, amplitude=amp,
-                             seed=_derive_seed(scenario_base.excitation.seed, idx))
         scenario = replace(scenario_base,
                            disturbance=scenario_base.disturbance.scaled(mag),
-                           excitation=excitation)
+                           excitation=replace(scenario_base.excitation, amplitude=amp))
         log = simulate(scenario)
         cost, overflowed = log.state_input_cost(), log.overflowed
         t0 = consistent_start(log, rho) if t0_cfg == "auto" else t0_cfg
@@ -383,9 +376,8 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
         t0_cfg = _field(_check_int, t0_cfg, "t0", 0)
     betas, rho_entries, gammas, amps, mags = _parse_sweep_grids(
         cfg, scenario_base.excitation.amplitude)
-    points = itertools.product(betas, rho_entries, gammas, amps, mags)
-    rows = [_sweep_row(scenario_base, t0_cfg, idx, *point)
-            for idx, point in enumerate(points)]
+    rows = [_sweep_row(scenario_base, t0_cfg, *point)
+            for point in itertools.product(betas, rho_entries, gammas, amps, mags)]
 
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

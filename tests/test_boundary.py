@@ -323,10 +323,11 @@ def test_malformed_real_is_a_domain_error_naming_the_argument(probe, kind):
     (lambda: check_membership(PLANT, 1.0), "beta"),
     (lambda: alpha_of(2.0, 0.0, 2.0), "gamma"),
     (lambda: alpha_of(2.0, -0.1, 10.0), "rho"),
+    (lambda: random_plant(np.random.default_rng(0), 2, 1, -0.5), "spectral_radius"),
 ], ids=["scenario_lam_above_1", "scenario_lam_zero", "solve_data_riccati_string_tol",
         "solve_data_riccati_zero_tol", "solve_dare_negative_tol", "amplitude_negative",
         "amplitude_range_overflows", "pole_on_unit_circle", "beta_one", "gamma_not_above_beta",
-        "rho_negative"])
+        "rho_negative", "spectral_radius_negative"])
 def test_real_out_of_range_is_a_domain_error_naming_the_argument(call, name):
     with pytest.raises(DomainError, match=f"^{name} = .* must be a finite number in "):
         call()

@@ -574,7 +574,9 @@ class TestMalformedInput:
         (np.eye(3), np.zeros((1, 3)), ShapeMismatch),
         (np.eye(2), np.zeros((2, 2)), ShapeMismatch),
         (np.full((2, 2), np.nan), np.zeros((1, 2)), NonFiniteInput),
-    ], ids=["singular_sigma", "sigma_shape", "sigma_hat_shape", "nan_sigma"])
+        # Exact data (sigma_hat = [A B] sigma) whose transpose would estimate rho_data 17.68.
+        (np.array([[1.0, 5.0], [0.0, 1.0]]), np.array([[0.5, 3.5]]), ShapeMismatch),
+    ], ids=["singular_sigma", "sigma_shape", "sigma_hat_shape", "nan_sigma", "asymmetric_sigma"])
     def test_theorem1_correlation_data_checked(self, sigma, sigma_hat, error):
         plant, P, K = scalar_instance()
         with pytest.raises(error):

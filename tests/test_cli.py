@@ -377,6 +377,20 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, json.loads(block))
         assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 0
 
+    def test_readme_sweep_rows_share_one_trajectory(self, tmp_path):
+        # README's simulate block under README's sweep grids: the rows differ only in beta,
+        # which never enters the simulation, so every row certifies one trajectory.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sim = readme.split("`simulate` (and the scenario base of `sweep`):", 1)[1]
+        grids = readme.split("`sweep`: the scenario base above", 1)[1]
+        cfg = json.loads(re.search(r"```json\n(.*?)```", sim, re.S).group(1))
+        cfg.update(json.loads("{" + re.search(r"```json\n(.*?)```", grids, re.S).group(1) + "}"))
+        out = tmp_path / "out"
+        assert main(["sweep", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert len(rows) == len(cfg["sweep"]["beta"]) > 1
+        assert len({r["realized_cost"] for r in rows}) == 1
+
     def test_noiseless_gain_convergence_summary(self, tmp_path):
         cfg = write_config(tmp_path, {
             "plant": {"A": [[0.5]], "B": [[1.0]]},
@@ -587,6 +601,16 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--out-dir", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
+    def test_sweep_without_grids_reproduces_simulate(self, tmp_path):
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 300,
+                                      "excitation": {"amplitude": 5.0, "decay_rate": 0.9},
+                                      "seed": 4})
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "sweep")]) == 0
+        summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+        row, = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert float(row["realized_cost"]) == summary["total_cost"]
+
     def test_integer_t0_used_as_given(self, tmp_path):
         cfg = sweep_config(tmp_path, t0=3, sweep={"beta": [2.0], "rho_scale": [0.7],
                                                   "gamma": [40.0],
@@ -595,12 +619,11 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--out-dir", str(out)]) == 0
         rows = read_rows(out / "sweep.csv")
         assert len(rows) == 2
-        from adaptive_lqr.cli import _derive_seed
         plant = PlantModel([[0.5]], [[1.0]])
         rho = 0.7 * admissible_rho(2.0)
         for idx, (row, amp) in enumerate(zip(rows, [10.0, 50.0])):
             exc = ExcitationSchedule.decaying(1, amplitude=amp, decay_rate=0.9,
-                                              seed=_derive_seed(8, idx))
+                                              seed=8)
             log = simulate(Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
                                     x0=[1.0], horizon=250, excitation=exc))
             t0 = min(3, len(log) - 1)
@@ -639,10 +662,9 @@ class TestSweepCommand:
         assert main(["sweep", cfg_path, "--out-dir", str(out)]) == 0
         row, = read_rows(out / "sweep.csv")
         # Rebuild the scenario the sweep ran and evaluate the certificate directly.
-        from adaptive_lqr.cli import _derive_seed
         plant = PlantModel([[0.5]], [[1.0]])
         exc = ExcitationSchedule.decaying(1, amplitude=50.0, decay_rate=0.9,
-                                          seed=_derive_seed(8, 0))
+                                          seed=8)
         scenario = Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
                             x0=[1.0], horizon=250, excitation=exc,
                             beta=2.0, gamma=40.0)
