@@ -54,7 +54,7 @@ def _finite(x: float) -> float:
     x = float(x)
     if np.isnan(x):
         return UNDEFINED_MARGIN
-    return float(np.clip(x, UNDEFINED_MARGIN, -UNDEFINED_MARGIN))
+    return min(max(x, UNDEFINED_MARGIN), -UNDEFINED_MARGIN)
 
 
 @dataclass(frozen=True)

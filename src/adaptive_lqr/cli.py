@@ -204,8 +204,10 @@ def run_simulate(cfg: dict, seed: int, out_dir: Path) -> int:
         gain_error = _spectral_norm(log.k[-1] - k_opt)
     except NotStabilizable:
         gain_error = None
+    with np.errstate(over="ignore"):   # a truncated run's terminal norm may overflow to inf
+        final_state_norm = float(np.linalg.norm(log.x_final))
     _write_json(out_dir / "summary.json", {
-        "final_state_norm": float(np.linalg.norm(log.x_final)),
+        "final_state_norm": final_state_norm,
         "max_rho": float(np.max(log.rho)),
         "total_cost": log.state_input_cost(),
         "gain_error": gain_error,

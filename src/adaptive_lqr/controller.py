@@ -115,8 +115,11 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     Correlations are updated by controller_observe once x_{t+1} is
     available, not here.
     """
-    x = _check_vector(x, "x", state.corr.n)
-    t = state.corr.t
+    return _step(state, _check_vector(x, "x", state.corr.n))
+
+
+def _step(state: ControllerState, x: np.ndarray) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
+    """controller_step on a checked state vector x."""
     warm = state.warm_p
     estimate = None
     try:
@@ -129,7 +132,7 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
         gain = state.last_gain
         residual = np.nan
         fallback = True
-    eps = excitation_sample(state.excitation, t)
+    eps = excitation_sample(state.excitation, state.corr.t)
     u = gain.K @ x + eps
     new_state = _trusted(ControllerState, **{**vars(state), "last_gain": gain, "warm_p": warm})
     return u, new_state, StepDiagnostics(gain=gain.K, excitation=eps, eq6_residual=residual,

@@ -12,9 +12,10 @@ fixed-point equation at the gain K the controller applies
 
     Sigma (Q - I) Sigma = SigmaHat' [I;K]' Q [I;K] SigmaHat.
 
-Public constructors and data arguments are checked; the state returned by
-update_correlations and initial_correlation and the estimate plant of
-estimate_model are built from checked data and skip `__post_init__`.
+Public constructors and data arguments are checked.  Built from checked data,
+skipping `__post_init__`: the state of initial_correlation, the state of
+update_correlations' unchecked core _fold (which simulate calls directly),
+and the estimate plant of estimate_model, given the solved [Ahat Bhat] as `ab`.
 """
 
 from __future__ import annotations
@@ -96,9 +97,12 @@ def initial_correlation(n: int, m: int, lam: float = 0.99,
 def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationState:
     """One-step recursion Sigma' = lam Sigma + z z', SigmaHat' = lam SigmaHat + x_next z';
     Sigma' is exactly symmetric when Sigma is, since IEEE + and * commute."""
-    x = _check_vector(x, "x", state.n)
-    u = _check_vector(u, "u", state.m)
-    x_next = _check_vector(x_next, "x_next", state.n)
+    return _fold(state, _check_vector(x, "x", state.n), _check_vector(u, "u", state.m),
+                 _check_vector(x_next, "x_next", state.n))
+
+
+def _fold(state: CorrelationState, x: np.ndarray, u: np.ndarray, x_next: np.ndarray) -> CorrelationState:
+    """update_correlations on checked vectors."""
     z = np.concatenate([x, u])
     with np.errstate(over="ignore"):
         sigma = state.lam * state.sigma + np.outer(z, z)
@@ -164,7 +168,7 @@ def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> PlantModel:
     if not np.isfinite(ab).all():
         raise IllConditioned("SigmaHat Sigma^{-1} overflows")
     n = sigma_hat.shape[0]
-    return _trusted(PlantModel, A=ab[:, :n], B=ab[:, n:])
+    return _trusted(PlantModel, A=ab[:, :n], B=ab[:, n:], ab=ab)
 
 
 def estimate_model(state: CorrelationState) -> PlantModel:

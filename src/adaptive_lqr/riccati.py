@@ -18,6 +18,8 @@ _check_matrix and _check_vector (ragged or non-numeric input: ShapeMismatch),
 integer and real ones with _check_int and _check_real and their named rules;
 the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
 gain of gain_from_q are built from checked data and skip `__post_init__`.
+PlantModel stacks `ab` = [A B] once, in `__post_init__`; its one trusted
+build, estimation's estimate, passes the `ab` it solved for.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def _check_cost_matrix(M, name, shape=None):
 
 @dataclass(frozen=True)
 class PlantModel:
-    """True system pair (A, B) of x_{t+1} = A x_t + B u_t + w_t."""
+    """True system pair (A, B) of x_{t+1} = A x_t + B u_t + w_t; `ab` is the stacked [A B]."""
 
     A: np.ndarray
     B: np.ndarray
@@ -216,6 +218,7 @@ class PlantModel:
             raise ShapeMismatch(f"B must be n x m = {len(A)} x m with n, m >= 1, got {B.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "ab", np.hstack([A, B]))
 
     @property
     def n(self) -> int:
@@ -224,11 +227,6 @@ class PlantModel:
     @property
     def m(self) -> int:
         return self.B.shape[1]
-
-    @property
-    def ab(self) -> np.ndarray:
-        """The stacked n x (n+m) matrix [A B]."""
-        return np.hstack([self.A, self.B])
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .controller import (
-    ExcitationSchedule,
-    controller_observe,
-    controller_step,
-    initial_controller,
-)
+from .controller import ControllerState, ExcitationSchedule, _step, initial_controller
 from .errors import DomainError, ShapeMismatch
-from .estimation import rho_of
+from .estimation import _fold, rho_of
 from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_pd,
-                      _check_real, _check_vector)
+                      _check_real, _check_vector, _trusted)
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12
@@ -92,27 +87,36 @@ class DisturbanceModel:
         return replace(self, **payload)
 
 
+def _check_fits(d: DisturbanceModel, n: int, m: int) -> None:
+    """ShapeMismatch unless the payload of `d` fits n states and m inputs."""
+    if d.kind == "external_sequence" and d.sequence.shape[1] != n:
+        raise ShapeMismatch(f"disturbance.sequence has {d.sequence.shape[1]} columns, not n = {n}")
+    if d.kind in ("linear_unmodeled", "filtered_unmodeled") and d.delta_b.shape != (n, m):
+        raise ShapeMismatch(f"disturbance.delta_a, disturbance.delta_b must be {n} x {n}, {n} x {m}")
+
+
 def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
     """Evaluate the disturbance at time t; returns (w, internal_state'), with the
     filtered kind's internal_state (None at the start) checked as a length-n vector."""
     t = _check_int(t, "t", 0)
-    x = _check_vector(x, "x")
-    u = _check_vector(u, "u")
+    x, u = _check_vector(x, "x"), _check_vector(u, "u")
+    _check_fits(model, x.size, u.size)
+    if model.kind == "filtered_unmodeled" and internal_state is not None:
+        internal_state = _check_vector(internal_state, "internal_state", x.size)
+    return _disturb(model, t, x, u, internal_state)
+
+
+def _disturb(model: DisturbanceModel, t: int, x: np.ndarray, u: np.ndarray, xi):
+    """disturbance_eval on checked arguments that fit the model."""
     n = x.size
     if model.kind == "zero":
-        return np.zeros(n), internal_state
+        return np.zeros(n), xi
     if model.kind == "external_sequence":
-        if n != model.sequence.shape[1]:
-            raise ShapeMismatch(f"x must have length {model.sequence.shape[1]}, got {n}")
-        w = model.sequence[t].copy() if t < len(model.sequence) else np.zeros(n)
-        return w, internal_state
-    if (n, u.size) != model.delta_b.shape:
-        raise ShapeMismatch(f"x and u must have lengths {model.delta_b.shape}, got {(n, u.size)}")
+        return (model.sequence[t].copy() if t < len(model.sequence) else np.zeros(n)), xi
     drive = model.delta_a @ x + model.delta_b @ u
     if model.kind == "linear_unmodeled":
-        return drive, internal_state
-    xi = (np.zeros(n) if internal_state is None
-          else _check_vector(internal_state, "internal_state", n))
+        return drive, xi
+    xi = np.zeros(n) if xi is None else xi
     return xi.copy(), model.pole * xi + drive
 
 
@@ -134,14 +138,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "horizon", _check_int(self.horizon, "horizon"))
         object.__setattr__(self, "x0", _check_vector(self.x0, "x0", self.plant.n).copy())
-        n, m, d = self.plant.n, self.plant.m, self.disturbance
-        if d.kind == "external_sequence" and d.sequence.shape[1] != n:
-            raise ShapeMismatch(f"disturbance.sequence must have {n} columns, got {d.sequence.shape[1]}")
-        if d.kind in ("linear_unmodeled", "filtered_unmodeled"):
-            if d.delta_a.shape != (n, n):
-                raise ShapeMismatch(f"disturbance.delta_a must be {n} x {n}, got {d.delta_a.shape}")
-            if d.delta_b.shape != (n, m):
-                raise ShapeMismatch(f"disturbance.delta_b must be {n} x {m}, got {d.delta_b.shape}")
+        n, m = self.plant.n, self.plant.m
+        _check_fits(self.disturbance, n, m)
         if self.fallback_gain is not None:
             object.__setattr__(self, "fallback_gain",
                                _check_matrix(self.fallback_gain, "fallback_gain", (m, n)))
@@ -149,7 +147,9 @@ class Scenario:
             object.__setattr__(self, "sigma0", _check_pd(self.sigma0, "sigma0", n + m))
         object.__setattr__(self, "lam", _check_factor(self.lam, "lam"))
         if self.excitation is None:
-            object.__setattr__(self, "excitation", ExcitationSchedule(self.plant.m))
+            object.__setattr__(self, "excitation", ExcitationSchedule(m))
+        elif self.excitation.m != m:
+            raise ShapeMismatch(f"excitation.m must be the plant's m = {m}, got {self.excitation.m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +178,9 @@ class TrajectoryLog:
         return len(self.t)
 
     def state_input_cost(self, t0: int = 0) -> float:
-        """sum over t >= t0 of |x_t|^2 + |u_t|^2."""
-        return float(np.sum(self.x[t0:] ** 2) + np.sum(self.u[t0:] ** 2))
+        """sum over t >= t0 of |x_t|^2 + |u_t|^2; inf once it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.x[t0:] ** 2) + np.sum(self.u[t0:] ** 2))
 
     def csv_header(self) -> list[str]:
         cols = ["t"]
@@ -211,31 +212,30 @@ def logs_equal(a: TrajectoryLog, b: TrajectoryLog) -> bool:
 
 
 def simulate(scenario: Scenario) -> TrajectoryLog:
-    """Run the closed loop for `horizon` steps.
+    """Run the closed loop for `horizon` steps on the per-step core that
+    controller_step, disturbance_eval and controller_observe run after checks.
 
-    rho_t is logged against the true plant as a diagnostic; the controller
-    never reads it.  A state norm beyond STATE_CAP truncates the run and
-    flags the log instead of raising.
+    rho_t is logged against the true plant as a diagnostic the controller never
+    reads.  A state whose norm exceeds STATE_CAP or is not finite truncates the
+    run and flags the log instead of raising.
     """
     plant = scenario.plant
     n, m = plant.n, plant.m
     ctrl = initial_controller(n, m, lam=scenario.lam, sigma0=scenario.sigma0,
                               excitation=scenario.excitation, fallback_gain=scenario.fallback_gain)
-    x = scenario.x0.copy()
-    dist_state = None
-    rows = []
-    overflowed = False
+    x, xi, rows = scenario.x0.copy(), None, []
     for t in range(scenario.horizon):
-        u, ctrl, diag = controller_step(ctrl, x)
+        u, ctrl, diag = _step(ctrl, x)
         rho_t = np.inf if diag.estimate is None else rho_of(diag.estimate, plant)
-        w, dist_state = disturbance_eval(scenario.disturbance, t, x, u, dist_state)
-        x_next = plant.A @ x + plant.B @ u + w
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, xi = _disturb(scenario.disturbance, t, x, u, xi)
+            x_next = plant.A @ x + plant.B @ u + w
+            overflowed = not np.linalg.norm(x_next) <= STATE_CAP
         rows.append(dict(t=t, x=x, u=u, eps=diag.excitation, w=w, k=diag.gain, rho=rho_t,
                          eq6_residual=diag.eq6_residual, fallback=diag.fallback))
-        ctrl = controller_observe(ctrl, x, u, x_next)
-        x = x_next
-        if np.linalg.norm(x) > STATE_CAP:
-            overflowed = True
+        if overflowed:
             break
+        ctrl = _trusted(ControllerState, **{**vars(ctrl), "corr": _fold(ctrl.corr, x, u, x_next)})
+        x = x_next
     columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
-    return TrajectoryLog(n=n, m=m, **columns, x_final=x, overflowed=overflowed)
+    return TrajectoryLog(n=n, m=m, **columns, x_final=x_next, overflowed=overflowed)

@@ -500,6 +500,13 @@ class TestReportSerialization:
         assert all(np.isfinite(h.margin) for h in cert.hypotheses.values())
         assert not cert.hypotheses["membership"].holds
 
+    @pytest.mark.parametrize("x", [s * v for v in (0.0, 5e-324, 1e300, 1e301, np.finfo(float).max,
+                                                    np.inf) for s in (1.0, -1.0)])
+    def test_margin_clamp_equals_clip(self, x):
+        bound = certificates.UNDEFINED_MARGIN
+        out, clipped = certificates._finite(x), float(np.clip(x, bound, -bound))
+        assert type(out) is float and out == clipped and np.signbit(out) == np.signbit(clipped)
+
 
 def scalar_instance():
     plant = PlantModel([[0.5]], [[1.0]])

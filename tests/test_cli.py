@@ -441,6 +441,19 @@ class TestSimulateCommand:
         rows = read_rows(out / "trajectory.csv")
         assert len(rows) < 300
 
+    @pytest.mark.parametrize("plant, x0", [
+        ({"A": [[1e308, 1e308], [0, 0.5]], "B": [[1.0], [0.0]]}, [2.0, -2.0]),
+        ({"A": [[1e200]], "B": [[1.0]]}, [1.0]),
+    ], ids=["state_overflows", "norm_overflows"])
+    def test_state_beyond_the_double_range_exit_3(self, tmp_path, capsys, plant, x0):
+        cfg = write_config(tmp_path, {"plant": plant, "x0": x0, "horizon": 5})
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["overflowed"] and summary["steps"] == 1
+        assert not summary["final_state_norm"] <= 1e12
+        assert "Warning" not in capsys.readouterr().err
+
 
 class TestCertifyCommand:
     def test_random_instances_all_pass(self, tmp_path):

@@ -1,9 +1,11 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adaptive_lqr import (
+    CorrelationState,
     DisturbanceModel,
     DomainError,
     ExcitationSchedule,
@@ -20,6 +22,7 @@ from adaptive_lqr import (
     check_membership,
     dare_error_estimate,
     dare_residual,
+    estimate_model,
     gain_from_q,
     q_from_p,
     riccati_step,
@@ -35,6 +38,21 @@ from conftest import matrices, orthogonal, random_stabilizable_plant, scalar_p, 
 from hypothesis import given, settings, strategies as st
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+class TestPlantModel:
+    def test_replace_restacks_ab(self):
+        plant = PlantModel([[0.5, 0.1], [0.0, 0.7]], [[1.0], [0.3]])
+        moved = replace(plant, A=[[0.2, 0.0], [0.4, 0.9]])
+        assert np.array_equal(plant.ab, [[0.5, 0.1, 1.0], [0.0, 0.7, 0.3]])
+        assert np.array_equal(moved.ab, [[0.2, 0.0, 1.0], [0.4, 0.9, 0.3]])
+
+    def test_estimate_holds_its_stack(self):
+        rng = np.random.default_rng(3)
+        sigma = np.eye(5) + 0.1 * np.ones((5, 5))
+        est = estimate_model(CorrelationState(sigma=sigma, sigma_hat=rng.standard_normal((3, 5)),
+                                              lam=0.9, t=1))
+        assert np.array_equal(est.ab, np.hstack([est.A, est.B]))
 
 
 class TestSolveDare:

@@ -1,3 +1,5 @@
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,16 +17,21 @@ from adaptive_lqr import (
     QMatrix,
     Scenario,
     ShapeMismatch,
+    TrajectoryLog,
     ValueMatrix,
+    controller_observe,
+    controller_step,
     disturbance_eval,
     estimate_model,
     gain_from_q,
+    initial_controller,
     logs_equal,
     q_from_p,
     rho_of,
     simulate,
     solve_dare,
 )
+from adaptive_lqr.simulation import STATE_CAP
 
 
 class TestDisturbanceEval:
@@ -180,7 +187,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kw, error", [
         ({"fallback_gain": [[1.0, 2.0]]}, ShapeMismatch),
-    ], ids=["fallback_gain_shape"])
+        ({"exc": ExcitationSchedule(2)}, ShapeMismatch),
+    ], ids=["fallback_gain_shape", "excitation_m"])
     def test_controller_settings_checked(self, kw, error):
         with pytest.raises(error):
             scenario(PlantModel([[0.5]], [[1.0]]), 10, **kw)
@@ -246,14 +254,14 @@ class TestSimulate:
         # non-stabilizable and ill-conditioned steps.
         import adaptive_lqr.simulation as simulation
         steps = []
-        step = simulation.controller_step
+        step = simulation._step
 
         def recording(ctrl, x):
             out = step(ctrl, x)
             steps.append((ctrl.corr, out[2]))
             return out
 
-        monkeypatch.setattr(simulation, "controller_step", recording)
+        monkeypatch.setattr(simulation, "_step", recording)
         plant = PlantModel([[0.5]], [[1.0]])
         dist = DisturbanceModel.linear([[2.0]], [[-1.0]])
         exc = ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.9, seed=2)
@@ -290,8 +298,7 @@ class TestSimulate:
             return wrapped
 
         for module, name in ((estimation, "solve_dare"), (controller, "solve_data_riccati"),
-                             (controller, "update_correlations"),
-                             (simulation, "controller_step"), (simulation, "controller_observe")):
+                             (simulation, "_fold"), (simulation, "_step")):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
         plant = PlantModel([[0.9, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 0.5]],
                            [[1.0, 0.0], [0.2, 0.5], [0.0, 1.0]])
@@ -318,6 +325,98 @@ class TestSimulate:
             vals = P * (v + grid) ** 2 - gamma**2 * grid**2
             assert abs(vals.max() - analytic) <= 1e-6
             assert abs(grid[vals.argmax()] - w_star) <= 1e-5
+
+
+def kind_scenario(kind, horizon, seed=17):
+    """A 3-state, 2-input run with a disturbance of the given kind."""
+    rng = np.random.default_rng(seed)
+    n, m = 3, 2
+    plant = PlantModel(0.5 * rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, m)))
+    da, db = 0.01 * rng.standard_normal((n, n)), 0.01 * rng.standard_normal((n, m))
+    dist = {"zero": DisturbanceModel.zero(),
+            "external": DisturbanceModel.external(0.01 * rng.standard_normal((horizon // 2, n))),
+            "linear": DisturbanceModel.linear(da, db),
+            "filtered": DisturbanceModel.filtered(da, db, pole=0.4)}[kind]
+    exc = ExcitationSchedule.decaying(m, amplitude=1.0, decay_rate=0.98, seed=seed)
+    return scenario(plant, horizon, dist=dist, exc=exc)
+
+
+def public_loop(sc):
+    """simulate's loop driven through the checked public per-step functions,
+    one step at a time as a controller user drives it."""
+    plant = sc.plant
+    ctrl = initial_controller(plant.n, plant.m, lam=sc.lam, sigma0=sc.sigma0,
+                              excitation=sc.excitation, fallback_gain=sc.fallback_gain)
+    x, xi, rows = sc.x0, None, []
+    for t in range(sc.horizon):
+        u, ctrl, diag = controller_step(ctrl, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, xi = disturbance_eval(sc.disturbance, t, x, u, xi)
+            x_next = plant.A @ x + plant.B @ u + w
+            overflowed = not np.linalg.norm(x_next) <= STATE_CAP
+        rho = np.inf if diag.estimate is None else rho_of(diag.estimate, plant)
+        rows.append(dict(t=t, x=x, u=u, eps=diag.excitation, w=w, k=diag.gain, rho=rho,
+                         eq6_residual=diag.eq6_residual, fallback=diag.fallback))
+        if overflowed:
+            break
+        ctrl = controller_observe(ctrl, x, u, x_next)
+        x = x_next
+    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return TrajectoryLog(n=plant.n, m=plant.m, **columns, x_final=x_next, overflowed=overflowed)
+
+
+class TestTrustedLoop:
+    @pytest.mark.parametrize("kind", ["zero", "external", "linear", "filtered"])
+    def test_loop_checks_no_vector(self, monkeypatch, kind):
+        # simulate trusts its Scenario and the arrays it builds: none of its
+        # steps re-checks a vector.  The hook counts calls in every module
+        # that bound the checker.
+        import adaptive_lqr.riccati as riccati
+        sc = kind_scenario(kind, 200)
+        calls = []
+        check = riccati._check_vector
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return check(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("adaptive_lqr") and getattr(module, "_check_vector", None) is check:
+                monkeypatch.setattr(module, "_check_vector", counting)
+        assert len(simulate(sc)) == 200
+        assert calls == []
+        controller_step(initial_controller(3, 2), np.ones(3))
+        assert calls == ["x"]
+
+    @pytest.mark.parametrize("sc", [
+        kind_scenario("zero", 120), kind_scenario("external", 120),
+        kind_scenario("linear", 120), kind_scenario("filtered", 120),
+        # test_overflow_truncates_and_flags's run: fallback steps, then the cap.
+        scenario(PlantModel([[0.5]], [[1.0]]), 300, dist=DisturbanceModel.linear([[2.0]], [[-1.0]]),
+                 exc=ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.9, seed=2)),
+        # The state overflows the double range on the first step.
+        scenario(PlantModel([[1e308, 1e308], [0.0, 0.5]], [[1.0], [0.0]]), 5, x0=[2.0, -2.0]),
+    ], ids=["zero", "external", "linear", "filtered", "fallback_then_cap", "overflow"])
+    def test_same_log_as_the_public_functions(self, sc):
+        log = simulate(sc)
+        assert logs_equal(log, public_loop(sc))
+        assert log.overflowed == (len(log) < sc.horizon)
+
+    @pytest.mark.parametrize("plant, x0, dist", [
+        (PlantModel([[1e308, 1e308], [0.0, 0.5]], [[1.0], [0.0]]), [2.0, -2.0], None),
+        (PlantModel([[1e200]], [[1.0]]), None, None),
+        (PlantModel([[1e160]], [[1.0]]), None, None),
+        (PlantModel([[0.5]], [[1.0]]), [1e200], None),
+        (PlantModel([[0.5]], [[1.0]]), [1e308], DisturbanceModel.linear([[10.0]], [[0.0]])),
+    ], ids=["cancelling_overflows", "state_overflows", "norm_overflows", "huge_x0",
+            "disturbance_overflows"])
+    def test_state_beyond_the_double_range_truncates(self, plant, x0, dist):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = simulate(scenario(plant, 5, x0=x0, dist=dist))
+        assert log.overflowed and len(log) == 1
+        with np.errstate(over="ignore"):
+            assert not np.linalg.norm(log.x_final) <= STATE_CAP
 
 
 class TestSerialization:
