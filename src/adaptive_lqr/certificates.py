@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import DomainError, NotConverged, NotStabilizable, ShapeMismatch
 from .estimation import _estimate, rho_of
 from .riccati import (
@@ -156,7 +157,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
         K = kt.K
         closed = plant.A + plant.B @ K
         margin = _min_eig(P.P / (1.0 - c)
-                          - (np.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
+                          - (_lapack.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
     return _report("theorem1", hyps, margin, details)
 
 
@@ -245,13 +246,13 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     St = _check_matrix(sigma_tilde, "sigma_tilde", (n, d))
     P = _check_matrix(P, "P", (n, n))
     Q = _check_matrix(Q, "Q", (d, d))
-    consistency_rhs = S @ (Q - np.eye(d)) @ S
+    consistency_rhs = S @ (Q - _lapack.eye(d)) @ S
     dev = _spectral_norm((Sh - St).T @ P @ (Sh - St) - consistency_rhs)
     hyps = {
         "consistency": _hyp(-dev / max(1.0, _sym_norm(consistency_rhs))),
         "tilde_bound": _hyp(_min_eig(rho**2 * S @ S - St.T @ St)),
-        "q_lower": _hyp(_min_eig(Q - np.eye(d))),
-        "q_upper": _hyp(_min_eig(beta**2 * np.eye(d) - Q)),
+        "q_lower": _hyp(_min_eig(Q - _lapack.eye(d))),
+        "q_upper": _hyp(_min_eig(beta**2 * _lapack.eye(d) - Q)),
     }
     margin = _min_eig(S @ Q @ S + (beta**2 * rho * (rho + 2.0) - 1.0) * S @ S - Sh.T @ P @ Sh)
     return _report("lemma1", hyps, margin, {"beta": float(beta), "rho": float(rho)})
@@ -265,7 +266,7 @@ def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> Certific
     """
     _check_p_and_gain(plant, P, K)
     closed = plant.A + plant.B @ K.K
-    margin = _min_eig(P.P - closed.T @ P.P @ closed - np.eye(plant.n) - K.K.T @ K.K)
+    margin = _min_eig(P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K)
     radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
     return _report("lyapunov_decay", {}, margin, {"closed_loop_radius": radius})
 
@@ -326,7 +327,7 @@ def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
         except NotStabilizable:
             continue
         q = q_from_p(plant, P)
-        if np.linalg.eigvalsh(q.Q).max() <= beta**2:
+        if _lapack.eigvalsh(q.Q).max() <= beta**2:
             return plant, P, q
     raise NotConverged(f"no plant found in the beta = {beta} membership set "
                        f"after {MAX_SAMPLE_TRIES} tries")
@@ -340,7 +341,7 @@ def contraction_rho_root(beta: float) -> float:
 
 def random_pd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     G = rng.standard_normal((d, d))
-    return sym(G @ G.T + rng.uniform(0.05, 1.0) * np.eye(d))
+    return sym(G @ G.T + rng.uniform(0.05, 1.0) * _lapack.eye(d))
 
 
 def _perturbation(rng: np.random.Generator, n: int, d: int, rho: float) -> np.ndarray:

@@ -6,9 +6,9 @@ identical config + seed yields byte-identical outputs.  Artifacts land in
 the output directory: summary.json (solve, simulate), trajectory.csv
 (simulate), reports.json (certify), sweep.csv (sweep).
 
-Exit codes: 0 success, 1 bad config, 2 plant not stabilizable (solve),
-3 state overflow (simulate), 4 a hypothesis-satisfying certificate instance
-violated its conclusion (certify).
+Exit codes: 0 success, 1 bad config, 2 plant not stabilizable or its Q
+overflowing (solve), 3 state overflow (simulate), 4 a hypothesis-satisfying
+certificate instance violated its conclusion (certify).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _lapack
 from .certificates import (
     admissible_rho,
     alpha_of,
@@ -150,7 +151,7 @@ def _parse_scenario(cfg, seed) -> Scenario:
     fallback = (None if cfg.get("fallback_gain") is None
                 else _field(_check_matrix, cfg["fallback_gain"], "fallback_gain"))
     return _build(Scenario, "scenario", plant=plant, disturbance=disturbance, x0=x0,
-                  horizon=horizon, lam=lam, sigma0=sigma0_scale * np.eye(n + m),
+                  horizon=horizon, lam=lam, sigma0=sigma0_scale * _lapack.eye(n + m),
                   excitation=excitation, fallback_gain=fallback)
 
 
@@ -180,6 +181,10 @@ def run_solve(cfg: dict, seed: int, out_dir: Path) -> int:
         print(f"not stabilizable: {exc}", file=sys.stderr)
         return 2
     member = _membership(plant, P, beta)
+    if member.Q is None:
+        _write_json(out_dir / "summary.json", {"error": f"Overflow: {member.reason}"})
+        print(f"overflow: {member.reason}", file=sys.stderr)
+        return 2
     _write_json(out_dir / "summary.json", {
         "p": P.P.tolist(),
         "q": member.Q.Q.tolist(),

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     EstimateNotStabilizable,
     IllConditioned,
@@ -88,7 +89,7 @@ def initial_correlation(n: int, m: int, lam: float = 0.99,
     """State at t = 0: Sigma = Sigma0, SigmaHat = 0."""
     n, m = _check_int(n, "n"), _check_int(m, "m")
     if sigma0 is None:
-        sigma0 = 1e-3 * np.eye(n + m)
+        sigma0 = 1e-3 * _lapack.eye(n + m)
     sigma0 = _check_pd(sigma0, "sigma0", n + m)
     return _trusted(CorrelationState, sigma=sigma0.copy(), sigma_hat=np.zeros((n, n + m)),
                     lam=_check_factor(lam, "lam"), t=0)
@@ -154,7 +155,7 @@ def _cond(sigma: np.ndarray) -> float:
     """cond(Sigma) of a symmetric Sigma without an SVD: the ratio of its extreme
     eigenvalues, infinite unless its smallest is a positive normal double
     (a subnormal one has lost precision)."""
-    evals = np.linalg.eigvalsh(sigma)
+    evals = _lapack.eigvalsh(sigma)
     return float(evals[-1] / evals[0]) if evals[0] >= np.finfo(float).tiny else np.inf
 
 
@@ -164,7 +165,7 @@ def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> PlantModel:
     cond = _cond(sigma)
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    ab = np.linalg.solve(sigma, sigma_hat.T).T
+    ab = _lapack.solve(sigma, sigma_hat.T).T
     if not np.isfinite(ab).all():
         raise IllConditioned("SigmaHat Sigma^{-1} overflows")
     n = sigma_hat.shape[0]
@@ -206,8 +207,8 @@ def data_riccati_residual(state: CorrelationState, q: QMatrix, gain: Gain) -> fl
         raise ShapeMismatch(f"q and gain must be shaped for (n, m) = {n, m}")
     e = np.frexp(np.abs(state.sigma).max())[1]
     S, Sh = np.ldexp(state.sigma, -e), np.ldexp(state.sigma_hat, -e)
-    IK = np.vstack([np.eye(n), gain.K])
-    lhs = S @ (q.Q - np.eye(n + m)) @ S
+    IK = np.vstack([_lapack.eye(n), gain.K])
+    lhs = S @ (q.Q - _lapack.eye(n + m)) @ S
     rhs = Sh.T @ sym(IK.T @ q.Q @ IK) @ Sh
     return _sym_norm(lhs - rhs) / _sym_norm(S @ q.Q @ S)
 
@@ -231,13 +232,14 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     return acc
 
 
+@np.errstate(over="ignore")   # a difference that overflows has distance inf
 def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     """Spectral-norm distance between the true pair and the estimate.
 
     |[A B] - SigmaHat Sigma^{-1}| in the spectral norm for the estimate of
     estimate_model; equals |[Swx Swu] Sigma^{-1}| for the disturbance
     correlations of the same run.  Computed without an SVD, as
-    sqrt(max eigvalsh(D D')) for D = [A B] - [Ahat Bhat].
+    sqrt(max eigvalsh(D D')) for D = [A B] - [Ahat Bhat]; inf when D overflows.
     """
     if (estimate.n, estimate.m) != (plant.n, plant.m):
         raise ShapeMismatch(f"estimate (n, m) = {estimate.n, estimate.m}, plant {plant.n, plant.m}")

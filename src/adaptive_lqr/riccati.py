@@ -30,6 +30,7 @@ from functools import partial
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     DomainError,
     HypothesisViolated,
@@ -68,25 +69,25 @@ def sym(M: np.ndarray) -> np.ndarray:
 
 def _sym_norm(M: np.ndarray) -> float:
     """Spectral norm of the symmetric part of M, max |eigvalsh(sym(M))|; no SVD."""
-    return float(np.abs(np.linalg.eigvalsh(sym(M))).max())
+    return float(np.abs(_lapack.eigvalsh(sym(M))).max())
 
 
 def _min_eig(M: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric part of M."""
-    return float(np.linalg.eigvalsh(sym(M)).min())
+    return float(_lapack.eigvalsh(sym(M)).min())
 
 
 def _spectral_norm(M: np.ndarray) -> float:
-    """Spectral norm of a finite M as sqrt(max eigvalsh(M M')); no SVD.
+    """Spectral norm of M as sqrt(max eigvalsh(M M')); no SVD.
 
     M is scaled by its largest entry first, so M M' neither overflows nor
-    underflows.
+    underflows.  An M with an infinite entry has norm inf.
     """
     scale = np.abs(M).max()
-    if scale == 0.0:
-        return 0.0
+    if scale == 0.0 or scale == np.inf:
+        return float(scale)
     M = M / scale
-    return float(scale * np.sqrt(np.linalg.eigvalsh(M @ M.T)[-1]))
+    return float(scale * np.sqrt(_lapack.eigvalsh(M @ M.T)[-1]))
 
 
 def _trusted(cls, **fields):
@@ -179,7 +180,7 @@ def _check_symmetric(M, name, shape=None):
     e = max(np.frexp(np.abs(M).max())[1], -1021)
     Ms, unit = np.ldexp(M, -e), np.ldexp(1.0, -e)
     S = sym(Ms)
-    evals = np.linalg.eigvalsh(S)
+    evals = _lapack.eigvalsh(S)
     if _spectral_norm(Ms - Ms.T) > 1e-12 * max(unit, np.abs(evals).max()):
         raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
     return (M if (M == M.T).all() else np.ldexp(S, e)), evals, unit
@@ -292,18 +293,25 @@ class MembershipCertificate:
     reason: str = ""
 
 
+@np.errstate(over="ignore", invalid="ignore")   # what overflows raises below
 def riccati_step(plant: PlantModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)]:
     its value Pn and its minimizing gain K = -(I + B'PB)^{-1} B'PA, from one solve.
 
     Unchecked: it runs on every confirm and after every Newton correction of
-    solve_dare, and each caller passes a checked n x n P.
+    solve_dare, and each caller passes a checked n x n P.  A step whose I + B'PB
+    or Pn is not finite overflowed: NotStabilizable, as for a diverging iterate.
     """
     A, B = plant.A, plant.B
     BtP = B.T @ P
     W = BtP @ A
-    K = -np.linalg.solve(np.eye(plant.m) + BtP @ B, W)
-    return sym(np.eye(plant.n) + A.T @ P @ A + W.T @ K), K
+    M = _lapack.eye(plant.m) + BtP @ B
+    if np.isfinite(M).all():
+        K = -_lapack.solve(M, W)
+        Pn = sym(_lapack.eye(plant.n) + A.T @ P @ A + W.T @ K)
+        if np.isfinite(Pn).all():
+            return Pn, K
+    raise NotStabilizable("the Riccati step overflows")
 
 
 def _stein_solve(Ac: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -314,18 +322,21 @@ def _stein_solve(Ac: np.ndarray, R: np.ndarray) -> np.ndarray:
     """
     n = len(Ac)
     T = Ac.T
-    M = np.eye(n * n) - (T[:, None, :, None] * T[None, :, None, :]).reshape(n * n, n * n)
-    return np.linalg.solve(M, R.reshape(-1)).reshape(n, n)
+    M = _lapack.eye(n * n) - (T[:, None, :, None] * T[None, :, None, :]).reshape(n * n, n * n)
+    return _lapack.solve(M, R.reshape(-1)).reshape(n, n)
 
 
 def _checked_step(plant: PlantModel, P):
     """(P, step(P), its gain, |P|) for P, an array or a ValueMatrix, checked as
-    n x n; DomainError naming P when I + B'PB is singular or sym(P) is zero."""
+    n x n; DomainError naming P when I + B'PB is singular, the step overflows
+    or sym(P) is zero."""
     P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
     try:
         Pn, K = riccati_step(plant, P)
     except np.linalg.LinAlgError:
         raise DomainError("P makes I + B'PB singular") from None
+    except NotStabilizable:
+        raise DomainError("P makes the Riccati step overflow") from None
     norm = _sym_norm(P)
     if norm == 0.0:
         raise DomainError("P has a zero symmetric part")
@@ -362,7 +373,8 @@ def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
     scale = np.abs(Pn.diagonal()).max()
     if not scale <= NORM_CAP:
         raise NotStabilizable(f"iterate diagonal {scale:.3e} exceeds cap {NORM_CAP:.1e}")
-    return np.linalg.norm(Pn - P) <= tol * scale
+    D = (Pn - P).ravel()
+    return np.sqrt(D.dot(D)) <= tol * scale
 
 
 def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
@@ -389,10 +401,10 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
     same rule at CONFIRM_FRACTION * tol and Pn >= I.  Otherwise take one
     Newton correction (Hewer 1971): solve D - Ac' D Ac = Pn - P with
     Ac = A + BK, set P = P + D and step again.  After NEWTON_STEPS
-    corrections, or on a singular I + B'PB or Stein operator, a passing Pn
-    not >= I, or an iterate over the cap, the result is the cold solve.  The
-    returned Pn passed the confirm's test, so its error bound is the
-    confirm's.
+    corrections, or on a singular I + B'PB or Stein operator, a step that
+    overflows, a passing Pn not >= I, or an iterate over the cap, the result
+    is the cold solve.  The returned Pn passed the confirm's test, so its
+    error bound is the confirm's.
 
     Raises NotStabilizable when a cold iterate's largest diagonal entry
     exceeds NORM_CAP, the doubling solve is singular to working precision,
@@ -408,17 +420,17 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
                     P = sym(P + _stein_solve(plant.A + plant.B @ K, Pn - P))
                 Pn, K = riccati_step(plant, P)
                 if _converged(P, Pn, CONFIRM_FRACTION * tol):
-                    np.linalg.cholesky(Pn - (1.0 - 1e-9) * np.eye(n))
+                    _lapack.cholesky(Pn - (1.0 - 1e-9) * _lapack.eye(n))
                     return _trusted(ValueMatrix, P=Pn)
         except (np.linalg.LinAlgError, NotStabilizable):
             pass
         return solve_dare(plant, tol)
-    eye = np.eye(n)
+    eye = _lapack.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):   # _converged rejects what overflows
         A, G, H = plant.A, plant.B @ plant.B.T, eye
         for _ in range(DOUBLING_STEPS):
             try:
-                W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+                W = _lapack.solve(eye + G @ H, np.hstack([A, G]))
             except np.linalg.LinAlgError:
                 # G, H >= 0 make I + G H nonsingular; singular means lost precision.
                 raise NotStabilizable("I + G H is singular to working precision") from None
@@ -437,7 +449,7 @@ def q_from_p(plant: PlantModel, P) -> QMatrix:
     if P.shape != (plant.n, plant.n):
         raise ShapeMismatch(f"P must be {plant.n} x {plant.n}, got {P.shape}")
     AB = plant.ab
-    Q = np.eye(plant.n + plant.m) + AB.T @ P @ AB
+    Q = _lapack.eye(plant.n + plant.m) + AB.T @ P @ AB
     if trusted:
         return _trusted(QMatrix, Q=sym(Q), n=plant.n, m=plant.m)
     return QMatrix(Q, plant.n, plant.m)
@@ -446,13 +458,13 @@ def q_from_p(plant: PlantModel, P) -> QMatrix:
 def gain_from_q(q: QMatrix) -> Gain:
     """Minimizing gain K = -(Quu)^{-1} Qux of min_K [I;K]' Q [I;K]."""
     quu = q.quu
-    evals = np.linalg.eigvalsh(quu)
+    evals = _lapack.eigvalsh(quu)
     # Quu >= I analytically; conditioning below 1e-12 on the unit scale
     # means corrupted input.
     if evals[0] <= 0 or evals[0] < 1e-12 * max(1.0, evals[-1]):
         raise SingularQuu(f"Quu eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}] "
                           "is singular to working precision")
-    return _trusted(Gain, K=-np.linalg.solve(quu, q.qux))
+    return _trusted(Gain, K=-_lapack.solve(quu, q.qux))
 
 
 def check_membership(plant: PlantModel, beta: float) -> MembershipCertificate:
@@ -482,8 +494,13 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
     """check_membership's certificate for the plant's already solved P."""
     beta = _check_beta(beta, "beta")
     # P >= I gives Q >= I, so only the upper bound needs a test.
-    q = q_from_p(plant, P)
-    max_eig = float(np.linalg.eigvalsh(q.Q)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = q_from_p(plant, P)
+    if not np.isfinite(q.Q).all():
+        # Then max eig Q is above every finite beta^2.
+        return MembershipCertificate(member=False, Q=None, max_eig_Q=np.inf, residual=np.inf,
+                                     reason="Q = I + [A B]' P [A B] overflows")
+    max_eig = float(_lapack.eigvalsh(q.Q)[-1])
     member = max_eig <= beta**2 + PSD_SLACK
     reason = "" if member else f"max eig {max_eig:.6g} exceeds beta^2 = {beta**2:.6g}"
     return MembershipCertificate(member=bool(member), Q=q,
@@ -504,9 +521,9 @@ def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
     n, m = plant.n, plant.m
     if (qbar.n, qbar.m) != (n, m) or kbar.K.shape != (m, n):
         raise ShapeMismatch("qbar/kbar dimensions do not match the plant")
-    M = np.vstack([np.eye(n), kbar.K]) @ plant.ab   # (n+m) x (n+m)
+    M = np.vstack([_lapack.eye(n), kbar.K]) @ plant.ab   # (n+m) x (n+m)
     qscale = max(1.0, _sym_norm(qbar.Q))
-    hyp = _min_eig(qbar.Q - np.eye(n + m) - M.T @ qbar.Q @ M)
+    hyp = _min_eig(qbar.Q - _lapack.eye(n + m) - M.T @ qbar.Q @ M)
     if hyp < -UPPER_TOL * qscale:
         raise HypothesisViolated(f"upper-bound hypothesis fails by {hyp:.3e}")
     q = q_from_p(plant, solve_dare(plant))

@@ -156,8 +156,9 @@ class Scenario:
 class TrajectoryLog:
     """Time-indexed closed-loop records plus the terminal state.
 
-    Arrays are indexed by step; a run truncated by the state-norm cap has
-    fewer than `horizon` rows and overflowed = True.
+    Arrays are indexed by step.  `overflowed` is the test of a run truncated
+    by the state-norm cap, not the row count: a run whose last step passes
+    the cap has `horizon` rows too.
     """
 
     n: int
@@ -230,7 +231,7 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
         with np.errstate(over="ignore", invalid="ignore"):
             w, xi = _disturb(scenario.disturbance, t, x, u, xi)
             x_next = plant.A @ x + plant.B @ u + w
-            overflowed = not np.linalg.norm(x_next) <= STATE_CAP
+            overflowed = not np.sqrt(x_next.dot(x_next)) <= STATE_CAP
         rows.append(dict(t=t, x=x, u=u, eps=diag.excitation, w=w, k=diag.gain, rho=rho_t,
                          eq6_residual=diag.eq6_residual, fallback=diag.fallback))
         if overflowed:

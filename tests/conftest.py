@@ -91,3 +91,24 @@ def cold_solves(monkeypatch):
     for module in (riccati, estimation):
         monkeypatch.setattr(module, "solve_dare", counting)
     return calls
+
+
+def count_calls(monkeypatch, module, names):
+    """Patch each function in `names` on `module` to count its calls; returns the
+    counts by name, live."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+# numpy.linalg's public wrappers of the package's LAPACK kernels; the package
+# calls the kernels through adaptive_lqr._lapack only.
+LINALG_WRAPPERS = ("solve", "eigvalsh", "cholesky")

@@ -166,6 +166,15 @@ def test_p_outside_the_residual_domain_is_a_domain_error(call, bad, match):
         call(PLANT, bad)
 
 
+# For the plant (1e200, 1), A'PA overflows at P = 1 and P = 1e200; the gain term
+# W'K is -inf, so the step from either P is NaN (a RuntimeWarning fails the test).
+@pytest.mark.parametrize("call", [dare_residual, dare_error_estimate])
+@pytest.mark.parametrize("P", [[[1.0]], [[1e200]]])
+def test_p_whose_step_overflows_is_a_domain_error(call, P):
+    with pytest.raises(DomainError, match="^P makes the Riccati step overflow"):
+        call(PlantModel([[1e200]], [[1.0]]), P)
+
+
 @pytest.mark.parametrize("state", ["abc", [1.0, 2.0, 3.0]], ids=["string", "wrong_length"])
 def test_filtered_internal_state_is_a_shape_mismatch(state):
     filtered = DisturbanceModel.filtered([[0.1]], [[0.0]], 0.5)

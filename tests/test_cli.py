@@ -90,6 +90,14 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "not stabilizable" in err and "Traceback" not in err
 
+    def test_q_that_overflows_exit_2(self, tmp_path, capsys):
+        # P = 1 solves, but Q holds B'PB = 1e320: an error summary, no NaN.
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1e160]]}})
+        assert main(["solve", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary == {"error": "Overflow: Q = I + [A B]' P [A B] overflows"}
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_plant_solved_once(self, tmp_path, monkeypatch):
         calls = []
         solve = riccati.solve_dare

@@ -25,10 +25,11 @@ from adaptive_lqr import (
     solve_dare,
     update_correlations,
 )
-from adaptive_lqr import riccati
+from adaptive_lqr import _lapack, riccati
 from adaptive_lqr.controller import SOLVE_TOL
 from dataclasses import replace
-from conftest import random_history, scalar_k, scalar_p, scipy_dare
+from conftest import (LINALG_WRAPPERS, count_calls, random_history, scalar_k, scalar_p,
+                      scipy_dare)
 
 
 def consistent_state(plant, seed=0, lam=0.99):
@@ -190,24 +191,18 @@ class TestControllerStep:
         # One solve each for the estimate, the confirming step and the gain; one
         # eigvalsh each for cond(Sigma), the Quu test and the residual's two
         # norms.  The residual reads the applied gain and does not solve Quu again.
+        # Every kernel call goes through _lapack, none through numpy.linalg.
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
         ctrl = replace(initial_controller(2, 1), corr=consistent_state(plant))
         for _ in range(2):   # a cold solve, then the held P refined until it confirms
             _, ctrl, _ = controller_step(ctrl, [1.0, -0.5])
-        counts = dict.fromkeys(["solve", "eigvalsh", "riccati_step"], 0)
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for module, name in ((np.linalg, "solve"), (np.linalg, "eigvalsh"),
-                             (riccati, "riccati_step")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        kernels = count_calls(monkeypatch, _lapack, ["solve", "eigvalsh"])
+        steps = count_calls(monkeypatch, riccati, ["riccati_step"])
+        wrappers = count_calls(monkeypatch, np.linalg, LINALG_WRAPPERS)
         _, _, diag = controller_step(ctrl, [1.0, -0.5])
         assert not diag.fallback
-        assert counts == {"solve": 3, "eigvalsh": 4, "riccati_step": 1}
+        assert kernels == {"solve": 3, "eigvalsh": 4} and steps == {"riccati_step": 1}
+        assert wrappers == {"solve": 0, "eigvalsh": 0, "cholesky": 0}
 
     def test_excitation_added(self):
         sched = ExcitationSchedule.constant(1, amplitude=0.5, seed=3)

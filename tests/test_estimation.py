@@ -432,6 +432,10 @@ class TestRhoOf:
         state = make_state(sigma, (plant.ab + delta) @ sigma)
         assert abs(rho_of(estimate_model(state), plant) - 0.1) < 1e-10
 
+    def test_difference_that_overflows_is_inf(self):
+        # [A B] - [Ahat Bhat] = 2e308 overflows; no RuntimeWarning, no NaN.
+        assert rho_of(PlantModel([[1e308]], [[1.0]]), PlantModel([[-1e308]], [[1.0]])) == np.inf
+
     def test_equals_disturbance_correlation_ratio(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

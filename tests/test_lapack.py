@@ -1,0 +1,100 @@
+"""adaptive_lqr._lapack against the numpy.linalg functions it stands in for."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from adaptive_lqr import QMatrix, _lapack
+
+DIMS = range(1, 10)
+
+
+def same(ours, theirs):
+    """Equal bits, shape and dtype (NaN equal to NaN)."""
+    return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            and np.array_equal(ours, theirs, equal_nan=True))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the LinAlgError it raised, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except np.linalg.LinAlgError as exc:
+            return exc
+
+
+@pytest.mark.parametrize("d", DIMS)
+class TestBitForBit:
+    def test_solve(self, d):
+        rng = np.random.default_rng(100 + d)
+        a = rng.standard_normal((d, d))
+        b = rng.standard_normal((d, 3))
+        for lhs, rhs in ((a, b), (a, b[:, 0]), (a.T, b), (a, rng.standard_normal((3, d)).T),
+                         (a.T, b[:, 1])):
+            assert same(_lapack.solve(lhs, rhs), np.linalg.solve(lhs, rhs))
+
+    def test_eigvalsh(self, d):
+        rng = np.random.default_rng(200 + d)
+        G = rng.standard_normal((d, d))
+        for a in (G + G.T, G @ G.T, G, G.T):   # a non-symmetric a: its lower triangle
+            assert same(_lapack.eigvalsh(a), np.linalg.eigvalsh(a))
+
+    def test_cholesky(self, d):
+        rng = np.random.default_rng(300 + d)
+        G = rng.standard_normal((d, d))
+        for a in (G @ G.T + 0.1 * np.eye(d), (G @ G.T).T + np.eye(d)):
+            assert same(_lapack.cholesky(a), np.linalg.cholesky(a))
+
+    def test_strided_blocks_of_q(self, d):
+        # QMatrix's blocks are views into Q with its row stride.
+        rng = np.random.default_rng(400 + d)
+        n = max(1, d // 2)
+        G = rng.standard_normal((d + n, d + n))
+        q = QMatrix(np.eye(d + n) + G @ G.T, n, d)
+        assert not q.quu.flags.c_contiguous or d == 1
+        assert same(_lapack.solve(q.quu, q.qux), np.linalg.solve(q.quu, q.qux))
+        assert same(_lapack.solve(q.quu, q.qux[:, 0]), np.linalg.solve(q.quu, q.qux[:, 0]))
+        assert same(_lapack.eigvalsh(q.quu), np.linalg.eigvalsh(q.quu))
+        assert same(_lapack.cholesky(q.quu), np.linalg.cholesky(q.quu))
+
+
+BAD = {
+    "singular": [[1.0, 2.0], [2.0, 4.0]],
+    "zero": [[0.0, 0.0], [0.0, 0.0]],
+    "nan": [[np.nan, 0.0], [0.0, 1.0]],
+    "nan_off_diagonal": [[1.0, np.nan], [np.nan, 1.0]],
+    "inf": [[np.inf, 0.0], [0.0, 1.0]],
+    "not_pd": [[1.0, 2.0], [2.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("kernel", ["solve", "eigvalsh", "cholesky"])
+@pytest.mark.parametrize("case", sorted(BAD))
+def test_failures_match_numpy_without_warnings(kernel, case):
+    a = np.array(BAD[case])
+    args = (a, np.ones(2)) if kernel == "solve" else (a,)
+    ours = outcome(getattr(_lapack, kernel), *args)
+    theirs = outcome(getattr(np.linalg, kernel), *args)
+    if isinstance(theirs, np.linalg.LinAlgError):
+        assert type(ours) is type(theirs) and str(ours) == str(theirs)
+    else:
+        assert same(ours, theirs)
+
+
+def test_singular_and_not_pd_raise_numpys_error():
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _lapack.solve(np.array(BAD["singular"]), np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        _lapack.cholesky(np.array(BAD["not_pd"]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 36])
+def test_eye_is_a_shared_read_only_identity(n):
+    eye = _lapack.eye(n)
+    assert same(eye, np.eye(n)) and _lapack.eye(n) is eye
+    assert not eye.flags.writeable
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0

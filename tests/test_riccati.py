@@ -31,10 +31,11 @@ from adaptive_lqr import (
     solve_from_upper,
     theorem1_margin,
 )
-from adaptive_lqr import riccati
+from adaptive_lqr import _lapack, riccati
 from adaptive_lqr.certificates import random_plant
 from adaptive_lqr.riccati import CONFIRM_FRACTION, DEFAULT_TOL, _converged, sym
-from conftest import matrices, orthogonal, random_stabilizable_plant, scalar_p, scipy_dare
+from conftest import (LINALG_WRAPPERS, count_calls, matrices, orthogonal,
+                      random_stabilizable_plant, scalar_p, scipy_dare)
 from hypothesis import given, settings, strategies as st
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -111,11 +112,10 @@ class TestSolveDare:
         # the doubling cold path covers 2^k - 1 of them in k steps, one
         # linear solve each.
         plant = PlantModel([[0.99]], [[0.1]])
-        solve, solves = np.linalg.solve, []
-        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        solves = count_calls(monkeypatch, _lapack, ["solve"])
         P = solve_dare(plant)
         monkeypatch.undo()
-        assert 1 <= len(solves) <= 10
+        assert 1 <= solves["solve"] <= 10
 
         def value_iteration(budget):
             X = np.eye(1)
@@ -150,6 +150,16 @@ class TestSolveDare:
         # the p0 is rejected and the result is the cold solve.
         plant = PlantModel([[0.5]], [[1.0]])
         assert np.array_equal(solve_dare(plant, p0=[[-1.0]]).P, solve_dare(plant).P)
+
+    def test_warm_step_that_overflows_falls_back_to_cold(self, cold_solves):
+        # B = 1e160 makes I + B'PB inf at p0 = 1, and its gain -0: Newton from
+        # there would settle at 4/3, the fixed point with no input.  The cold
+        # solve gives 1, the true P to within 1e-300.
+        plant = PlantModel([[0.5]], [[1e160]])
+        assert np.array_equal(solve_dare(plant, p0=[[1.0]]).P, [[1.0]])
+        assert len(cold_solves) == 1
+        with pytest.raises(NotStabilizable, match="overflows"):
+            riccati_step(plant, np.eye(1))
 
     def test_confirmed_p0_returns_its_step(self):
         # At the solution the one step passes the test and is the result.
@@ -219,37 +229,31 @@ class TestSolveDare:
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
         p0s = [scipy_dare(PlantModel(plant.A + move, plant.B))[0]
                for move in (0.0, 1e-6, 1e-4, 1e-2)]
-        counts = {"solve": 0, "step": 0}
-        solve, step = np.linalg.solve, riccati.riccati_step
-
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
-        monkeypatch.setattr(riccati, "riccati_step", counting("step", step))
+        kernels = count_calls(monkeypatch, _lapack, ["solve"])
+        steps = count_calls(monkeypatch, riccati, ["riccati_step"])
         corrections = []
         for p0 in p0s:
-            counts.update(solve=0, step=0)
+            kernels.update(solve=0)
+            steps.update(riccati_step=0)
             P = solve_dare(plant, p0=p0).P
-            corrections.append(counts["step"] - 1)
-            assert counts["solve"] == 2 * corrections[-1] + 1
+            corrections.append(steps["riccati_step"] - 1)
+            assert kernels["solve"] == 2 * corrections[-1] + 1
         assert corrections == [0, 1, 2, 3] and not cold_solves
-        counts.update(solve=0)
+        kernels.update(solve=0)
         dare_error_estimate(plant, P)
-        assert counts["solve"] == 2
+        assert kernels["solve"] == 2
 
-    def test_simulate_makes_at_most_three_cold_solves(self, cold_solves):
+    def test_simulate_makes_at_most_three_cold_solves(self, monkeypatch, cold_solves):
         # Newton refines the held P of a 200-step adaptive run; only the
-        # start-up transient solves cold.
+        # start-up transient solves cold.  Its kernels all run through _lapack.
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        wrappers = count_calls(monkeypatch, np.linalg, LINALG_WRAPPERS)
         log = simulate(Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
                                 x0=np.ones(2), horizon=200,
                                 excitation=ExcitationSchedule.constant(1, 1.0, seed=5)))
         assert np.sum(~log.fallback) > 100
         assert len(cold_solves) <= 3
+        assert wrappers == {"solve": 0, "eigvalsh": 0, "cholesky": 0}
 
     def test_over_cap_step_falls_back_to_cold(self):
         plant = PlantModel([[0.5]], [[0.0]])
@@ -485,6 +489,13 @@ class TestCheckMembership:
         assert not cert.member
         assert cert.Q is None
         assert cert.reason != ""
+
+    def test_q_that_overflows_reports_non_member(self):
+        # The solved P is 1, but Q holds B'PB = 1e320: lambda_max(Q) exceeds
+        # every admissible beta^2.
+        cert = check_membership(PlantModel([[0.5]], [[1e160]]), 2.0)
+        assert not cert.member and cert.Q is None
+        assert cert.max_eig_Q == np.inf and "overflows" in cert.reason
 
     @pytest.mark.parametrize("beta", [1.0, 1e155, float("nan")])
     def test_beta_out_of_range_rejected(self, beta):
