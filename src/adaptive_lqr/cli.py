@@ -43,7 +43,8 @@ from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
 from .riccati import (DEFAULT_TOL, PSD_SLACK, PlantModel, _check_above,
                       _check_amplitude, _check_beta, _check_factor, _check_int, _check_matrix,
                       _check_positive, _check_real, _check_rho, _check_seed, _check_vector,
-                      _membership, _spectral_norm, dare_error_estimate, gain_from_q, solve_dare)
+                      _finite_q, _membership, _spectral_norm, dare_error_estimate, gain_from_q,
+                      solve_dare)
 from .simulation import DisturbanceModel, Scenario, simulate
 
 COMMANDS = ("solve", "simulate", "certify", "sweep")
@@ -205,10 +206,10 @@ def run_simulate(cfg: dict, seed: int, out_dir: Path) -> int:
     log = simulate(scenario)
     log.to_csv(out_dir / "trajectory.csv")
     try:
-        k_opt = gain_from_q(q_from_p(scenario.plant, solve_dare(scenario.plant))).K
-        gain_error = _spectral_norm(log.k[-1] - k_opt)
+        q = _finite_q(scenario.plant, solve_dare(scenario.plant))
     except NotStabilizable:
-        gain_error = None
+        q = None
+    gain_error = None if q is None else _spectral_norm(log.k[-1] - gain_from_q(q).K)
     with np.errstate(over="ignore"):   # a truncated run's terminal norm may overflow to inf
         final_state_norm = float(np.linalg.norm(log.x_final))
     _write_json(out_dir / "summary.json", {

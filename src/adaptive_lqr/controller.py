@@ -19,10 +19,10 @@ from .estimation import (
     data_riccati_residual,
     estimate_model,
     initial_correlation,
-    solve_data_riccati,
     update_correlations,
+    _solve_data_riccati,
 )
-from .riccati import (Gain, PlantModel, _check_amplitude, _check_factor, _check_int,
+from .riccati import (Gain, PlantModel, QMatrix, _check_amplitude, _check_factor, _check_int,
                       _check_seed, _check_vector, _trusted)
 
 # Tolerance of each step's data-driven Riccati solve.
@@ -102,8 +102,19 @@ def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | N
     corr = initial_correlation(n, m, lam=lam, sigma0=sigma0)
     if excitation is None:
         excitation = ExcitationSchedule(m)
-    fb = Gain(np.zeros((m, n)) if fallback_gain is None else fallback_gain)
-    return ControllerState(corr=corr, last_gain=fb, excitation=excitation)
+    if fallback_gain is not None:
+        fallback_gain = Gain(fallback_gain).K
+    state = _initial_controller(corr, excitation, fallback_gain)
+    state.__post_init__()   # the shape checks of the gain and the excitation
+    return state
+
+
+def _initial_controller(corr: CorrelationState, excitation: ExcitationSchedule,
+                        fallback_gain: np.ndarray | None) -> ControllerState:
+    """initial_controller on checked parts; a None fallback_gain is the zero gain."""
+    K = np.zeros((corr.m, corr.n)) if fallback_gain is None else fallback_gain
+    return _trusted(ControllerState, corr=corr, last_gain=_trusted(Gain, K=K),
+                    excitation=excitation, warm_p=None)
 
 
 def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
@@ -115,28 +126,33 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     Correlations are updated by controller_observe once x_{t+1} is
     available, not here.
     """
-    return _step(state, _check_vector(x, "x", state.corr.n))
+    u, new_state, eps, estimate, q = _step(state, _check_vector(x, "x", state.corr.n))
+    gain = new_state.last_gain
+    residual = np.nan if q is None else data_riccati_residual(state.corr, q, gain)
+    return u, new_state, StepDiagnostics(gain=gain.K, excitation=eps, eq6_residual=residual,
+                                         fallback=q is None, estimate=estimate)
 
 
-def _step(state: ControllerState, x: np.ndarray) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
-    """controller_step on a checked state vector x."""
+def _step(state: ControllerState, x: np.ndarray) -> tuple[
+        np.ndarray, ControllerState, np.ndarray, PlantModel | None, QMatrix | None]:
+    """controller_step's control law on a checked state vector x, without the residual.
+
+    Returns (u, new state, excitation, estimate, Q): the estimate is None when
+    Sigma is too ill-conditioned, Q the solved QMatrix or None when the step
+    fell back.  The applied gain is the new state's last_gain.
+    """
     warm = state.warm_p
-    estimate = None
+    estimate = q = None
     try:
         estimate = estimate_model(state.corr)
-        q, gain, P = solve_data_riccati(estimate, tol=SOLVE_TOL, p0=state.warm_p)
-        residual = data_riccati_residual(state.corr, q, gain)
+        q, gain, P = _solve_data_riccati(estimate, SOLVE_TOL, state.warm_p)
         warm = P.P
-        fallback = False
     except (EstimateNotStabilizable, IllConditioned, SingularQuu):
         gain = state.last_gain
-        residual = np.nan
-        fallback = True
     eps = excitation_sample(state.excitation, state.corr.t)
     u = gain.K @ x + eps
     new_state = _trusted(ControllerState, **{**vars(state), "last_gain": gain, "warm_p": warm})
-    return u, new_state, StepDiagnostics(gain=gain.K, excitation=eps, eq6_residual=residual,
-                                         fallback=fallback, estimate=estimate)
+    return u, new_state, eps, estimate, q
 
 
 def controller_observe(state: ControllerState, x, u, x_next) -> ControllerState:

@@ -40,13 +40,15 @@ from .riccati import (
     ValueMatrix,
     gain_from_q,
     q_from_p,
-    solve_dare,
+    solve_dare,   # not called here; bench/test_smoke.py reads it from this module
     sym,
     _check_factor,
     _check_int,
     _check_matrix,
     _check_pd,
     _check_vector,
+    _dare_args,
+    _solve_held,
     _spectral_norm,
     _sym_norm,
     _trusted,
@@ -88,11 +90,15 @@ def initial_correlation(n: int, m: int, lam: float = 0.99,
                         sigma0: np.ndarray | None = None) -> CorrelationState:
     """State at t = 0: Sigma = Sigma0, SigmaHat = 0."""
     n, m = _check_int(n, "n"), _check_int(m, "m")
-    if sigma0 is None:
-        sigma0 = 1e-3 * _lapack.eye(n + m)
-    sigma0 = _check_pd(sigma0, "sigma0", n + m)
-    return _trusted(CorrelationState, sigma=sigma0.copy(), sigma_hat=np.zeros((n, n + m)),
-                    lam=_check_factor(lam, "lam"), t=0)
+    if sigma0 is not None:
+        sigma0 = _check_pd(sigma0, "sigma0", n + m)
+    return _initial_correlation(n, m, _check_factor(lam, "lam"), sigma0)
+
+
+def _initial_correlation(n: int, m: int, lam: float, sigma0: np.ndarray | None) -> CorrelationState:
+    """initial_correlation on checked arguments; Sigma0 = 1e-3 I when sigma0 is None."""
+    sigma = 1e-3 * _lapack.eye(n + m) if sigma0 is None else sigma0.copy()
+    return _trusted(CorrelationState, sigma=sigma, sigma_hat=np.zeros((n, n + m)), lam=lam, t=0)
 
 
 def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationState:
@@ -187,8 +193,14 @@ def solve_data_riccati(estimate: PlantModel, tol: float = DEFAULT_TOL,
     data_riccati_residual certifies the result on the correlation-weighted
     equation directly.
     """
+    return _solve_data_riccati(estimate, *_dare_args(estimate, tol, p0))
+
+
+def _solve_data_riccati(estimate: PlantModel, tol: float,
+                        p0: np.ndarray | None) -> tuple[QMatrix, Gain, ValueMatrix]:
+    """solve_data_riccati on a checked tol and a held p0 (see riccati._solve_held)."""
     try:
-        P = solve_dare(estimate, tol=tol, p0=p0)
+        P = _solve_held(estimate, tol, p0)
     except NotStabilizable as exc:
         raise EstimateNotStabilizable(str(exc)) from exc
     q = q_from_p(estimate, P)
@@ -205,12 +217,21 @@ def data_riccati_residual(state: CorrelationState, q: QMatrix, gain: Gain) -> fl
     n, m = state.n, state.m
     if (q.n, q.m) != (n, m) or gain.K.shape != (m, n):
         raise ShapeMismatch(f"q and gain must be shaped for (n, m) = {n, m}")
-    e = np.frexp(np.abs(state.sigma).max())[1]
-    S, Sh = np.ldexp(state.sigma, -e), np.ldexp(state.sigma_hat, -e)
-    IK = np.vstack([_lapack.eye(n), gain.K])
-    lhs = S @ (q.Q - _lapack.eye(n + m)) @ S
-    rhs = Sh.T @ sym(IK.T @ q.Q @ IK) @ Sh
-    return _sym_norm(lhs - rhs) / _sym_norm(S @ q.Q @ S)
+    return _residual(state.sigma, state.sigma_hat, q.Q, gain.K)
+
+
+def _residual(sigma: np.ndarray, sigma_hat: np.ndarray, Q: np.ndarray,
+              K: np.ndarray) -> float | np.ndarray:
+    """data_riccati_residual of (Sigma, SigmaHat, Q, K), or of each step of stacks of
+    them (..., r, c), for an array of residuals; each stacked step gets its own bits."""
+    n, d = sigma_hat.shape[-2:]
+    e = np.frexp(np.abs(sigma).max(axis=(-2, -1), keepdims=True))[1]
+    S, Sh = np.ldexp(sigma, -e), np.ldexp(sigma_hat, -e)
+    IK = np.empty(K.shape[:-2] + (d, n))
+    IK[..., :n, :], IK[..., n:, :] = _lapack.eye(n), K
+    lhs = S @ (Q - _lapack.eye(d)) @ S
+    rhs = Sh.mT @ sym(IK.mT @ Q @ IK) @ Sh
+    return _sym_norm(lhs - rhs) / _sym_norm(S @ Q @ S)
 
 
 def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> np.ndarray:
@@ -232,7 +253,6 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     return acc
 
 
-@np.errstate(over="ignore")   # a difference that overflows has distance inf
 def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     """Spectral-norm distance between the true pair and the estimate.
 
@@ -243,4 +263,10 @@ def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     """
     if (estimate.n, estimate.m) != (plant.n, plant.m):
         raise ShapeMismatch(f"estimate (n, m) = {estimate.n, estimate.m}, plant {plant.n, plant.m}")
-    return _spectral_norm(plant.ab - estimate.ab)
+    return _rho(plant.ab, estimate.ab)
+
+
+@np.errstate(over="ignore")   # a difference that overflows has distance inf
+def _rho(ab: np.ndarray, ab_hat: np.ndarray) -> float | np.ndarray:
+    """rho_of of the pairs [A B] and [Ahat Bhat], or of each [Ahat Bhat] of a stack."""
+    return _spectral_norm(ab - ab_hat)

@@ -63,13 +63,15 @@ SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Exactly symmetric part (M + M') / 2."""
-    return (M + M.T) / 2.0
+    """Exactly symmetric part (M + M') / 2 of M, or of each matrix of a stack (..., d, d)."""
+    return (M + M.mT) / 2.0
 
 
-def _sym_norm(M: np.ndarray) -> float:
-    """Spectral norm of the symmetric part of M, max |eigvalsh(sym(M))|; no SVD."""
-    return float(np.abs(_lapack.eigvalsh(sym(M))).max())
+def _sym_norm(M: np.ndarray) -> float | np.ndarray:
+    """Spectral norm of the symmetric part of M, max |eigvalsh(sym(M))|; no SVD.
+    A float for one matrix, an array for a stack (..., d, d)."""
+    norm = np.abs(_lapack.eigvalsh(sym(M))).max(axis=-1)
+    return norm if norm.ndim else float(norm)
 
 
 def _min_eig(M: np.ndarray) -> float:
@@ -77,17 +79,24 @@ def _min_eig(M: np.ndarray) -> float:
     return float(_lapack.eigvalsh(sym(M)).min())
 
 
-def _spectral_norm(M: np.ndarray) -> float:
-    """Spectral norm of M as sqrt(max eigvalsh(M M')); no SVD.
+def _spectral_norm(M: np.ndarray) -> float | np.ndarray:
+    """Spectral norm of M as sqrt(max eigvalsh(M M')); no SVD.  A float for one
+    matrix, an array for a stack (..., r, c).
 
     M is scaled by its largest entry first, so M M' neither overflows nor
-    underflows.  An M with an infinite entry has norm inf.
+    underflows.  A zero M has norm 0 and an M with an infinite entry norm inf:
+    their scale, with no eigvalsh.
     """
-    scale = np.abs(M).max()
-    if scale == 0.0 or scale == np.inf:
-        return float(scale)
-    M = M / scale
-    return float(scale * np.sqrt(_lapack.eigvalsh(M @ M.T)[-1]))
+    scale = np.abs(M).max(axis=(-2, -1))
+    special = (scale == 0.0) | (scale == np.inf)
+    if np.count_nonzero(special):
+        norm = np.array(scale)
+        if not special.all():
+            norm[~special] = _spectral_norm(M[~special])
+    else:
+        M = M / scale[..., None, None]
+        norm = scale * np.sqrt(_lapack.eigvalsh(M @ M.mT)[..., -1])
+    return norm if norm.ndim else float(norm)
 
 
 def _trusted(cls, **fields):
@@ -410,21 +419,10 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
     exceeds NORM_CAP, the doubling solve is singular to working precision,
     or DOUBLING_STEPS steps pass first.
     """
-    tol = _check_positive(tol, "tol")
-    n = plant.n
+    tol, p0 = _dare_args(plant, tol, p0)
     if p0 is not None:
-        P = sym(_check_matrix(p0, "p0", (n, n)))
-        try:
-            for newton in range(NEWTON_STEPS + 1):
-                if newton:
-                    P = sym(P + _stein_solve(plant.A + plant.B @ K, Pn - P))
-                Pn, K = riccati_step(plant, P)
-                if _converged(P, Pn, CONFIRM_FRACTION * tol):
-                    _lapack.cholesky(Pn - (1.0 - 1e-9) * _lapack.eye(n))
-                    return _trusted(ValueMatrix, P=Pn)
-        except (np.linalg.LinAlgError, NotStabilizable):
-            pass
-        return solve_dare(plant, tol)
+        return _solve_held(plant, tol, p0)
+    n = plant.n
     eye = _lapack.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):   # _converged rejects what overflows
         A, G, H = plant.A, plant.B @ plant.B.T, eye
@@ -440,6 +438,30 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
                 return _trusted(ValueMatrix, P=Hn)
             A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
     raise NotStabilizable(f"no convergence to tol={tol:.1e} within {DOUBLING_STEPS} doubling steps")
+
+
+def _dare_args(plant: PlantModel, tol, p0) -> tuple[float, np.ndarray | None]:
+    """solve_dare's tol and p0 checked; p0, unless None, symmetrized as n x n."""
+    tol = _check_positive(tol, "tol")
+    return tol, None if p0 is None else sym(_check_matrix(p0, "p0", (plant.n, plant.n)))
+
+
+def _solve_held(plant: PlantModel, tol: float, P: np.ndarray | None) -> ValueMatrix:
+    """solve_dare(plant, tol, p0=P) for arguments as _dare_args returns them: the
+    confirm and Newton steps from P, then, unless one passes, the cold solve.
+    A held P that a solve returned is exactly symmetric, so it needs no checks."""
+    if P is not None:
+        try:
+            for newton in range(NEWTON_STEPS + 1):
+                if newton:
+                    P = sym(P + _stein_solve(plant.A + plant.B @ K, Pn - P))
+                Pn, K = riccati_step(plant, P)
+                if _converged(P, Pn, CONFIRM_FRACTION * tol):
+                    _lapack.cholesky(Pn - (1.0 - 1e-9) * _lapack.eye(plant.n))
+                    return _trusted(ValueMatrix, P=Pn)
+        except (np.linalg.LinAlgError, NotStabilizable):
+            pass
+    return solve_dare(plant, tol)
 
 
 def q_from_p(plant: PlantModel, P) -> QMatrix:
@@ -494,9 +516,8 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
     """check_membership's certificate for the plant's already solved P."""
     beta = _check_beta(beta, "beta")
     # P >= I gives Q >= I, so only the upper bound needs a test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = q_from_p(plant, P)
-    if not np.isfinite(q.Q).all():
+    q = _finite_q(plant, P)
+    if q is None:
         # Then max eig Q is above every finite beta^2.
         return MembershipCertificate(member=False, Q=None, max_eig_Q=np.inf, residual=np.inf,
                                      reason="Q = I + [A B]' P [A B] overflows")
@@ -506,6 +527,13 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
     return MembershipCertificate(member=bool(member), Q=q,
                                  max_eig_Q=max_eig, residual=dare_residual(plant, P),
                                  reason=reason)
+
+
+def _finite_q(plant: PlantModel, P: ValueMatrix) -> QMatrix | None:
+    """q_from_p of the plant's solved P; None when Q = I + [A B]' P [A B] overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = q_from_p(plant, P)
+    return q if np.isfinite(q.Q).all() else None
 
 
 def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:

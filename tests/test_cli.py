@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -432,6 +433,15 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["gain_error"] is None
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_plant_whose_q_overflows_has_no_gain_error(self, tmp_path):
+        # The plant solves (P near 1), but Q = I + [A B]' P [A B] overflows at B = 1e160.
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1e160]]}, "horizon": 20})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["gain_error"] is None
 
     def test_destabilizing_disturbance_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {

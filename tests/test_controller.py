@@ -343,14 +343,14 @@ class TestSolveAccuracy:
         # scipy's solver on the step's estimate, in relative spectral norm.
         import adaptive_lqr.estimation as estimation
         solves = []
-        solve = estimation.solve_dare
+        solve = estimation._solve_held
 
-        def recording(plant, *args, **kwargs):
-            P = solve(plant, *args, **kwargs)
-            solves.append((plant, kwargs["tol"], P.P))
+        def recording(plant, tol, p0):
+            P = solve(plant, tol, p0)
+            solves.append((plant, tol, P.P))
             return P
 
-        monkeypatch.setattr(estimation, "solve_dare", recording)
+        monkeypatch.setattr(estimation, "_solve_held", recording)
         scenarios = criterion5_scenarios(5005, 2)
         assert len(scenarios) == 8
         for sc in scenarios:
@@ -368,14 +368,14 @@ class TestSolveAccuracy:
         # against scipy is at most twice its first-order error estimate.
         import adaptive_lqr.estimation as estimation
         solves = []
-        solve = estimation.solve_dare
+        solve = estimation._solve_held
 
-        def recording(plant, *args, **kwargs):
-            P = solve(plant, *args, **kwargs)
+        def recording(plant, tol, p0):
+            P = solve(plant, tol, p0)
             solves.append((plant, P))
             return P
 
-        monkeypatch.setattr(estimation, "solve_dare", recording)
+        monkeypatch.setattr(estimation, "_solve_held", recording)
         for sc in criterion5_scenarios(5005, 2):
             simulate(sc)
         assert len(solves) > 1000

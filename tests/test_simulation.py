@@ -31,7 +31,10 @@ from adaptive_lqr import (
     simulate,
     solve_dare,
 )
-from adaptive_lqr.simulation import STATE_CAP
+from adaptive_lqr import _lapack
+from adaptive_lqr.simulation import CERTIFY_BLOCK, STATE_CAP
+
+from conftest import count_calls
 
 
 class TestDisturbanceEval:
@@ -248,6 +251,17 @@ class TestSimulate:
         assert 0 < counts["riccati_step"] <= (riccati.NEWTON_STEPS + 1) * solved
         assert len(cold_solves) <= 3
 
+    def test_two_eigvalsh_per_solved_step_and_three_per_block(self, monkeypatch):
+        # A solved step makes one eigvalsh for cond(Sigma) and one for the Quu
+        # test.  The log's residuals (two norms) and rho_t (one) take one
+        # stacked eigvalsh each per block of steps, not one each per step.
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        exc = ExcitationSchedule.constant(1, amplitude=1.0, seed=5)
+        kernels = count_calls(monkeypatch, _lapack, ["eigvalsh"])
+        log = simulate(scenario(plant, 200, exc=exc))
+        assert len(log) == 200 and not log.fallback.any()
+        assert kernels == {"eigvalsh": 2 * 200 + 3 * -(-200 // CERTIFY_BLOCK)}
+
     def test_step_estimate_and_logged_rho(self, monkeypatch):
         # sigma0 = 1e-17 I makes Sigma ill-conditioned after one data point,
         # and delta_b = -B hides the input, so the run has solved,
@@ -258,7 +272,8 @@ class TestSimulate:
 
         def recording(ctrl, x):
             out = step(ctrl, x)
-            steps.append((ctrl.corr, out[2]))
+            _, _, _, estimate, q = out
+            steps.append((ctrl.corr, estimate, q is None))
             return out
 
         monkeypatch.setattr(simulation, "_step", recording)
@@ -267,17 +282,17 @@ class TestSimulate:
         exc = ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.9, seed=2)
         log = simulate(scenario(plant, 300, dist=dist, exc=exc, sigma0=1e-17 * np.eye(2)))
         kinds = set()
-        for (corr, diag), rho in zip(steps, log.rho):
+        for (corr, estimate, fallback), rho in zip(steps, log.rho):
             try:
                 est = estimate_model(corr)
             except IllConditioned:
-                assert diag.estimate is None and diag.fallback and rho == np.inf
+                assert estimate is None and fallback and rho == np.inf
                 kinds.add("ill_conditioned")
                 continue
-            assert np.array_equal(diag.estimate.A, est.A)
-            assert np.array_equal(diag.estimate.B, est.B)
+            assert np.array_equal(estimate.A, est.A)
+            assert np.array_equal(estimate.B, est.B)
             assert rho == rho_of(est, plant)
-            kinds.add("not_stabilizable" if diag.fallback else "solved")
+            kinds.add("not_stabilizable" if fallback else "solved")
         assert kinds == {"solved", "not_stabilizable", "ill_conditioned"}
 
     def test_trusted_objects_survive_their_constructors(self, monkeypatch):
@@ -297,7 +312,7 @@ class TestSimulate:
                 return out
             return wrapped
 
-        for module, name in ((estimation, "solve_dare"), (controller, "solve_data_riccati"),
+        for module, name in ((estimation, "_solve_held"), (controller, "_solve_data_riccati"),
                              (simulation, "_fold"), (simulation, "_step")):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
         plant = PlantModel([[0.9, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 0.5]],
@@ -327,10 +342,9 @@ class TestSimulate:
             assert abs(grid[vals.argmax()] - w_star) <= 1e-5
 
 
-def kind_scenario(kind, horizon, seed=17):
-    """A 3-state, 2-input run with a disturbance of the given kind."""
+def kind_scenario(kind, horizon, seed=17, n=3, m=2):
+    """An n-state, m-input run with a disturbance of the given kind."""
     rng = np.random.default_rng(seed)
-    n, m = 3, 2
     plant = PlantModel(0.5 * rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, m)))
     da, db = 0.01 * rng.standard_normal((n, n)), 0.01 * rng.standard_normal((n, m))
     dist = {"zero": DisturbanceModel.zero(),
@@ -368,25 +382,29 @@ def public_loop(sc):
 class TestTrustedLoop:
     @pytest.mark.parametrize("kind", ["zero", "external", "linear", "filtered"])
     def test_loop_checks_no_vector(self, monkeypatch, kind):
-        # simulate trusts its Scenario and the arrays it builds: none of its
-        # steps re-checks a vector.  The hook counts calls in every module
-        # that bound the checker.
+        # simulate trusts its Scenario and the arrays it builds: neither its
+        # start nor its steps re-check a vector or a matrix, the held P of a
+        # warm solve included.  The hooks count calls in every module that
+        # bound the checker.
         import adaptive_lqr.riccati as riccati
         sc = kind_scenario(kind, 200)
-        calls = []
-        check = riccati._check_vector
+        calls = {"_check_vector": [], "_check_matrix": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return check(*args, **kwargs)
+        def counting(check, names):
+            def wrapped(*args, **kwargs):
+                names.append(args[1])
+                return check(*args, **kwargs)
+            return wrapped
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("adaptive_lqr") and getattr(module, "_check_vector", None) is check:
-                monkeypatch.setattr(module, "_check_vector", counting)
+        for checker, names in calls.items():
+            check = getattr(riccati, checker)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("adaptive_lqr") and getattr(module, checker, None) is check:
+                    monkeypatch.setattr(module, checker, counting(check, names))
         assert len(simulate(sc)) == 200
-        assert calls == []
+        assert calls == {"_check_vector": [], "_check_matrix": []}
         controller_step(initial_controller(3, 2), np.ones(3))
-        assert calls == ["x"]
+        assert calls["_check_vector"] == ["x"]
 
     @pytest.mark.parametrize("sc", [
         kind_scenario("zero", 120), kind_scenario("external", 120),
@@ -396,7 +414,20 @@ class TestTrustedLoop:
                  exc=ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.9, seed=2)),
         # The state overflows the double range on the first step.
         scenario(PlantModel([[1e308, 1e308], [0.0, 0.5]], [[1.0], [0.0]]), 5, x0=[2.0, -2.0]),
-    ], ids=["zero", "external", "linear", "filtered", "fallback_then_cap", "overflow"])
+        # d = n + m = 9.
+        kind_scenario("filtered", 120, n=6, m=3),
+        # test_step_estimate_and_logged_rho's run: ill-conditioned,
+        # non-stabilizable and solved steps.
+        scenario(PlantModel([[0.5]], [[1.0]]), 300, dist=DisturbanceModel.linear([[2.0]], [[-1.0]]),
+                 exc=ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.9, seed=2),
+                 sigma0=1e-17 * np.eye(2)),
+        # Two full blocks of the stacked pass and a part of a third.
+        kind_scenario("linear", 2 * CERTIFY_BLOCK + 37),
+        # delta_b = -B hides the input, so x_{t+1} = 1.1 x_t whatever the gain:
+        # the cap truncates the run after 290 steps, inside a block.
+        scenario(PlantModel([[0.5]], [[1.0]]), 400, dist=DisturbanceModel.linear([[0.6]], [[-1.0]])),
+    ], ids=["zero", "external", "linear", "filtered", "fallback_then_cap", "overflow",
+            "n6_m3", "ill_conditioned_steps", "two_blocks_and_a_part", "cap_inside_a_block"])
     def test_same_log_as_the_public_functions(self, sc):
         log = simulate(sc)
         assert logs_equal(log, public_loop(sc))
