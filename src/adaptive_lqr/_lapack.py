@@ -1,10 +1,10 @@
 """The package's dense kernels: numpy.linalg's LAPACK gufuncs without its wrappers.
 
-solve, eigvalsh and cholesky call the gufunc that the numpy.linalg function of
-the same name calls, in double precision and inside the same error state: the
-same bits, and the same LinAlgError for a singular, non-converged or not
-positive-definite input.  The package passes only square float matrices, so
-the wrappers' conversions and shape checks are skipped.
+solve, eigvalsh, eigvals and cholesky call the gufunc that the numpy.linalg
+function of the same name calls, in double precision and inside the same error
+state: the same bits, and the same LinAlgError for a singular, non-converged or
+not positive-definite input.  The package passes only square float matrices,
+so the wrappers' conversions and shape checks are skipped.
 """
 
 from functools import cache
@@ -30,6 +30,13 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(a): ascending eigenvalues, read from the lower triangle."""
     return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+@_raising("Eigenvalues did not converge")
+def eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals(a) of a finite a, always complex: the wrapper's check for
+    infs and NaNs and its cast of all-real eigenvalues to float are skipped."""
+    return _umath_linalg.eigvals(a, signature="d->D")
 
 
 @_raising("Matrix is not positive definite")

@@ -36,6 +36,7 @@ from .riccati import (
     _min_eig,
     _solve_membership,
     _spectral_norm,
+    _spectral_radius,
     _sym_norm,
     gain_from_q,
     q_from_p,
@@ -263,11 +264,15 @@ def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> Certific
 
     Zero (to 1e-9) at the optimal gain; negative for any gain that fails the
     strict decay.  A P or gain not shaped for the plant raises ShapeMismatch.
+    A closed loop or decay matrix that overflows has margin UNDEFINED_MARGIN,
+    and the closed loop radius inf when the closed loop itself overflows.
     """
     _check_p_and_gain(plant, P, K)
-    closed = plant.A + plant.B @ K.K
-    margin = _min_eig(P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K)
-    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = plant.A + plant.B @ K.K
+        decay = P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K
+    margin = _min_eig(decay) if np.isfinite(decay).all() else UNDEFINED_MARGIN
+    radius = _spectral_radius(closed)
     return _report("lyapunov_decay", {}, margin, {"closed_loop_radius": radius})
 
 
@@ -294,7 +299,7 @@ def random_plant(rng: np.random.Generator, n: int, m: int,
     input_scale = _check_real(input_scale, "input_scale")
     while True:
         A = rng.uniform(-1.0, 1.0, (n, n))
-        r = float(np.max(np.abs(np.linalg.eigvals(A))))
+        r = _spectral_radius(A)
         if r > 1e-9:
             break
     A *= spectral_radius / r

@@ -79,6 +79,13 @@ def _min_eig(M: np.ndarray) -> float:
     return float(_lapack.eigvalsh(sym(M)).min())
 
 
+def _spectral_radius(M: np.ndarray) -> float:
+    """max |eigenvalue| of a square M; inf when M has an infinite or NaN entry."""
+    if not np.isfinite(M).all():
+        return np.inf
+    return float(np.abs(_lapack.eigvals(M)).max())
+
+
 def _spectral_norm(M: np.ndarray) -> float | np.ndarray:
     """Spectral norm of M as sqrt(max eigvalsh(M M')); no SVD.  A float for one
     matrix, an array for a stack (..., r, c).
@@ -369,7 +376,7 @@ def dare_error_estimate(plant: PlantModel, P) -> float:
     """
     P, Pn, K, norm = _checked_step(plant, P)
     Ac = plant.A + plant.B @ K
-    if np.abs(np.linalg.eigvals(Ac)).max() >= 1.0:
+    if _spectral_radius(Ac) >= 1.0:
         return np.inf
     return _spectral_norm(_stein_solve(Ac, Pn - P)) / norm
 

@@ -3,9 +3,11 @@
 The loop per step: compute u_t from the controller, evaluate the disturbance
 generator, advance x_{t+1} = A x_t + B u_t + w_t, then let the controller
 observe the transition.  The log records everything needed to replay the
-run and to evaluate the robustness certificates afterwards.  Its two
-diagnostics, the data-equation residual and rho_t, feed nothing back, so they
-are computed after each block of CERTIFY_BLOCK steps, in one stacked pass.
+run and to evaluate the robustness certificates afterwards.  The loop runs
+in blocks of CERTIFY_BLOCK steps.  The excitation of a block depends only on
+the schedule and t, so it is drawn before the block's steps, in one stacked
+pass.  The log's two diagnostics, the data-equation residual and rho_t, feed
+nothing back, so they are computed after the block's steps, in another.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .controller import ControllerState, ExcitationSchedule, _initial_controller, _step
+from .controller import (ControllerState, ExcitationSchedule, _excitation_block,
+                         _initial_controller, _step)
 from .errors import DomainError, ShapeMismatch
 from .estimation import _fold, _initial_correlation, _residual, _rho
 from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_pd,
@@ -222,35 +225,39 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
     """Run the closed loop for `horizon` steps on the per-step core that
     controller_step, disturbance_eval and controller_observe run after checks.
 
-    The loop runs the control law only.  The log's eq6 residuals and rho_t
-    (the distance of each estimate from the true plant), which the controller
-    never reads, are computed by _certify after every CERTIFY_BLOCK steps and
-    at the end, with the bits controller_step and rho_of give one step at a
-    time.  A state whose norm exceeds STATE_CAP or is not finite truncates the
-    run and flags the log instead of raising.
+    The loop runs the control law only, in blocks of CERTIFY_BLOCK steps.
+    Before a block, _excitation_block draws the block's excitation in one
+    stacked pass; after it, _certify computes the log's eq6 residuals and
+    rho_t (the distance of each estimate from the true plant), which the
+    controller never reads.  Both give the bits that excitation_sample,
+    controller_step and rho_of give one step at a time.  A state whose norm
+    exceeds STATE_CAP or is not finite truncates the run and flags the log
+    instead of raising.
     """
-    plant = scenario.plant
+    plant, horizon = scenario.plant, scenario.horizon
     n, m = plant.n, plant.m
     ctrl = _initial_controller(_initial_correlation(n, m, scenario.lam, scenario.sigma0),
                                scenario.excitation, scenario.fallback_gain)
-    x, xi, rows, block, certified = scenario.x0.copy(), None, [], [], []
-    for t in range(scenario.horizon):
-        corr = ctrl.corr
-        u, ctrl, eps, estimate, q = _step(ctrl, x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, xi = _disturb(scenario.disturbance, t, x, u, xi)
-            x_next = plant.A @ x + plant.B @ u + w
-            overflowed = not np.sqrt(x_next.dot(x_next)) <= STATE_CAP
-        rows.append((x, u, eps, w, ctrl.last_gain.K, q is None))
-        block.append((corr, estimate, q, ctrl.last_gain.K))
-        if len(block) == CERTIFY_BLOCK:
-            certified.append(_certify(block, plant))
-            block = []
+    x, xi, rows, certified = scenario.x0.copy(), None, [], []
+    for t0 in range(0, horizon, CERTIFY_BLOCK):
+        block = []
+        excitation = _excitation_block(scenario.excitation, t0, min(CERTIFY_BLOCK, horizon - t0))
+        for t, eps in enumerate(excitation, t0):
+            corr = ctrl.corr
+            u, ctrl, estimate, q = _step(ctrl, x, eps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w, xi = _disturb(scenario.disturbance, t, x, u, xi)
+                x_next = plant.A @ x + plant.B @ u + w
+                overflowed = not np.sqrt(x_next.dot(x_next)) <= STATE_CAP
+            rows.append((x, u, eps, w, ctrl.last_gain.K, q is None))
+            block.append((corr, estimate, q, ctrl.last_gain.K))
+            if overflowed:
+                break
+            ctrl = _trusted(ControllerState, **{**vars(ctrl), "corr": _fold(ctrl.corr, x, u, x_next)})
+            x = x_next
+        certified.append(_certify(block, plant))
         if overflowed:
             break
-        ctrl = _trusted(ControllerState, **{**vars(ctrl), "corr": _fold(ctrl.corr, x, u, x_next)})
-        x = x_next
-    certified.append(_certify(block, plant))
     x, u, eps, w, k, fallback = map(np.array, zip(*rows))
     rho, residual = map(np.concatenate, zip(*certified))
     return TrajectoryLog(n=n, m=m, t=np.arange(len(rows)), x=x, u=u, eps=eps, w=w, k=k, rho=rho,

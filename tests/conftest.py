@@ -111,4 +111,4 @@ def count_calls(monkeypatch, module, names):
 
 # numpy.linalg's public wrappers of the package's LAPACK kernels; the package
 # calls the kernels through adaptive_lqr._lapack only.
-LINALG_WRAPPERS = ("solve", "eigvalsh", "cholesky")
+LINALG_WRAPPERS = ("solve", "eigvalsh", "eigvals", "cholesky")

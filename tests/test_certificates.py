@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,17 @@ class TestLyapunovDecay:
         report = lyapunov_decay_check(plant, P, Gain([[1.0]]))   # |a+bk| = 1.5
         assert report.conclusion_margin < 0.0
         assert report.details["closed_loop_radius"] > 1.0
+
+    @pytest.mark.parametrize("k, radius", [(1e150, 1e160), (1e300, np.inf)],
+                             ids=["decay_overflows", "closed_loop_overflows"])
+    def test_overflow_reports_an_undefined_margin_without_warnings(self, k, radius):
+        plant = PlantModel([[0.5]], [[1e10]])
+        P = solve_dare(plant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = lyapunov_decay_check(plant, P, Gain([[k]]))
+        assert report.conclusion_margin == certificates.UNDEFINED_MARGIN
+        assert report.details["closed_loop_radius"] == radius
 
 
 class TestInvariantAtTheBoundaries:

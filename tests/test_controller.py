@@ -25,8 +25,8 @@ from adaptive_lqr import (
     solve_dare,
     update_correlations,
 )
-from adaptive_lqr import _lapack, riccati
-from adaptive_lqr.controller import SOLVE_TOL
+from adaptive_lqr import _lapack, controller, riccati
+from adaptive_lqr.controller import SOLVE_TOL, _excitation_block
 from dataclasses import replace
 from conftest import (LINALG_WRAPPERS, count_calls, random_history, scalar_k, scalar_p,
                       scipy_dare)
@@ -106,6 +106,50 @@ class TestExcitationSample:
         # numpy's generator would reject it only at the first sample, untyped.
         with pytest.raises(DomainError):
             ExcitationSchedule.constant(1, amplitude=1.0, seed=-1)
+
+
+def stacked_samples(sched, t0, count):
+    """excitation_sample at t0 .. t0 + count - 1, one row each."""
+    return np.array([excitation_sample(sched, t) for t in range(t0, t0 + count)])
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestExcitationBlock:
+    """_excitation_block, simulate's stacked draw, against excitation_sample."""
+
+    # Seeds of 1 to 5 entropy words: words(seed) + words(t) past SeedSequence's
+    # pool of 4 words runs its extra mix loop.
+    SEEDS = [0, 7, 2**32 - 1, 2**32, 2**63 + 11, 2**64 + 3, 2**96, 2**133 + 5]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_schedules_match_stacked_samples(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        for k in range(30):
+            m = k % 3 + 1
+            amplitude = [0.0, 1.0, float(rng.uniform(0.0, 1e3))][k // 3 % 3]
+            decay_rate = 1.0 if k % 2 else float(rng.uniform(0.5, 1.0))
+            sched = ExcitationSchedule(m, amplitude, decay_rate, seed)
+            # t0 = 0, blocks that cross a multiple of 64, and blocks anywhere below 10^5
+            t0 = [0, 64 * int(rng.integers(1, 100)) - int(rng.integers(1, 64)),
+                  int(rng.integers(0, 10**5))][k % 3]
+            count = int(rng.integers(1, 129))
+            assert same_bytes(_excitation_block(sched, t0, count),
+                              stacked_samples(sched, t0, count))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("t0", [2**32 - 40, 2**64 - 40, 2**96 + 3])
+    def test_blocks_past_one_word_of_t(self, seed, t0):
+        # A block across 2^32 or 2^64 mixes rows whose t has a different number of words.
+        sched = ExcitationSchedule(2, 3.0, 0.999, seed)
+        assert same_bytes(_excitation_block(sched, t0, 64), stacked_samples(sched, t0, 64))
+
+    def test_zero_amplitude_draws_nothing(self, monkeypatch):
+        calls = count_calls(monkeypatch, controller, ["_hashmix"])
+        block = _excitation_block(ExcitationSchedule(3, 0.0, 0.9, seed=4), 64, 10)
+        assert same_bytes(block, np.zeros((10, 3))) and calls == {"_hashmix": 0}
 
 
 class TestControllerStep:
@@ -202,7 +246,7 @@ class TestControllerStep:
         _, _, diag = controller_step(ctrl, [1.0, -0.5])
         assert not diag.fallback
         assert kernels == {"solve": 3, "eigvalsh": 4} and steps == {"riccati_step": 1}
-        assert wrappers == {"solve": 0, "eigvalsh": 0, "cholesky": 0}
+        assert wrappers == dict.fromkeys(LINALG_WRAPPERS, 0)
 
     def test_excitation_added(self):
         sched = ExcitationSchedule.constant(1, amplitude=0.5, seed=3)

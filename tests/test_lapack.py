@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adaptive_lqr import QMatrix, _lapack
+from adaptive_lqr.riccati import _spectral_radius
 
 DIMS = range(1, 10)
 
@@ -48,6 +49,14 @@ class TestBitForBit:
         for a in (G @ G.T + 0.1 * np.eye(d), (G @ G.T).T + np.eye(d)):
             assert same(_lapack.cholesky(a), np.linalg.cholesky(a))
 
+    def test_eigvals(self, d):
+        # numpy's wrapper casts all-real eigenvalues to float; the values are equal.
+        rng = np.random.default_rng(500 + d)
+        G = rng.standard_normal((d, d))
+        for a in (G, G.T, G + G.T, np.triu(G)):
+            ours, theirs = _lapack.eigvals(a), np.linalg.eigvals(a)
+            assert ours.dtype == np.complex128 and np.array_equal(ours, theirs)
+
     def test_strided_blocks_of_q(self, d):
         # QMatrix's blocks are views into Q with its row stride.
         rng = np.random.default_rng(400 + d)
@@ -89,6 +98,23 @@ def test_singular_and_not_pd_raise_numpys_error():
         _lapack.solve(np.array(BAD["singular"]), np.ones(2))
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         _lapack.cholesky(np.array(BAD["not_pd"]))
+
+
+def test_spectral_radius_keeps_the_bits_of_numpys_eigvals():
+    # |x + 0j| = |x|, so max |eigenvalue| does not see the wrapper's cast to float.
+    rng = np.random.default_rng(600)
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        a = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(-3, 4)
+        assert _spectral_radius(a) == float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+@pytest.mark.parametrize("case", ["nan", "nan_off_diagonal", "inf"])
+def test_spectral_radius_of_a_non_finite_matrix_is_inf(case):
+    # np.linalg.eigvals raises on these; the radius of an overflowed matrix is inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _spectral_radius(np.array(BAD[case])) == np.inf
 
 
 @pytest.mark.parametrize("n", [1, 3, 36])

@@ -23,6 +23,7 @@ from adaptive_lqr import (
     controller_step,
     disturbance_eval,
     estimate_model,
+    excitation_sample,
     gain_from_q,
     initial_controller,
     logs_equal,
@@ -262,6 +263,21 @@ class TestSimulate:
         assert len(log) == 200 and not log.fallback.any()
         assert kernels == {"eigvalsh": 2 * 200 + 3 * -(-200 // CERTIFY_BLOCK)}
 
+    def test_excitation_is_drawn_once_per_block_without_a_generator(self, monkeypatch):
+        # No default_rng per step: one stacked draw per CERTIFY_BLOCK steps,
+        # with the bits of excitation_sample.
+        import adaptive_lqr.simulation as simulation
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        exc = ExcitationSchedule.decaying(1, amplitude=1.0, decay_rate=0.99, seed=5)
+        generators = count_calls(monkeypatch, np.random, ["default_rng"])
+        blocks = count_calls(monkeypatch, simulation, ["_excitation_block"])
+        log = simulate(scenario(plant, 200, exc=exc))
+        assert generators == {"default_rng": 0} and blocks == {"_excitation_block": 4}
+        assert len(log) == 200 == len(log.eps)
+        monkeypatch.undo()
+        assert log.eps.tobytes() == np.array([excitation_sample(exc, t)
+                                              for t in range(200)]).tobytes()
+
     def test_step_estimate_and_logged_rho(self, monkeypatch):
         # sigma0 = 1e-17 I makes Sigma ill-conditioned after one data point,
         # and delta_b = -B hides the input, so the run has solved,
@@ -270,9 +286,9 @@ class TestSimulate:
         steps = []
         step = simulation._step
 
-        def recording(ctrl, x):
-            out = step(ctrl, x)
-            _, _, _, estimate, q = out
+        def recording(ctrl, x, eps):
+            out = step(ctrl, x, eps)
+            _, _, estimate, q = out
             steps.append((ctrl.corr, estimate, q is None))
             return out
 
