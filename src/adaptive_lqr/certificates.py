@@ -124,7 +124,8 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     on the solve confirmed from P (one step at the fixed point); a P the step
     cannot confirm is replaced by a cold solve, so the verdict is
     check_membership's.  The conclusion is evaluated on the given P when
-    the solve confirms it to DEFAULT_TOL, otherwise on the solved P.
+    the solve confirms it to DEFAULT_TOL, otherwise on the solved P; a
+    conclusion matrix that overflows has margin UNDEFINED_MARGIN.
     A beta not above 1, a negative rho, or a beta or rho not finite or whose
     square overflows raises DomainError; a P or gain not shaped for the
     plant, correlation data not (n+m) x (n+m) and n x (n+m), a sigma not
@@ -156,9 +157,10 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
         margin = UNDEFINED_MARGIN
     else:
         K = kt.K
-        closed = plant.A + plant.B @ K
-        margin = _min_eig(P.P / (1.0 - c)
-                          - (_lapack.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
+        with np.errstate(over="ignore", invalid="ignore"):
+            closed = plant.A + plant.B @ K
+            margin = _min_eig(P.P / (1.0 - c)
+                              - (_lapack.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
     return _report("theorem1", hyps, margin, details)
 
 
@@ -238,6 +240,7 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     holds for -rho as for rho, the conclusion does not.  So does a beta not
     above 1, and a beta or rho whose square overflows.  With SigmaHat n x d,
     the matrices must be finite and Sigma, Q d x d, SigmaTilde n x d and P n x n.
+    A margin whose matrix overflows is UNDEFINED_MARGIN.
     """
     rho = _check_rho(rho, "rho")
     beta = _check_beta(beta, "beta")
@@ -247,15 +250,18 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     St = _check_matrix(sigma_tilde, "sigma_tilde", (n, d))
     P = _check_matrix(P, "P", (n, n))
     Q = _check_matrix(Q, "Q", (d, d))
-    consistency_rhs = S @ (Q - _lapack.eye(d)) @ S
-    dev = _spectral_norm((Sh - St).T @ P @ (Sh - St) - consistency_rhs)
-    hyps = {
-        "consistency": _hyp(-dev / max(1.0, _sym_norm(consistency_rhs))),
-        "tilde_bound": _hyp(_min_eig(rho**2 * S @ S - St.T @ St)),
-        "q_lower": _hyp(_min_eig(Q - _lapack.eye(d))),
-        "q_upper": _hyp(_min_eig(beta**2 * _lapack.eye(d) - Q)),
-    }
-    margin = _min_eig(S @ Q @ S + (beta**2 * rho * (rho + 2.0) - 1.0) * S @ S - Sh.T @ P @ Sh)
+    eye = _lapack.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        consistency_rhs = S @ (Q - eye) @ S
+        dev = (Sh - St).T @ P @ (Sh - St) - consistency_rhs   # finite only if the rhs is
+        hyps = {
+            "consistency": _hyp(-_spectral_norm(dev) / max(1.0, _sym_norm(consistency_rhs))
+                                if np.isfinite(dev).all() else UNDEFINED_MARGIN),
+            "tilde_bound": _hyp(_min_eig(rho**2 * S @ S - St.T @ St)),
+            "q_lower": _hyp(_min_eig(Q - eye)),
+            "q_upper": _hyp(_min_eig(beta**2 * eye - Q)),
+        }
+        margin = _min_eig(S @ Q @ S + (beta**2 * rho * (rho + 2.0) - 1.0) * S @ S - Sh.T @ P @ Sh)
     return _report("lemma1", hyps, margin, {"beta": float(beta), "rho": float(rho)})
 
 
@@ -270,10 +276,8 @@ def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> Certific
     _check_p_and_gain(plant, P, K)
     with np.errstate(over="ignore", invalid="ignore"):
         closed = plant.A + plant.B @ K.K
-        decay = P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K
-    margin = _min_eig(decay) if np.isfinite(decay).all() else UNDEFINED_MARGIN
-    radius = _spectral_radius(closed)
-    return _report("lyapunov_decay", {}, margin, {"closed_loop_radius": radius})
+        margin = _min_eig(P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K)
+    return _report("lyapunov_decay", {}, margin, {"closed_loop_radius": _spectral_radius(closed)})
 
 
 def admissible_rho(beta: float) -> float:

@@ -95,34 +95,35 @@ def _build(cls, ctx, **fields):
         raise ConfigError(f"invalid '{ctx}': {exc}") from exc
 
 
-def _parse_plant(cfg, ctx="plant") -> PlantModel:
+def _parse_plant(cfg) -> PlantModel:
     if "plant" not in cfg or cfg["plant"] is None:
         raise ConfigError("field 'plant' with matrices A and B is required")
-    d = _ensure_mapping(cfg["plant"], ctx)
-    _reject_unknown(d, ("A", "B"), ctx)
-    return _build(PlantModel, ctx, A=_field(_check_matrix, d.get("A"), f"{ctx}.A"),
-                  B=_field(_check_matrix, d.get("B"), f"{ctx}.B"))
+    d = _ensure_mapping(cfg["plant"], "plant")
+    _reject_unknown(d, ("A", "B"), "plant")
+    return _build(PlantModel, "plant", A=_field(_check_matrix, d.get("A"), "plant.A"),
+                  B=_field(_check_matrix, d.get("B"), "plant.B"))
 
 
-def _parse_excitation(cfg, m, default_seed, ctx="excitation") -> ExcitationSchedule:
-    d = _ensure_mapping(cfg.get("excitation", {}), ctx)
-    _reject_unknown(d, ("amplitude", "decay_rate", "seed"), ctx)
-    seed = default_seed if d.get("seed") is None else d["seed"]
+def _parse_excitation(cfg, m, seed) -> ExcitationSchedule:
+    """The excitation schedule; the run seed is its seed."""
+    d = _ensure_mapping(cfg.get("excitation", {}), "excitation")
+    _reject_unknown(d, ("amplitude", "decay_rate"), "excitation")
     # Non-numbers are named by field path here; ranges, by the schedule below.
-    amplitude = _field(_check_real, d.get("amplitude", 0.0), f"{ctx}.amplitude")
-    decay_rate = _field(_check_real, d.get("decay_rate", 1.0), f"{ctx}.decay_rate")
-    return _build(ExcitationSchedule, ctx, m=m, amplitude=amplitude, decay_rate=decay_rate,
-                  seed=seed)
+    amplitude = _field(_check_real, d.get("amplitude", 0.0), "excitation.amplitude")
+    decay_rate = _field(_check_real, d.get("decay_rate", 1.0), "excitation.decay_rate")
+    return _build(ExcitationSchedule, "excitation", m=m, amplitude=amplitude,
+                  decay_rate=decay_rate, seed=seed)
 
 
-def _parse_disturbance(cfg, ctx="disturbance") -> DisturbanceModel:
-    d = _ensure_mapping(cfg.get("disturbance", {}), ctx)
-    _reject_unknown(d, ("kind", "sequence", "delta_a", "delta_b", "pole"), ctx)
-    # The model checks the kind and the arrays that kind needs.
-    arrays = {key: _field(_check_matrix, d[key], f"{ctx}.{key}")
+def _parse_disturbance(cfg) -> DisturbanceModel:
+    d = _ensure_mapping(cfg.get("disturbance", {}), "disturbance")
+    _reject_unknown(d, ("kind", "sequence", "delta_a", "delta_b", "pole"), "disturbance")
+    # The model checks the kind, and that it is given exactly the arrays it reads.
+    arrays = {key: _field(_check_matrix, d[key], f"disturbance.{key}")
               for key in ("sequence", "delta_a", "delta_b") if d.get(key) is not None}
-    pole = _field(_check_real, d.get("pole", 0.0), f"{ctx}.pole")
-    return _build(DisturbanceModel, ctx, kind=d.get("kind", "zero"), pole=pole, **arrays)
+    pole = _field(_check_real, d.get("pole", 0.0), "disturbance.pole")
+    return _build(DisturbanceModel, "disturbance", kind=d.get("kind", "zero"), pole=pole,
+                  **arrays)
 
 
 _COMMON_KEYS = ("command", "seed", "out_dir")
@@ -252,6 +253,11 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
     """
     _reject_unknown(cfg, _COMMON_KEYS + ("checks", "instances", "n", "m", "beta",
                                          "rho", "rho_scale", "gamma", "plant"), "config")
+    explicit = cfg.get("plant") is not None
+    sampling = [key for key in ("instances", "n", "m") if key in cfg]
+    if explicit and sampling:
+        raise ConfigError(f"field '{sampling[0]}' sizes the sampled instances; "
+                          "it cannot be given with 'plant'")
     checks = cfg.get("checks", ["theorem1", "lemma1"])
     if not isinstance(checks, list) or not checks:
         raise ConfigError("field 'checks' must be a non-empty list")
@@ -277,7 +283,7 @@ def run_certify(cfg: dict, seed: int, out_dir: Path) -> int:
         return rng.uniform(0.0, 0.9) * root
 
     reports = []
-    if cfg.get("plant") is not None:
+    if explicit:
         plant = _parse_plant(cfg)
         try:
             P = solve_dare(plant)

@@ -10,7 +10,6 @@ and the step is flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -81,37 +80,17 @@ def _words(v: int) -> list[int]:
     return [v >> s & _M32 for s in range(0, max(v.bit_length(), 1), 32)]
 
 
-@cache
-def _hash_consts(init: int, mult: int, k0: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constant before and after each of the hashmix calls k0 .. k0 + rows - 1.
-    Shared, so read-only."""
-    c = np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(k0, k0 + rows + 1)],
-                 np.uint32)[:, None]
-    c.flags.writeable = False
-    return c[:-1], c[1:]
-
-
 def _hashmix(v: np.ndarray, k0: int, rows: int, init: int = _INIT_A, mult: int = _MULT_A):
     """SeedSequence's hashmix calls k0 .. k0 + rows - 1, call k0 + i on row i of v."""
-    before, after = _hash_consts(init, mult, k0, rows)
-    v = (v ^ before) * after
+    c = np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(k0, k0 + rows + 1)],
+                 np.uint32)[:, None]
+    v = (v ^ c[:-1]) * c[1:]
     return v ^ v >> _XSHIFT
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = _MIX_MULT_L * x - _MIX_MULT_R * y
     return r ^ r >> _XSHIFT
-
-
-@cache
-def _pcg_jumps(m: int) -> np.ndarray:
-    """Rows MULT^(j+1) and sum_{i<=j} MULT^i for j = 1 .. m: PCG64 seeded with s and
-    increment c holds (s + c) MULT^(j+1) + c sum_{i<=j} MULT^i at its j-th output.
-    Shared, so read-only."""
-    powers = [pow(_PCG_MULT, j, 1 << 128) for j in range(m + 2)]
-    jumps = np.array([powers[2:], [sum(powers[:j]) for j in range(2, m + 2)]], dtype=object)
-    jumps.flags.writeable = False
-    return jumps
 
 
 def _excitation_block(schedule: ExcitationSchedule, t0: int, count: int) -> np.ndarray:
@@ -146,8 +125,12 @@ def _excitation_block(schedule: ExcitationSchedule, t0: int, count: int) -> np.n
     state = state.astype(np.uint64)
     seed_hi, seed_lo, inc_hi, inc_lo = (state[0::2] | state[1::2] << 32).astype(object)
     inc = (inc_hi << 64 | inc_lo) << 1 | 1
-    jump, shift = _pcg_jumps(m)
-    lcg = ((inc + (seed_hi << 64 | seed_lo))[:, None] * jump + inc[:, None] * shift) & _M128
+    # PCG64's seeding ends with an LCG step; each of the m outputs takes one more.
+    lcg, steps = inc + (seed_hi << 64 | seed_lo), []
+    for _ in range(m + 1):
+        lcg = (lcg * _PCG_MULT + inc) & _M128
+        steps.append(lcg)
+    lcg = np.stack(steps[1:], axis=1)
     x = ((lcg >> 64 ^ lcg) & _M64).astype(np.uint64)
     rot = (lcg >> 122).astype(np.uint64)
     x = x >> rot | x << (64 - rot & 63)

@@ -46,8 +46,8 @@ from .riccati import (
     _check_int,
     _check_matrix,
     _check_pd,
+    _check_positive,
     _check_vector,
-    _dare_args,
     _solve_held,
     _spectral_norm,
     _sym_norm,
@@ -183,8 +183,8 @@ def estimate_model(state: CorrelationState) -> PlantModel:
     return _estimate(state.sigma, state.sigma_hat)
 
 
-def solve_data_riccati(estimate: PlantModel, tol: float = DEFAULT_TOL,
-                       p0: np.ndarray | None = None) -> tuple[QMatrix, Gain, ValueMatrix]:
+def solve_data_riccati(estimate: PlantModel,
+                       tol: float = DEFAULT_TOL) -> tuple[QMatrix, Gain, ValueMatrix]:
     """Solve the correlation-weighted fixed-point equation via the model estimate.
 
     Runs the certified Riccati solver on the estimate of estimate_model and
@@ -193,14 +193,15 @@ def solve_data_riccati(estimate: PlantModel, tol: float = DEFAULT_TOL,
     data_riccati_residual certifies the result on the correlation-weighted
     equation directly.
     """
-    return _solve_data_riccati(estimate, *_dare_args(estimate, tol, p0))
+    return _solve_data_riccati(estimate, _check_positive(tol, "tol"), None)
 
 
 def _solve_data_riccati(estimate: PlantModel, tol: float,
-                        p0: np.ndarray | None) -> tuple[QMatrix, Gain, ValueMatrix]:
-    """solve_data_riccati on a checked tol and a held p0 (see riccati._solve_held)."""
+                        held: np.ndarray | None) -> tuple[QMatrix, Gain, ValueMatrix]:
+    """solve_data_riccati on a checked tol, confirming the P of the previous solve
+    when one is held (see riccati._solve_held)."""
     try:
-        P = _solve_held(estimate, tol, p0)
+        P = _solve_held(estimate, tol, held)
     except NotStabilizable as exc:
         raise EstimateNotStabilizable(str(exc)) from exc
     q = q_from_p(estimate, P)
@@ -240,16 +241,21 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     Returns the n x (n+m) array [Swx Swu] of the SigmaHat recursion with w_k
     for x_{k+1}, from -[A B] Sigma0: it equals SigmaHat - [A B] Sigma for the
     correlations of the same run.
-    `history` is read as in batch_correlations.
+    `history` is read as in batch_correlations; a history that overflows
+    the correlations raises NonFiniteInput, as there.
     """
     n, m = plant.n, plant.m
     history = _as_history(history)
     lam = _check_factor(lam, "lam")
-    acc = -plant.ab @ _check_pd(sigma0, "sigma0", n + m)
-    for k, entry in enumerate(history):
-        x, u, w = _triple(entry, k)
-        z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
-        acc = lam * acc + np.outer(_check_vector(w, "w", n), z)
+    # A sum that overflows stays inf or NaN: one test at the end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = -plant.ab @ _check_pd(sigma0, "sigma0", n + m)
+        for k, entry in enumerate(history):
+            x, u, w = _triple(entry, k)
+            z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
+            acc = lam * acc + np.outer(_check_vector(w, "w", n), z)
+    if not np.isfinite(acc).all():
+        raise NonFiniteInput("the history overflows the disturbance correlations")
     return acc
 
 

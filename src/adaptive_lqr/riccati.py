@@ -75,8 +75,10 @@ def _sym_norm(M: np.ndarray) -> float | np.ndarray:
 
 
 def _min_eig(M: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of M."""
-    return float(_lapack.eigvalsh(sym(M)).min())
+    """Smallest eigenvalue of the symmetric part of M; -inf, which no bound
+    meets, when that part has an entry that overflowed or is NaN."""
+    S = sym(M)
+    return float(_lapack.eigvalsh(S).min()) if np.isfinite(S).all() else -np.inf
 
 
 def _spectral_radius(M: np.ndarray) -> float:
@@ -426,9 +428,9 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
     exceeds NORM_CAP, the doubling solve is singular to working precision,
     or DOUBLING_STEPS steps pass first.
     """
-    tol, p0 = _dare_args(plant, tol, p0)
+    tol = _check_positive(tol, "tol")
     if p0 is not None:
-        return _solve_held(plant, tol, p0)
+        return _solve_held(plant, tol, sym(_check_matrix(p0, "p0", (plant.n, plant.n))))
     n = plant.n
     eye = _lapack.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):   # _converged rejects what overflows
@@ -447,15 +449,9 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
     raise NotStabilizable(f"no convergence to tol={tol:.1e} within {DOUBLING_STEPS} doubling steps")
 
 
-def _dare_args(plant: PlantModel, tol, p0) -> tuple[float, np.ndarray | None]:
-    """solve_dare's tol and p0 checked; p0, unless None, symmetrized as n x n."""
-    tol = _check_positive(tol, "tol")
-    return tol, None if p0 is None else sym(_check_matrix(p0, "p0", (plant.n, plant.n)))
-
-
 def _solve_held(plant: PlantModel, tol: float, P: np.ndarray | None) -> ValueMatrix:
-    """solve_dare(plant, tol, p0=P) for arguments as _dare_args returns them: the
-    confirm and Newton steps from P, then, unless one passes, the cold solve.
+    """solve_dare(plant, tol, p0=P) on a checked tol and a symmetric n x n P (or None):
+    the confirm and Newton steps from P, then, unless one passes, the cold solve.
     A held P that a solve returned is exactly symmetric, so it needs no checks."""
     if P is not None:
         try:
@@ -548,7 +544,8 @@ def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
 
     Requires the super-solution hypothesis
         [A B]' [I;Kbar]' Qbar [I;Kbar] [A B]  <=  Qbar - I
-    within UPPER_TOL (HypothesisViolated otherwise).  Value iteration from it
+    within UPPER_TOL (HypothesisViolated otherwise, also when the hypothesis
+    matrix overflows).  Value iteration from it
     descends to the unique fixed point, so Q = q_from_p(solve_dare), tested
     Q <= Qbar (NotConverged otherwise); I <= Q as P >= I.  A hypothesis met
     only within UPPER_TOL by an unstabilizable plant raises NotStabilizable.
@@ -556,9 +553,10 @@ def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
     n, m = plant.n, plant.m
     if (qbar.n, qbar.m) != (n, m) or kbar.K.shape != (m, n):
         raise ShapeMismatch("qbar/kbar dimensions do not match the plant")
-    M = np.vstack([_lapack.eye(n), kbar.K]) @ plant.ab   # (n+m) x (n+m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.vstack([_lapack.eye(n), kbar.K]) @ plant.ab   # (n+m) x (n+m)
+        hyp = _min_eig(qbar.Q - _lapack.eye(n + m) - M.T @ qbar.Q @ M)
     qscale = max(1.0, _sym_norm(qbar.Q))
-    hyp = _min_eig(qbar.Q - _lapack.eye(n + m) - M.T @ qbar.Q @ M)
     if hyp < -UPPER_TOL * qscale:
         raise HypothesisViolated(f"upper-bound hypothesis fails by {hyp:.3e}")
     q = q_from_p(plant, solve_dare(plant))

@@ -30,18 +30,23 @@ STATE_CAP = 1e12
 # transient bench runs were as fast at 64 as at 256, with less peak memory.
 CERTIFY_BLOCK = 64
 
-DISTURBANCE_KINDS = ("zero", "external_sequence", "linear_unmodeled", "filtered_unmodeled")
+# The arrays each disturbance kind reads; a model is given exactly these.
+DISTURBANCE_ARRAYS = {"zero": (), "external_sequence": ("sequence",),
+                      "linear_unmodeled": ("delta_a", "delta_b"),
+                      "filtered_unmodeled": ("delta_a", "delta_b")}
 
 
 @dataclass(frozen=True)
 class DisturbanceModel:
     """Disturbance generator: external signals and unmodeled dynamics.
 
-    kinds:
+    kinds, with the arrays each reads (DISTURBANCE_ARRAYS):
       zero              w = 0
       external_sequence w_t = sequence[t] (zero past the end)
       linear_unmodeled  w = dA x + dB u
       filtered_unmodeled w = xi_t with xi_{t+1} = pole xi_t + dA x + dB u, xi_0 = 0
+    An array the kind does not read raises ShapeMismatch; `pole` is checked
+    for every kind.
     """
 
     kind: str
@@ -51,17 +56,18 @@ class DisturbanceModel:
     pole: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in DISTURBANCE_KINDS:
-            raise ShapeMismatch(f"kind must be one of {DISTURBANCE_KINDS}, got {self.kind!r}")
-        if self.kind == "external_sequence":
-            object.__setattr__(self, "sequence", _check_matrix(self.sequence, "sequence"))
-        if self.kind in ("linear_unmodeled", "filtered_unmodeled"):
-            da = _check_matrix(self.delta_a, "delta_a")
-            db = _check_matrix(self.delta_b, "delta_b")
-            if da.shape[0] != da.shape[1] or db.shape[0] != da.shape[0]:
-                raise ShapeMismatch("delta_a must be n x n and delta_b n x m")
-            object.__setattr__(self, "delta_a", da)
-            object.__setattr__(self, "delta_b", db)
+        reads = DISTURBANCE_ARRAYS.get(self.kind) if isinstance(self.kind, str) else None
+        if reads is None:
+            raise ShapeMismatch(f"kind must be one of {tuple(DISTURBANCE_ARRAYS)}, "
+                                f"got {self.kind!r}")
+        for name in ("sequence", "delta_a", "delta_b"):
+            if name in reads:
+                object.__setattr__(self, name, _check_matrix(getattr(self, name), name))
+            elif getattr(self, name) is not None:
+                raise ShapeMismatch(f"{name} is not read by kind {self.kind!r}")
+        da, db = self.delta_a, self.delta_b
+        if "delta_a" in reads and (da.shape[0] != da.shape[1] or db.shape[0] != da.shape[0]):
+            raise ShapeMismatch("delta_a must be n x n and delta_b n x m")
         object.__setattr__(self, "pole", _check_real(self.pole, "pole", -1.0, 1.0, "()"))
 
     @classmethod
@@ -81,16 +87,11 @@ class DisturbanceModel:
         return cls(kind="filtered_unmodeled", delta_a=delta_a, delta_b=delta_b, pole=pole)
 
     def scaled(self, magnitude: float) -> "DisturbanceModel":
-        """Same shape of disturbance with payload scaled by `magnitude`;
-        DomainError when the scaled payload overflows."""
+        """Same shape of disturbance with the arrays its kind reads scaled by
+        `magnitude`; DomainError when a scaled array overflows."""
         magnitude = _check_real(magnitude, "magnitude")
-        if self.kind == "zero":
-            return self
         with np.errstate(over="ignore"):
-            if self.kind == "external_sequence":
-                payload = {"sequence": magnitude * self.sequence}
-            else:
-                payload = {"delta_a": magnitude * self.delta_a, "delta_b": magnitude * self.delta_b}
+            payload = {key: magnitude * getattr(self, key) for key in DISTURBANCE_ARRAYS[self.kind]}
         if not all(np.isfinite(v).all() for v in payload.values()):
             raise DomainError(f"disturbance magnitude {magnitude:g} overflows the disturbance payload")
         return replace(self, **payload)
@@ -187,10 +188,10 @@ class TrajectoryLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def state_input_cost(self, t0: int = 0) -> float:
-        """sum over t >= t0 of |x_t|^2 + |u_t|^2; inf once it overflows."""
+    def state_input_cost(self) -> float:
+        """sum over t of |x_t|^2 + |u_t|^2; inf once it overflows."""
         with np.errstate(over="ignore"):
-            return float(np.sum(self.x[t0:] ** 2) + np.sum(self.u[t0:] ** 2))
+            return float(np.sum(self.x ** 2) + np.sum(self.u ** 2))
 
     def csv_header(self) -> list[str]:
         cols = ["t"]

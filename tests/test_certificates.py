@@ -160,6 +160,17 @@ class TestTheorem1Margin:
             assert report.hypotheses_hold
             assert report.conclusion_margin >= -1e-8
 
+    @pytest.mark.parametrize("k", [1e150, 1e300],
+                             ids=["conclusion_overflows", "closed_loop_overflows"])
+    def test_overflow_reports_an_undefined_margin_without_warnings(self, k):
+        plant = PlantModel([[0.5]], [[1e10]])
+        P = solve_dare(plant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = theorem1_margin(plant, P, Gain([[k]]), 2.0, 0.01)
+        assert report.conclusion_margin == certificates.UNDEFINED_MARGIN
+        assert report.hypotheses["contraction"].holds
+
 
 class TestAlphaOf:
     def test_value_at_zero_rho(self):
@@ -301,6 +312,20 @@ class TestLemma1:
                                   inst.P, inst.Q, beta, inst.rho)
             assert report.hypotheses_hold
             assert report.conclusion_margin >= -1e-8
+
+
+    def test_overflow_reports_undefined_margins_without_warnings(self):
+        # Sigma = 1e200 I squares past the double range: the hypotheses and the
+        # conclusion that read Sigma^2 cannot be evaluated, the Q bounds can.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = lemma1_check(1e200 * np.eye(2), 1e200 * np.ones((1, 2)), np.zeros((1, 2)),
+                                  np.eye(1), np.eye(2), 2.0, 0.1)
+        undefined = certificates.UNDEFINED_MARGIN
+        assert {k: h.margin for k, h in report.hypotheses.items()} == {
+            "consistency": undefined, "tilde_bound": undefined, "q_lower": 0.0, "q_upper": 3.0}
+        assert not report.hypotheses_hold
+        assert report.conclusion_margin == undefined
 
 
 class TestLyapunovDecay:

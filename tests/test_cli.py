@@ -213,7 +213,8 @@ class TestConfigValidation:
         ("solve", {"tol": float("nan")}, [], "'tol'"),
         ("simulate", {"controller_tol": float("nan")}, [], "unknown key 'controller_tol'"),
         ("simulate", {"fallback_gain": [[1.0, 2.0]]}, [], "fallback_gain"),
-        ("simulate", {"excitation": {"amplitude": 1.0, "seed": -1}}, [], "'excitation': seed"),
+        ("simulate", {"excitation": {"amplitude": 1.0, "seed": 3}}, [],
+         "unknown key 'seed' in 'excitation'"),
         ("sweep", {"sweep": {"disturbance_magnitude": [1e308, float("inf")]}}, [],
          "'sweep.disturbance_magnitude[1]'"),
         ("sweep", {"sweep": {"excitation_amplitude": [-1.0]}}, [],
@@ -233,7 +234,7 @@ class TestConfigValidation:
     ], ids=["certify_rho_negative", "certify_rho_scale_negative", "certify_seed_negative",
             "certify_n_zero", "certify_m_negative", "certify_sampler_budget", "solve_tol_nan",
             "simulate_controller_tol_nan", "simulate_fallback_gain_shape",
-            "simulate_excitation_seed_negative", "sweep_magnitude_infinite",
+            "simulate_excitation_seed_unknown", "sweep_magnitude_infinite",
             "sweep_amplitude_negative", "sweep_seed_negative", "simulate_disturbance_kind",
             "simulate_disturbance_sequence_missing", "solve_max_iter_unknown",
             "simulate_excitation_kind_unknown",
@@ -300,8 +301,8 @@ class TestConfigValidation:
         # At 1e308, Sigma0 + Sigma0' overflows too, but Sigma0 is symmetric and valid.
         cfg = write_config(tmp_path, {
             "plant": {"A": [[0.9, 0.2], [0.0, 0.8]], "B": [[1.0], [0.5]]}, "horizon": 30,
-            "sigma0_scale": scale,
-            "excitation": {"amplitude": 1.0, "seed": 3}})
+            "sigma0_scale": scale, "seed": 3,
+            "excitation": {"amplitude": 1.0}})
         assert main(["simulate", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
         rows = read_rows(tmp_path / "sim" / "trajectory.csv")
         solved = [float(r["eq6_residual"]) for r in rows if r["fallback"] == "0"]
@@ -310,6 +311,33 @@ class TestConfigValidation:
         rows = read_rows(tmp_path / "sweep" / "sweep.csv")
         assert rows and all(r["error"] == "" for r in rows)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("disturbance, key", [
+        ({"kind": "zero", "sequence": [[0.1]]}, "sequence"),
+        ({"kind": "zero", "delta_a": [[0.1]]}, "delta_a"),
+        ({"kind": "zero", "delta_b": [[0.1]]}, "delta_b"),
+        ({"kind": "external_sequence", "sequence": [[0.1]], "delta_a": [[0.1]]}, "delta_a"),
+        ({"kind": "linear_unmodeled", "delta_a": [[0.1]], "delta_b": [[0.0]],
+          "sequence": [[0.1]]}, "sequence"),
+    ], ids=["zero_sequence", "zero_delta_a", "zero_delta_b", "external_delta_a",
+            "linear_sequence"])
+    def test_disturbance_array_the_kind_does_not_read_exits_1(self, tmp_path, capsys, command,
+                                                              disturbance, key):
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 5,
+                                      "disturbance": disturbance})
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} is not read by kind '{disturbance['kind']}'" in err
+        assert "'disturbance'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("instances", 50), ("n", 3), ("m", 2)])
+    def test_certify_sampling_key_beside_plant_exits_1(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1.0]]}, key: value})
+        assert main(["certify", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "'plant'" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "reports.json").exists()
 
     @pytest.mark.parametrize("payload, needle", [
         ({"plant": {"A": [[0.5, 0.0], [0.0]], "B": [[1.0], [0.0]]}}, "'plant.A'"),
@@ -399,6 +427,33 @@ class TestSimulateCommand:
         rows = read_rows(out / "sweep.csv")
         assert len(rows) == len(cfg["sweep"]["beta"]) > 1
         assert len({r["realized_cost"] for r in rows}) == 1
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**70])
+    def test_run_seed_is_the_excitation_seed(self, tmp_path, seed):
+        # The trajectory is the library's for an excitation schedule with the run seed.
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.9, 0.2], [0.0, 0.8]],
+                                                "B": [[1.0], [0.5]]}, "horizon": 70,
+                                      "excitation": {"amplitude": 3.0, "decay_rate": 0.95},
+                                      "seed": seed})
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.8]], [[1.0], [0.5]])
+        exc = ExcitationSchedule(1, amplitude=3.0, decay_rate=0.95, seed=seed)
+        simulate(Scenario(plant=plant, disturbance=DisturbanceModel.zero(), x0=[1.0, 1.0],
+                          horizon=70, sigma0=1e-3 * np.eye(3), excitation=exc)
+                 ).to_csv(tmp_path / "library.csv")
+        assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes())
+
+    def test_seed_flag_changes_the_trajectory(self, tmp_path):
+        # This config set excitation.seed, which pinned the excitation whatever --seed said.
+        cfg = write_config(tmp_path, {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 30,
+                                      "excitation": {"amplitude": 1.0}})
+        traces = []
+        for seed in ("5", "7"):
+            out = tmp_path / seed
+            assert main(["simulate", cfg, "--seed", seed, "--out-dir", str(out)]) == 0
+            traces.append((out / "trajectory.csv").read_bytes())
+        assert traces[0] != traces[1]
 
     def test_noiseless_gain_convergence_summary(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -641,6 +696,20 @@ class TestSweepCommand:
         summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
         row, = read_rows(tmp_path / "sweep" / "sweep.csv")
         assert float(row["realized_cost"]) == summary["total_cost"]
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_run_seed_is_each_rows_excitation_seed(self, tmp_path, seed):
+        cfg = sweep_config(tmp_path, seed=seed, sweep={"excitation_amplitude": [10.0, 50.0]})
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        rows = read_rows(tmp_path / "out" / "sweep.csv")
+        plant = PlantModel([[0.5]], [[1.0]])
+        for row, amp in zip(rows, [10.0, 50.0]):
+            exc = ExcitationSchedule(1, amplitude=amp, decay_rate=0.9, seed=seed)
+            log = simulate(Scenario(plant=plant, disturbance=DisturbanceModel.zero(),
+                                    x0=[1.0], horizon=250, sigma0=1e-3 * np.eye(2),
+                                    excitation=exc))
+            assert row["realized_cost"] == format(log.state_input_cost(), ".17g")
+            assert row["max_rho_t"] == format(np.max(log.rho[int(row["t0"]):]), ".17g")
 
     def test_integer_t0_used_as_given(self, tmp_path):
         cfg = sweep_config(tmp_path, t0=3, sweep={"beta": [2.0], "rho_scale": [0.7],

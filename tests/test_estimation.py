@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -398,6 +400,16 @@ class TestDisturbanceCorrelation:
             scale = max(1.0, np.linalg.norm(expected, 2))
             assert np.linalg.norm(dist - expected, 2) <= 1e-10 * scale
 
+
+    def test_overflowing_history_rejected(self):
+        # batch_correlations rejects the same history; neither warns.
+        history = [(np.array([1e200]), np.array([1.0]), np.array([1e200]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                disturbance_correlation(history, PlantModel([[0.5]], [[1.0]]), 0.9, np.eye(2))
+            with pytest.raises(NonFiniteInput):
+                batch_correlations(history, 0.9, np.eye(2))
 
     def test_returns_the_stacked_array(self):
         plant = PlantModel([[0.5, 0.0], [0.1, 0.2]], [[1.0], [0.0]])

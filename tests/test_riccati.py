@@ -563,6 +563,15 @@ class TestSolveFromUpper:
         with pytest.raises(HypothesisViolated):
             solve_from_upper(plant, qbar, Gain(np.zeros((2, 1))))
 
+    def test_hypothesis_that_overflows_is_violated(self):
+        # M' Qbar M overflows at Kbar = 1e200: a hypothesis that cannot be
+        # evaluated does not hold.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HypothesisViolated):
+                solve_from_upper(PlantModel([[0.5]], [[1.0]]), QMatrix(1e300 * np.eye(2), 1, 1),
+                                 Gain([[1e200]]))
+
     @staticmethod
     def upper_bound_cases():
         """(plant, Q*, Qbar = c Q*) for 20 plants, c in [1.2, 3]."""

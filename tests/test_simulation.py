@@ -38,6 +38,38 @@ from adaptive_lqr.simulation import CERTIFY_BLOCK, STATE_CAP
 from conftest import count_calls
 
 
+class TestDisturbanceModel:
+    @pytest.mark.parametrize("kind, arrays, unread", [
+        ("zero", {"sequence": [[0.1]]}, "sequence"),
+        ("zero", {"delta_a": [[0.1]], "delta_b": [[0.1]]}, "delta_a"),
+        ("external_sequence", {"sequence": [[0.1]], "delta_b": [[0.1]]}, "delta_b"),
+        ("linear_unmodeled", {"delta_a": [[0.1]], "delta_b": [[0.1]], "sequence": [[0.1]]},
+         "sequence"),
+        ("filtered_unmodeled", {"delta_a": [[0.1]], "delta_b": [[0.1]], "sequence": [[0.1]]},
+         "sequence"),
+    ], ids=["zero_sequence", "zero_deltas", "external_delta_b", "linear_sequence",
+            "filtered_sequence"])
+    def test_array_the_kind_does_not_read_rejected(self, kind, arrays, unread):
+        with pytest.raises(ShapeMismatch, match=f"{unread} is not read by kind '{kind}'"):
+            DisturbanceModel(kind=kind, **arrays)
+
+    @pytest.mark.parametrize("model", [
+        DisturbanceModel.zero(),
+        DisturbanceModel.external([[0.1], [-0.3]]),
+        DisturbanceModel.linear([[0.1]], [[0.2]]),
+        DisturbanceModel.filtered([[0.1]], [[0.2]], pole=0.5),
+    ], ids=["zero", "external", "linear", "filtered"])
+    def test_scaled_scales_exactly_the_arrays_the_kind_reads(self, model):
+        out = model.scaled(3.0)
+        assert (out.kind, out.pole) == (model.kind, model.pole)
+        for name in ("sequence", "delta_a", "delta_b"):
+            array = getattr(model, name)
+            if array is None:
+                assert getattr(out, name) is None
+            else:
+                assert np.array_equal(getattr(out, name), 3.0 * array)
+
+
 class TestDisturbanceEval:
     def test_zero(self):
         model = DisturbanceModel.zero()
