@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import DomainError, NotConverged, NotStabilizable, ShapeMismatch
-from .estimation import _estimate, rho_of
+from .estimation import _estimate, _estimate_plant, rho_of
 from .riccati import (
     DEFAULT_TOL,
     PSD_SLACK,
@@ -150,7 +150,7 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
         d = plant.n + plant.m
         est = _estimate(_check_symmetric(sigma, "sigma", (d, d))[0],
                         _check_matrix(sigma_hat, "sigma_hat", (plant.n, d)))
-        rho_data = rho_of(est, plant)
+        rho_data = rho_of(_estimate_plant(est), plant)
         hyps["data_consistency"] = _hyp(rho - rho_data)
         details["rho_data"] = rho_data
     if 1.0 - c <= 1e-12:

@@ -318,7 +318,7 @@ _SWEEP_GRID_KEYS = ("beta", "rho", "rho_scale", "gamma", "excitation_amplitude",
                     "disturbance_magnitude")
 
 SWEEP_COLUMNS = ["beta", "rho", "gamma", "excitation_amplitude", "disturbance_magnitude",
-                 "alpha", "rho_star", "t0", "max_rho_t", "hypotheses_hold",
+                 "alpha", "rho_star", "t0", "t0_found", "max_rho_t", "hypotheses_hold",
                  "corollary_margin", "realized_cost", "overflowed", "error"]
 
 
@@ -352,7 +352,7 @@ def _sweep_row(scenario_base: Scenario, t0_cfg,
     rho = rho_entry[1] if rho_entry[0] == "abs" else rho_entry[1] * rho_star
     error = ""
     alpha = margin = max_rho_t = cost = np.nan
-    t0_used, hypotheses_hold, overflowed = "", False, False
+    t0_used, t0_found, hypotheses_hold, overflowed = "", "", False, False
     try:
         alpha = alpha_of(beta, rho, gamma)
     except DomainError as exc:
@@ -364,7 +364,7 @@ def _sweep_row(scenario_base: Scenario, t0_cfg,
         log = simulate(scenario)
         cost, overflowed = log.state_input_cost(), log.overflowed
         t0 = consistent_start(log, rho) if t0_cfg == "auto" else t0_cfg
-        t0_used = min(0 if t0 is None else t0, len(log) - 1)
+        t0_used, t0_found = min(0 if t0 is None else t0, len(log) - 1), str(int(t0 is not None))
         max_rho_t = float(np.max(log.rho[t0_used:]))
         if not error:
             report = corollary_bound_check(log, scenario.plant, t0_used, gamma, beta, rho)
@@ -373,7 +373,7 @@ def _sweep_row(scenario_base: Scenario, t0_cfg,
     except AdaptiveLqError as exc:
         error = str(exc)
     return [_fmt(beta), _fmt(rho), _fmt(gamma), _fmt(amp), _fmt(mag), _fmt(alpha),
-            _fmt(rho_star), str(t0_used), _fmt(max_rho_t), str(int(hypotheses_hold)),
+            _fmt(rho_star), str(t0_used), t0_found, _fmt(max_rho_t), str(int(hypotheses_hold)),
             _fmt(margin), _fmt(cost), str(int(overflowed)), error]
 
 

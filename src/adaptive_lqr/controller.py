@@ -5,6 +5,12 @@ state, applies u_t = K_t x_t + eps_t with a deterministic excitation sample,
 and folds the observed transition into the correlations afterwards.  When
 the current estimate is not stabilizable the last successful gain is reused
 and the step is flagged.
+
+The control law is one kernel on arrays, _step: correlations, applied gain
+and held P in, the new gain, P, estimate and Q out, run in the caller's
+quiet() error state.  simulate's loop calls it directly; controller_step
+checks x, enters quiet() and builds the new ControllerState and the
+StepDiagnostics from its arrays.
 """
 
 from __future__ import annotations
@@ -13,16 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import EstimateNotStabilizable, IllConditioned, ShapeMismatch, SingularQuu
 from .estimation import (
     CorrelationState,
-    data_riccati_residual,
-    estimate_model,
     initial_correlation,
     update_correlations,
+    _estimate,
+    _estimate_plant,
+    _residual,
     _solve_data_riccati,
 )
-from .riccati import (Gain, PlantModel, QMatrix, _check_amplitude, _check_factor, _check_int,
+from .riccati import (Gain, PlantModel, _check_amplitude, _check_factor, _check_int,
                       _check_seed, _check_vector, _trusted)
 
 # Tolerance of each step's data-driven Riccati solve.
@@ -174,21 +182,15 @@ def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | N
     corr = initial_correlation(n, m, lam=lam, sigma0=sigma0)
     if excitation is None:
         excitation = ExcitationSchedule(m)
-    if fallback_gain is not None:
-        fallback_gain = Gain(fallback_gain).K
-    state = _initial_controller(corr, excitation, fallback_gain)
+    if fallback_gain is None:
+        fallback_gain = np.zeros((corr.m, corr.n))
+    state = _trusted(ControllerState, corr=corr, last_gain=Gain(fallback_gain),
+                     excitation=excitation, warm_p=None)
     state.__post_init__()   # the shape checks of the gain and the excitation
     return state
 
 
-def _initial_controller(corr: CorrelationState, excitation: ExcitationSchedule,
-                        fallback_gain: np.ndarray | None) -> ControllerState:
-    """initial_controller on checked parts; a None fallback_gain is the zero gain."""
-    K = np.zeros((corr.m, corr.n)) if fallback_gain is None else fallback_gain
-    return _trusted(ControllerState, corr=corr, last_gain=_trusted(Gain, K=K),
-                    excitation=excitation, warm_p=None)
-
-
+@_lapack.quietly
 def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
     """Compute u_t = K_t x_t + eps_t from the current correlations.
 
@@ -196,36 +198,40 @@ def controller_step(state: ControllerState, x) -> tuple[np.ndarray, ControllerSt
     estimate; an unstabilizable or ill-conditioned estimate, or a singular
     Quu, falls back to the last successful gain and flags the step.
     Correlations are updated by controller_observe once x_{t+1} is
-    available, not here.
+    available, not here.  The step runs _step, the array kernel of
+    simulate's loop, and builds the new state and diagnostics from its arrays.
     """
-    eps = excitation_sample(state.excitation, state.corr.t)
-    u, new_state, estimate, q = _step(state, _check_vector(x, "x", state.corr.n), eps)
-    gain = new_state.last_gain
-    residual = np.nan if q is None else data_riccati_residual(state.corr, q, gain)
-    return u, new_state, StepDiagnostics(gain=gain.K, excitation=eps, eq6_residual=residual,
-                                         fallback=q is None, estimate=estimate)
+    corr = state.corr
+    eps = excitation_sample(state.excitation, corr.t)
+    u, K, P, ab, Q = _step(corr.sigma, corr.sigma_hat, state.last_gain.K, state.warm_p,
+                           _check_vector(x, "x", corr.n), eps)
+    fallback = Q is None
+    gain = state.last_gain if fallback else _trusted(Gain, K=K)
+    new_state = _trusted(ControllerState, **{**vars(state), "last_gain": gain, "warm_p": P})
+    residual = np.nan if fallback else _residual(corr.sigma, corr.sigma_hat, Q, K)
+    return u, new_state, StepDiagnostics(
+        gain=K, excitation=eps, eq6_residual=residual, fallback=fallback,
+        estimate=None if ab is None else _estimate_plant(ab))
 
 
-def _step(state: ControllerState, x: np.ndarray, eps: np.ndarray) -> tuple[
-        np.ndarray, ControllerState, PlantModel | None, QMatrix | None]:
-    """controller_step's control law on a checked state vector x and the step's
-    excitation eps (drawn by the caller), without the residual.
+def _step(sigma: np.ndarray, sigma_hat: np.ndarray, K: np.ndarray, P: np.ndarray | None,
+          x: np.ndarray, eps: np.ndarray) -> tuple:
+    """controller_step's control law on arrays, in quiet(): the correlations, the
+    applied gain K and the held P (None before the first solve), a checked state
+    vector x and the step's excitation eps (drawn by the caller).
 
-    Returns (u, new state, estimate, Q): the estimate is None when Sigma is
-    too ill-conditioned, Q the solved QMatrix or None when the step fell
-    back.  The applied gain is the new state's last_gain.
+    Returns (u, K, P, estimate, Q): the new gain and held P (the old ones when
+    the step falls back), the estimate [Ahat Bhat] (None when Sigma is too
+    ill-conditioned) and the solved Q (None when the step fell back).
     """
-    warm = state.warm_p
-    estimate = q = None
+    ab = Q = None
     try:
-        estimate = estimate_model(state.corr)
-        q, gain, P = _solve_data_riccati(estimate, SOLVE_TOL, state.warm_p)
-        warm = P.P
+        ab = _estimate(sigma, sigma_hat)
+        n = len(ab)
+        Q, K, P = _solve_data_riccati(ab[:, :n], ab[:, n:], ab, SOLVE_TOL, P)
     except (EstimateNotStabilizable, IllConditioned, SingularQuu):
-        gain = state.last_gain
-    u = gain.K @ x + eps
-    new_state = _trusted(ControllerState, **{**vars(state), "last_gain": gain, "warm_p": warm})
-    return u, new_state, estimate, q
+        pass
+    return K @ x + eps, K, P, ab, Q
 
 
 def controller_observe(state: ControllerState, x, u, x_next) -> ControllerState:

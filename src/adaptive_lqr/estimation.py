@@ -12,10 +12,16 @@ fixed-point equation at the gain K the controller applies
 
     Sigma (Q - I) Sigma = SigmaHat' [I;K]' Q [I;K] SigmaHat.
 
-Public constructors and data arguments are checked.  Built from checked data,
-skipping `__post_init__`: the state of initial_correlation, the state of
-update_correlations' unchecked core _fold (which simulate calls directly),
-and the estimate plant of estimate_model, given the solved [Ahat Bhat] as `ab`.
+The kernels run on arrays in the caller's quiet() error state and test
+their results for finiteness: _fold on the stacked [Sigma; SigmaHat], one
+(2n+m) x (n+m) array, _estimate returning [Ahat Bhat], and
+_solve_data_riccati returning (Q, K, P).  simulate's loop calls them
+directly.  Public constructors and data arguments are checked; the public
+functions enter quiet() and build their value objects once, from the
+kernels' arrays, skipping `__post_init__`: the state of initial_correlation
+and update_correlations (whose sigma and sigma_hat are views of one stack),
+the estimate plant of estimate_model (given the solved [Ahat Bhat] as `ab`)
+and the (Q, K, P) of solve_data_riccati.
 """
 
 from __future__ import annotations
@@ -38,8 +44,6 @@ from .riccati import (
     PlantModel,
     QMatrix,
     ValueMatrix,
-    gain_from_q,
-    q_from_p,
     solve_dare,   # not called here; bench/test_smoke.py reads it from this module
     sym,
     _check_factor,
@@ -48,6 +52,9 @@ from .riccati import (
     _check_pd,
     _check_positive,
     _check_vector,
+    _gain,
+    _q,
+    _solve_cold,
     _solve_held,
     _spectral_norm,
     _sym_norm,
@@ -92,32 +99,41 @@ def initial_correlation(n: int, m: int, lam: float = 0.99,
     n, m = _check_int(n, "n"), _check_int(m, "m")
     if sigma0 is not None:
         sigma0 = _check_pd(sigma0, "sigma0", n + m)
-    return _initial_correlation(n, m, _check_factor(lam, "lam"), sigma0)
+    return _correlation_state(_initial_stack(n, m, sigma0), _check_factor(lam, "lam"), 0)
 
 
-def _initial_correlation(n: int, m: int, lam: float, sigma0: np.ndarray | None) -> CorrelationState:
-    """initial_correlation on checked arguments; Sigma0 = 1e-3 I when sigma0 is None."""
-    sigma = 1e-3 * _lapack.eye(n + m) if sigma0 is None else sigma0.copy()
-    return _trusted(CorrelationState, sigma=sigma, sigma_hat=np.zeros((n, n + m)), lam=lam, t=0)
+def _initial_stack(n: int, m: int, sigma0: np.ndarray | None) -> np.ndarray:
+    """The stacked [Sigma; SigmaHat] at t = 0 for a checked sigma0: [Sigma0; 0], with
+    Sigma0 = 1e-3 I when sigma0 is None."""
+    d = n + m
+    return np.concatenate([1e-3 * _lapack.eye(d) if sigma0 is None else sigma0, np.zeros((n, d))])
 
 
+def _correlation_state(S: np.ndarray, lam: float, t: int) -> CorrelationState:
+    """The CorrelationState of a stacked [Sigma; SigmaHat], whose parts are views of it."""
+    d = S.shape[1]
+    return _trusted(CorrelationState, sigma=S[:d], sigma_hat=S[d:], lam=lam, t=t)
+
+
+@_lapack.quietly
 def update_correlations(state: CorrelationState, x, u, x_next) -> CorrelationState:
     """One-step recursion Sigma' = lam Sigma + z z', SigmaHat' = lam SigmaHat + x_next z';
     Sigma' is exactly symmetric when Sigma is, since IEEE + and * commute."""
-    return _fold(state, _check_vector(x, "x", state.n), _check_vector(u, "u", state.m),
-                 _check_vector(x_next, "x_next", state.n))
+    x, u = _check_vector(x, "x", state.n), _check_vector(u, "u", state.m)
+    x_next = _check_vector(x_next, "x_next", state.n)
+    S = _fold(np.concatenate([state.sigma, state.sigma_hat]), state.lam, x, u, x_next)
+    return _correlation_state(S, state.lam, state.t + 1)
 
 
-def _fold(state: CorrelationState, x: np.ndarray, u: np.ndarray, x_next: np.ndarray) -> CorrelationState:
-    """update_correlations on checked vectors."""
+def _fold(S: np.ndarray, lam: float, x: np.ndarray, u: np.ndarray, x_next: np.ndarray) -> np.ndarray:
+    """update_correlations of the stacked [Sigma; SigmaHat] on checked vectors, in quiet():
+    lam S + [z; x_next] z' for z = (x, u), entry for entry the bits of the two
+    recursions.  NonFiniteInput when the data point overflows the correlations."""
     z = np.concatenate([x, u])
-    with np.errstate(over="ignore"):
-        sigma = state.lam * state.sigma + np.outer(z, z)
-        sigma_hat = state.lam * state.sigma_hat + np.outer(x_next, z)
-    if not (np.isfinite(sigma).all() and np.isfinite(sigma_hat).all()):
+    S = lam * S + np.outer(np.concatenate([z, x_next]), z)
+    if not np.isfinite(S).all():
         raise NonFiniteInput("the data point overflows the correlations")
-    return _trusted(CorrelationState, **{**vars(state), "sigma": sigma,
-                                         "sigma_hat": sigma_hat, "t": state.t + 1})
+    return S
 
 
 def _as_history(history) -> list:
@@ -160,29 +176,36 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
 def _cond(sigma: np.ndarray) -> float:
     """cond(Sigma) of a symmetric Sigma without an SVD: the ratio of its extreme
     eigenvalues, infinite unless its smallest is a positive normal double
-    (a subnormal one has lost precision)."""
-    evals = _lapack.eigvalsh(sigma)
+    (a subnormal one has lost precision, and a failed eigvalsh gives NaN)."""
+    evals = _lapack.eigvalsh_nan(sigma)
     return float(evals[-1] / evals[0]) if evals[0] >= np.finfo(float).tiny else np.inf
 
 
-def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> PlantModel:
-    """[Ahat Bhat] = SigmaHat Sigma^{-1}; IllConditioned when cond(Sigma) > COND_LIMIT
-    or the solve overflows."""
+def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
+    """[Ahat Bhat] = SigmaHat Sigma^{-1} as one n x (n+m) array; IllConditioned when
+    cond(Sigma) > COND_LIMIT or the solve overflows (or fails, giving NaN)."""
     cond = _cond(sigma)
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    ab = _lapack.solve(sigma, sigma_hat.T).T
+    ab = _lapack.solve_nan(sigma, sigma_hat.T).T
     if not np.isfinite(ab).all():
         raise IllConditioned("SigmaHat Sigma^{-1} overflows")
-    n = sigma_hat.shape[0]
+    return ab
+
+
+def _estimate_plant(ab: np.ndarray) -> PlantModel:
+    """The PlantModel of an estimate [Ahat Bhat], whose A and B are views of it."""
+    n = len(ab)
     return _trusted(PlantModel, A=ab[:, :n], B=ab[:, n:], ab=ab)
 
 
+@_lapack.quietly
 def estimate_model(state: CorrelationState) -> PlantModel:
     """Model pair (Ahat, Bhat) solving [Ahat Bhat] Sigma = SigmaHat by a linear solve."""
-    return _estimate(state.sigma, state.sigma_hat)
+    return _estimate_plant(_estimate(state.sigma, state.sigma_hat))
 
 
+@_lapack.quietly
 def solve_data_riccati(estimate: PlantModel,
                        tol: float = DEFAULT_TOL) -> tuple[QMatrix, Gain, ValueMatrix]:
     """Solve the correlation-weighted fixed-point equation via the model estimate.
@@ -193,19 +216,25 @@ def solve_data_riccati(estimate: PlantModel,
     data_riccati_residual certifies the result on the correlation-weighted
     equation directly.
     """
-    return _solve_data_riccati(estimate, _check_positive(tol, "tol"), None)
+    Q, K, P = _solve_data_riccati(estimate.A, estimate.B, estimate.ab,
+                                  _check_positive(tol, "tol"), None)
+    return (_trusted(QMatrix, Q=Q, n=estimate.n, m=estimate.m), _trusted(Gain, K=K),
+            _trusted(ValueMatrix, P=P))
 
 
-def _solve_data_riccati(estimate: PlantModel, tol: float,
-                        held: np.ndarray | None) -> tuple[QMatrix, Gain, ValueMatrix]:
-    """solve_data_riccati on a checked tol, confirming the P of the previous solve
-    when one is held (see riccati._solve_held)."""
-    try:
-        P = _solve_held(estimate, tol, held)
-    except NotStabilizable as exc:
-        raise EstimateNotStabilizable(str(exc)) from exc
-    q = q_from_p(estimate, P)
-    return q, gain_from_q(q), P
+def _solve_data_riccati(A: np.ndarray, B: np.ndarray, ab: np.ndarray, tol: float,
+                        held: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """solve_data_riccati of the pair (A, B), stacked as ab, on a checked tol, in
+    quiet(): (Q, K, P) as arrays.  The held P of the previous solve is confirmed
+    or refined when one passes (riccati._solve_held); otherwise the solve is cold."""
+    P = None if held is None else _solve_held((A, B), tol, held)
+    if P is None:
+        try:
+            P = _solve_cold(A, B, tol)
+        except NotStabilizable as exc:
+            raise EstimateNotStabilizable(str(exc)) from exc
+    Q = sym(_q(ab, P))
+    return Q, _gain(Q, len(A)), P
 
 
 def data_riccati_residual(state: CorrelationState, q: QMatrix, gain: Gain) -> float:

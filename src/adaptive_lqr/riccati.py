@@ -20,6 +20,11 @@ the ValueMatrix of solve_dare, the Q of q_from_p on a ValueMatrix and the
 gain of gain_from_q are built from checked data and skip `__post_init__`.
 PlantModel stacks `ab` = [A B] once, in `__post_init__`; its one trusted
 build, estimation's estimate, passes the `ab` it solved for.
+
+The adaptive step's kernels (_solve_cold, _solve_held, _q, _gain, and
+riccati_step on a pair (A, B)) run on arrays in the caller's quiet() error
+state (_lapack) and test their results for finiteness; solve_dare,
+riccati_step and gain_from_q enter quiet() themselves unless called in it.
 """
 
 from __future__ import annotations
@@ -63,8 +68,11 @@ SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Exactly symmetric part (M + M') / 2 of M, or of each matrix of a stack (..., d, d)."""
-    return (M + M.mT) / 2.0
+    """Exactly symmetric part (M + M') / 2 of M, or of each matrix of a stack (..., d, d),
+    as M/2 + M'/2: the same bits, without overflow for entries above half the largest
+    double (only subnormal entries can round differently)."""
+    h = 0.5 * M
+    return h + h.mT
 
 
 def _sym_norm(M: np.ndarray) -> float | np.ndarray:
@@ -311,29 +319,34 @@ class MembershipCertificate:
     reason: str = ""
 
 
-@np.errstate(over="ignore", invalid="ignore")   # what overflows raises below
-def riccati_step(plant: PlantModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@_lapack.quietly
+def riccati_step(plant, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)]:
     its value Pn and its minimizing gain K = -(I + B'PB)^{-1} B'PA, from one solve.
 
+    `plant` is a PlantModel or, from the package's kernels, its pair (A, B).
     Unchecked: it runs on every confirm and after every Newton correction of
-    solve_dare, and each caller passes a checked n x n P.  A step whose I + B'PB
-    or Pn is not finite overflowed: NotStabilizable, as for a diverging iterate.
+    solve_dare, and each caller passes a checked n x n P.  A singular I + B'PB
+    raises numpy's LinAlgError; a step whose I + B'PB or Pn is otherwise not
+    finite overflowed: NotStabilizable, as for a diverging iterate.
     """
-    A, B = plant.A, plant.B
+    A, B = (plant.A, plant.B) if isinstance(plant, PlantModel) else plant
+    n, m = B.shape
     BtP = B.T @ P
     W = BtP @ A
-    M = _lapack.eye(plant.m) + BtP @ B
+    M = _lapack.eye(m) + BtP @ B
     if np.isfinite(M).all():
-        K = -_lapack.solve(M, W)
-        Pn = sym(_lapack.eye(plant.n) + A.T @ P @ A + W.T @ K)
+        K = -_lapack.solve_nan(M, W)
+        Pn = sym(_lapack.eye(n) + A.T @ P @ A + W.T @ K)
         if np.isfinite(Pn).all():
             return Pn, K
+        if not np.isfinite(K).all():
+            _lapack.solve(M, W)   # tells a singular M (LinAlgError) from an overflow
     raise NotStabilizable("the Riccati step overflows")
 
 
 def _stein_solve(Ac: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Solution D of the Stein equation D - Ac' D Ac = R.
+    """Solution D of the Stein equation D - Ac' D Ac = R; NaN when the operator is singular.
 
     One n^2 x n^2 Kronecker solve; Ac' (x) Ac' is built by broadcasting,
     which at n <= 6 costs a fraction of np.kron.
@@ -341,7 +354,7 @@ def _stein_solve(Ac: np.ndarray, R: np.ndarray) -> np.ndarray:
     n = len(Ac)
     T = Ac.T
     M = _lapack.eye(n * n) - (T[:, None, :, None] * T[None, :, None, :]).reshape(n * n, n * n)
-    return _lapack.solve(M, R.reshape(-1)).reshape(n, n)
+    return _lapack.solve_nan(M, R.reshape(-1)).reshape(n, n)
 
 
 def _checked_step(plant: PlantModel, P):
@@ -368,6 +381,7 @@ def dare_residual(plant: PlantModel, P) -> float:
     return _sym_norm(P - Pn) / norm
 
 
+@_lapack.quietly
 def dare_error_estimate(plant: PlantModel, P) -> float:
     """First-order estimate of the relative error |P* - P| / |P| in spectral norm.
 
@@ -395,6 +409,7 @@ def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
     return np.sqrt(D.dot(D)) <= tol * scale
 
 
+@_lapack.quietly
 def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
                p0: np.ndarray | None = None) -> ValueMatrix:
     """Solve the fixed-point equation.
@@ -430,41 +445,54 @@ def solve_dare(plant: PlantModel, tol: float = DEFAULT_TOL, *,
     """
     tol = _check_positive(tol, "tol")
     if p0 is not None:
-        return _solve_held(plant, tol, sym(_check_matrix(p0, "p0", (plant.n, plant.n))))
-    n = plant.n
+        P = _solve_held((plant.A, plant.B), tol, sym(_check_matrix(p0, "p0", (plant.n, plant.n))))
+        return solve_dare(plant, tol) if P is None else _trusted(ValueMatrix, P=P)
+    return _trusted(ValueMatrix, P=_solve_cold(plant.A, plant.B, tol))
+
+
+def _solve_cold(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
+    """solve_dare's doubling solve of the pair (A, B) on a checked tol, in quiet():
+    its P, or NotStabilizable."""
+    n = len(A)
     eye = _lapack.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):   # _converged rejects what overflows
-        A, G, H = plant.A, plant.B @ plant.B.T, eye
-        for _ in range(DOUBLING_STEPS):
-            try:
-                W = _lapack.solve(eye + G @ H, np.hstack([A, G]))
-            except np.linalg.LinAlgError:
-                # G, H >= 0 make I + G H nonsingular; singular means lost precision.
-                raise NotStabilizable("I + G H is singular to working precision") from None
-            WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
-            Hn = sym(H + A.T @ H @ WA)
+    G, H = B @ B.T, eye
+    for _ in range(DOUBLING_STEPS):
+        IGH, AG = eye + G @ H, np.hstack([A, G])
+        W = _lapack.solve_nan(IGH, AG)
+        WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
+        Hn = sym(H + A.T @ H @ WA)
+        try:
             if _converged(H, Hn, tol):
-                return _trusted(ValueMatrix, P=Hn)
-            A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
+                return Hn
+        except NotStabilizable:         # an overflow, or the NaN of a failed solve
+            if not np.isfinite(W).all():
+                try:
+                    _lapack.solve(IGH, AG)
+                except np.linalg.LinAlgError:
+                    # G, H >= 0 make I + G H nonsingular; singular means lost precision.
+                    raise NotStabilizable("I + G H is singular to working precision") from None
+            raise
+        A, G, H = A @ WA, sym(G + A @ WG @ A.T), Hn
     raise NotStabilizable(f"no convergence to tol={tol:.1e} within {DOUBLING_STEPS} doubling steps")
 
 
-def _solve_held(plant: PlantModel, tol: float, P: np.ndarray | None) -> ValueMatrix:
-    """solve_dare(plant, tol, p0=P) on a checked tol and a symmetric n x n P (or None):
-    the confirm and Newton steps from P, then, unless one passes, the cold solve.
-    A held P that a solve returned is exactly symmetric, so it needs no checks."""
-    if P is not None:
-        try:
-            for newton in range(NEWTON_STEPS + 1):
-                if newton:
-                    P = sym(P + _stein_solve(plant.A + plant.B @ K, Pn - P))
-                Pn, K = riccati_step(plant, P)
-                if _converged(P, Pn, CONFIRM_FRACTION * tol):
-                    _lapack.cholesky(Pn - (1.0 - 1e-9) * _lapack.eye(plant.n))
-                    return _trusted(ValueMatrix, P=Pn)
-        except (np.linalg.LinAlgError, NotStabilizable):
-            pass
-    return solve_dare(plant, tol)
+def _solve_held(plant: tuple[np.ndarray, np.ndarray], tol: float, P: np.ndarray) -> np.ndarray | None:
+    """The confirm and Newton steps of solve_dare(p0=P) for the pair (A, B) on a checked
+    tol and a symmetric n x n P, in quiet(): the P that passes, or None, after which
+    the caller solves cold.  A held P that a solve returned is exactly symmetric,
+    so it needs no checks."""
+    A, B = plant
+    try:
+        for newton in range(NEWTON_STEPS + 1):
+            if newton:
+                P = sym(P + _stein_solve(A + B @ K, Pn - P))
+            Pn, K = riccati_step(plant, P)
+            if _converged(P, Pn, CONFIRM_FRACTION * tol):
+                L = _lapack.cholesky_nan(Pn - (1.0 - 1e-9) * _lapack.eye(len(A)))
+                return Pn if np.isfinite(L).all() else None
+    except (np.linalg.LinAlgError, NotStabilizable):
+        pass
+    return None
 
 
 def q_from_p(plant: PlantModel, P) -> QMatrix:
@@ -473,23 +501,33 @@ def q_from_p(plant: PlantModel, P) -> QMatrix:
     P = P.P if trusted else _check_matrix(P, "P")
     if P.shape != (plant.n, plant.n):
         raise ShapeMismatch(f"P must be {plant.n} x {plant.n}, got {P.shape}")
-    AB = plant.ab
-    Q = _lapack.eye(plant.n + plant.m) + AB.T @ P @ AB
+    Q = _q(plant.ab, P)
     if trusted:
         return _trusted(QMatrix, Q=sym(Q), n=plant.n, m=plant.m)
     return QMatrix(Q, plant.n, plant.m)
 
 
+def _q(ab: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """q_from_p of the stacked [A B] and an n x n P, before symmetrizing."""
+    return _lapack.eye(ab.shape[1]) + ab.T @ P @ ab
+
+
+@_lapack.quietly
 def gain_from_q(q: QMatrix) -> Gain:
     """Minimizing gain K = -(Quu)^{-1} Qux of min_K [I;K]' Q [I;K]."""
-    quu = q.quu
-    evals = _lapack.eigvalsh(quu)
-    # Quu >= I analytically; conditioning below 1e-12 on the unit scale
-    # means corrupted input.
-    if evals[0] <= 0 or evals[0] < 1e-12 * max(1.0, evals[-1]):
+    return _trusted(Gain, K=_gain(q.Q, q.n))
+
+
+def _gain(Q: np.ndarray, n: int) -> np.ndarray:
+    """gain_from_q of the (n+m) x (n+m) array Q, in quiet()."""
+    quu = Q[n:, n:]
+    evals = _lapack.eigvalsh_nan(quu)
+    # Quu >= I analytically; conditioning below 1e-12 on the unit scale, or a
+    # NaN from a failed eigvalsh, means corrupted input.
+    if not (evals[0] > 0 and evals[0] >= 1e-12 * max(1.0, evals[-1])):
         raise SingularQuu(f"Quu eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}] "
                           "is singular to working precision")
-    return _trusted(Gain, K=-_lapack.solve(quu, q.qux))
+    return -_lapack.solve_nan(quu, Q[n:, :n])
 
 
 def check_membership(plant: PlantModel, beta: float) -> MembershipCertificate:

@@ -3,11 +3,14 @@
 The loop per step: compute u_t from the controller, evaluate the disturbance
 generator, advance x_{t+1} = A x_t + B u_t + w_t, then let the controller
 observe the transition.  The log records everything needed to replay the
-run and to evaluate the robustness certificates afterwards.  The loop runs
-in blocks of CERTIFY_BLOCK steps.  The excitation of a block depends only on
-the schedule and t, so it is drawn before the block's steps, in one stacked
-pass.  The log's two diagnostics, the data-equation residual and rho_t, feed
-nothing back, so they are computed after the block's steps, in another.
+run and to evaluate the robustness certificates afterwards.  The loop's
+state is arrays: the stacked correlations [Sigma; SigmaHat], the applied
+gain and the held P, with t the loop's own counter.  It runs in blocks of
+CERTIFY_BLOCK steps, each in one numpy error state (_lapack.quiet()).  The
+excitation of a block depends only on the schedule and t, so it is drawn
+before the block's steps, in one stacked pass.  The log's two diagnostics,
+the data-equation residual and rho_t, feed nothing back, so they are
+computed after the block's steps, in another.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .controller import (ControllerState, ExcitationSchedule, _excitation_block,
-                         _initial_controller, _step)
+from . import _lapack
+from .controller import ExcitationSchedule, _excitation_block, _step
 from .errors import DomainError, ShapeMismatch
-from .estimation import _fold, _initial_correlation, _residual, _rho
+from .estimation import _fold, _initial_stack, _residual, _rho
 from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_pd,
-                      _check_real, _check_vector, _trusted)
+                      _check_real, _check_vector)
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12
@@ -223,40 +226,44 @@ def logs_equal(a: TrajectoryLog, b: TrajectoryLog) -> bool:
 
 
 def simulate(scenario: Scenario) -> TrajectoryLog:
-    """Run the closed loop for `horizon` steps on the per-step core that
+    """Run the closed loop for `horizon` steps on the array kernels that
     controller_step, disturbance_eval and controller_observe run after checks.
 
-    The loop runs the control law only, in blocks of CERTIFY_BLOCK steps.
-    Before a block, _excitation_block draws the block's excitation in one
-    stacked pass; after it, _certify computes the log's eq6 residuals and
-    rho_t (the distance of each estimate from the true plant), which the
-    controller never reads.  Both give the bits that excitation_sample,
-    controller_step and rho_of give one step at a time.  A state whose norm
-    exceeds STATE_CAP or is not finite truncates the run and flags the log
-    instead of raising.
+    The loop holds [Sigma; SigmaHat], the applied gain K and the held P as
+    arrays and builds no value object.  It runs the control law only, in
+    blocks of CERTIFY_BLOCK steps, each block in one quiet() error state:
+    a failed LAPACK call in a step gives NaN, which the kernels' finiteness
+    tests turn into the step's fallback.  Before a block, _excitation_block
+    draws the block's excitation in one stacked pass; after it, _certify
+    computes the log's eq6 residuals and rho_t (the distance of each estimate
+    from the true plant), which the controller never reads.  Both give the
+    bits that excitation_sample, controller_step and rho_of give one step at
+    a time.  A state whose norm exceeds STATE_CAP or is not finite truncates
+    the run and flags the log instead of raising.
     """
-    plant, horizon = scenario.plant, scenario.horizon
+    plant, horizon, lam = scenario.plant, scenario.horizon, scenario.lam
     n, m = plant.n, plant.m
-    ctrl = _initial_controller(_initial_correlation(n, m, scenario.lam, scenario.sigma0),
-                               scenario.excitation, scenario.fallback_gain)
+    d = n + m
+    S = _initial_stack(n, m, scenario.sigma0)
+    K = np.zeros((m, n)) if scenario.fallback_gain is None else scenario.fallback_gain
+    P = None
     x, xi, rows, certified = scenario.x0.copy(), None, [], []
     for t0 in range(0, horizon, CERTIFY_BLOCK):
         block = []
         excitation = _excitation_block(scenario.excitation, t0, min(CERTIFY_BLOCK, horizon - t0))
-        for t, eps in enumerate(excitation, t0):
-            corr = ctrl.corr
-            u, ctrl, estimate, q = _step(ctrl, x, eps)
-            with np.errstate(over="ignore", invalid="ignore"):
+        with _lapack.quiet():
+            for t, eps in enumerate(excitation, t0):
+                u, K, P, ab, Q = _step(S[:d], S[d:], K, P, x, eps)
                 w, xi = _disturb(scenario.disturbance, t, x, u, xi)
                 x_next = plant.A @ x + plant.B @ u + w
                 overflowed = not np.sqrt(x_next.dot(x_next)) <= STATE_CAP
-            rows.append((x, u, eps, w, ctrl.last_gain.K, q is None))
-            block.append((corr, estimate, q, ctrl.last_gain.K))
-            if overflowed:
-                break
-            ctrl = _trusted(ControllerState, **{**vars(ctrl), "corr": _fold(ctrl.corr, x, u, x_next)})
-            x = x_next
-        certified.append(_certify(block, plant))
+                rows.append((x, u, eps, w, K, Q is None))
+                block.append((S, ab, Q, K))
+                if overflowed:
+                    break
+                S = _fold(S, lam, x, u, x_next)
+                x = x_next
+            certified.append(_certify(block, plant))
         if overflowed:
             break
     x, u, eps, w, k, fallback = map(np.array, zip(*rows))
@@ -267,18 +274,18 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
 
 
 def _certify(block: list, plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_t, eq6 residual) of a block of steps, each (correlations, estimate, Q, K)
-    as _step left them: rho_t of the steps with an estimate (inf without one) and
-    the residual of the solved steps (nan where the step fell back), each in one
-    stacked pass."""
+    """(rho_t, eq6 residual) of a block of steps, each ([Sigma; SigmaHat], estimate,
+    Q, K) as _step saw and left them: rho_t of the steps with an estimate (inf
+    without one) and the residual of the solved steps (nan where the step fell
+    back), each in one stacked pass."""
     rho, residual = np.full(len(block), np.inf), np.full(len(block), np.nan)
-    estimated = [i for i, (_, estimate, _, _) in enumerate(block) if estimate is not None]
-    solved = [i for i, (_, _, q, _) in enumerate(block) if q is not None]
+    estimated = [i for i, (_, ab, _, _) in enumerate(block) if ab is not None]
+    solved = [i for i, (_, _, Q, _) in enumerate(block) if Q is not None]
     if estimated:
-        rho[estimated] = _rho(plant.ab, np.stack([block[i][1].ab for i in estimated]))
+        rho[estimated] = _rho(plant.ab, np.stack([block[i][1] for i in estimated]))
     if solved:
-        corrs, _, qs, gains = zip(*(block[i] for i in solved))
-        residual[solved] = _residual(np.stack([c.sigma for c in corrs]),
-                                     np.stack([c.sigma_hat for c in corrs]),
-                                     np.stack([q.Q for q in qs]), np.stack(gains))
+        stacks, _, Qs, gains = zip(*(block[i] for i in solved))
+        S = np.stack(stacks)
+        d = S.shape[-1]
+        residual[solved] = _residual(S[:, :d], S[:, d:], np.stack(Qs), np.stack(gains))
     return rho, residual

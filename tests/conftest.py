@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg
 from hypothesis import strategies as st
 
-from adaptive_lqr import PlantModel, estimation, riccati
+from adaptive_lqr import (DisturbanceModel, ExcitationSchedule, PlantModel, Scenario,
+                          admissible_rho, estimation, riccati, sample_membership_plant)
 
 
 def scalar_p(a: float, b: float) -> float:
@@ -56,6 +57,41 @@ def random_stabilizable_plant(rng: np.random.Generator, n: int, m: int,
         return plant
 
 
+def criterion5_scenarios(seed, cases, excitation_seed=None):
+    """Acceptance criterion 5's four variants per sampled membership plant, each
+    with its beta (2 and 5 in turn), gamma = 20 beta and rho = 0.7 rho*(beta) as
+    (scenario, rho) pairs.  Excitation seeds come from the plants' stream, or,
+    given `excitation_seed`, from a stream of their own (the plants stay the same)."""
+    rng = np.random.default_rng(seed)
+    seeds = None if excitation_seed is None else np.random.default_rng(excitation_seed)
+    out = []
+    for case in range(cases):
+        beta = [2.0, 5.0][case % 2]
+        rho = 0.7 * admissible_rho(beta)
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        plant, _, _ = sample_membership_plant(rng, beta, n, m)
+        base = dict(amplitude=50.0, decay_rate=0.9)
+        da = rng.standard_normal((n, n))
+        db = rng.standard_normal((n, m))
+        scale = 0.01 * rho / np.linalg.norm(np.hstack([da, db]), 2)
+        variants = [
+            (DisturbanceModel.zero(), base, np.ones(n)),
+            (DisturbanceModel.zero(), dict(amplitude=200.0, decay_rate=0.85), 3.0 * np.ones(n)),
+            (DisturbanceModel.external(0.1 * rho * rng.uniform(-1.0, 1.0, (250, n))), base,
+             np.ones(n)),
+            (DisturbanceModel.filtered(scale * da, scale * db, pole=0.4), base, np.ones(n)),
+        ]
+        for dist, exc_kw, x0 in variants:
+            exc_seed = int(rng.integers(0, 2**32))
+            if seeds is not None:
+                exc_seed = int(seeds.integers(0, 2**32))
+            exc = ExcitationSchedule.decaying(m, seed=exc_seed, **exc_kw)
+            out.append((Scenario(plant=plant, disturbance=dist, x0=x0, horizon=250,
+                                 excitation=exc, beta=beta, gamma=20.0 * beta), rho))
+    return out
+
+
 def random_history(rng: np.random.Generator, n: int, m: int, length: int):
     """Random (x, u, x_next) triples with O(1) entries."""
     return [
@@ -79,17 +115,23 @@ def orthogonal(d):
 @pytest.fixture
 def cold_solves(monkeypatch):
     """The plants of the cold solves (no p0) the package makes: the fall-backs
-    of solve_dare(p0=...) and the controller's first solves."""
+    of solve_dare(p0=...), and the controller's first solves and fall-backs,
+    which its array kernel makes through estimation._solve_cold as pairs (A, B)."""
     calls = []
-    solve = riccati.solve_dare
+    solve, cold = riccati.solve_dare, estimation._solve_cold
 
     def counting(plant, *args, p0=None, **kwargs):
         if p0 is None:
             calls.append(plant)
         return solve(plant, *args, p0=p0, **kwargs)
 
+    def counting_cold(A, B, tol):
+        calls.append((A, B))
+        return cold(A, B, tol)
+
     for module in (riccati, estimation):
         monkeypatch.setattr(module, "solve_dare", counting)
+    monkeypatch.setattr(estimation, "_solve_cold", counting_cold)
     return calls
 
 

@@ -44,6 +44,8 @@ from adaptive_lqr.cli import main
 from adaptive_lqr.estimation import COND_LIMIT
 from adaptive_lqr.riccati import PSD_SLACK, ValueMatrix, _trusted, sym
 
+from conftest import criterion5_scenarios
+
 
 def count_cold_solves(monkeypatch, plant):
     """Patch solve_dare where certificates reach it; count cold solves of `plant`."""
@@ -251,6 +253,31 @@ class TestCorollaryBound:
         assert not report.hypotheses["data_consistency"].holds
         assert not report.hypotheses_hold
 
+    def test_corollary_on_fresh_excitation_streams(self):
+        # Criterion 5's scenario shapes, their excitation seeds drawn from a
+        # stream of their own.  Each run is certified from its consistent start
+        # (where the hypotheses must hold) and from t0 = 0, as a sweep row that
+        # finds none is.  Every report whose hypotheses hold has rho_t <= rho
+        # from t0 on and meets the conclusion within criterion 5's bound.  Runs
+        # that never become consistent are a property of the data: counted and
+        # printed, not asserted.
+        runs = criterion5_scenarios(5005, 32, excitation_seed=2626)
+        never = checked = 0
+        for sc, rho in runs:
+            log = simulate(sc)
+            t0 = consistent_start(log, rho)
+            never += t0 is None
+            for start in {0} if t0 is None else {0, t0}:
+                report = corollary_bound_check(log, sc.plant, start, sc.gamma, sc.beta, rho)
+                assert report.hypotheses_hold or start != t0
+                if report.hypotheses_hold:
+                    assert np.all(log.rho[start:] <= rho)
+                    assert report.conclusion_margin >= -1e-6 * (1.0 + report.details["lhs"])
+                    checked += 1
+        print(f"\ncorollary on {len(runs)} fresh excitation streams: {checked} reports "
+              f"checked, {never} runs never consistent")
+        assert checked >= len(runs) - never
+
     def test_plant_solved_once(self, monkeypatch):
         plant = PlantModel([[0.5]], [[1.0]])
         log = simulate(quiet_scenario(plant, seed=3))
@@ -326,6 +353,17 @@ class TestLemma1:
             "consistency": undefined, "tilde_bound": undefined, "q_lower": 0.0, "q_upper": 3.0}
         assert not report.hypotheses_hold
         assert report.conclusion_margin == undefined
+
+    def test_q_near_the_double_range_meets_its_lower_bound(self):
+        # Q = 1e308 I >= I: riccati.sym halves before it adds, so the symmetric
+        # part of Q does not overflow and q_lower holds, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = lemma1_check(np.eye(2), [[1.0, 1.0]], [[0.0, 0.0]], [[1.0]],
+                                  1e308 * np.eye(2), 1.3e154, 0.0)
+        assert report.hypotheses["q_lower"].holds
+        # The margin 1e308 - 1 is reported clipped to 1e300.
+        assert report.hypotheses["q_lower"].margin == -certificates.UNDEFINED_MARGIN
 
 
 class TestLyapunovDecay:

@@ -674,6 +674,21 @@ class TestSweepCommand:
         assert float(row["max_rho_t"]) > rho
         assert row["hypotheses_hold"] == "0"
 
+    def test_t0_found_column(self, tmp_path):
+        # rho = 0 is never reached, so that row certifies from t0 = 0 with
+        # t0_found 0; a row whose disturbance overflows has no run and no t0.
+        cfg = sweep_config(tmp_path,
+                           disturbance={"kind": "external_sequence", "sequence": [[10.0]]},
+                           sweep={"beta": [2.0], "rho_scale": [0.7, 0.0], "gamma": [40.0],
+                                  "disturbance_magnitude": [0.0, 1e308]})
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "--out-dir", str(out)]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert list(rows[0])[7:9] == ["t0", "t0_found"]
+        assert [(r["t0"] != "", r["t0_found"]) for r in rows] == [
+            (True, "1"), (False, ""), (True, "0"), (False, "")]
+        assert rows[2]["t0"] == "0" and rows[2]["hypotheses_hold"] == "0"
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = sweep_config(tmp_path, sweep={
             "beta": [1.5, 2.0],

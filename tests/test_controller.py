@@ -3,15 +3,12 @@ import pytest
 
 from adaptive_lqr import (
     CorrelationState,
-    DisturbanceModel,
     DomainError,
     ExcitationSchedule,
     Gain,
     NonFiniteInput,
     PlantModel,
-    Scenario,
     ShapeMismatch,
-    admissible_rho,
     controller_observe,
     controller_step,
     dare_error_estimate,
@@ -28,8 +25,8 @@ from adaptive_lqr import (
 from adaptive_lqr import _lapack, controller, riccati
 from adaptive_lqr.controller import SOLVE_TOL, _excitation_block
 from dataclasses import replace
-from conftest import (LINALG_WRAPPERS, count_calls, random_history, scalar_k, scalar_p,
-                      scipy_dare)
+from conftest import (LINALG_WRAPPERS, count_calls, criterion5_scenarios, random_history,
+                      scalar_k, scalar_p, scipy_dare)
 
 
 def consistent_state(plant, seed=0, lam=0.99):
@@ -240,12 +237,12 @@ class TestControllerStep:
         ctrl = replace(initial_controller(2, 1), corr=consistent_state(plant))
         for _ in range(2):   # a cold solve, then the held P refined until it confirms
             _, ctrl, _ = controller_step(ctrl, [1.0, -0.5])
-        kernels = count_calls(monkeypatch, _lapack, ["solve", "eigvalsh"])
+        kernels = count_calls(monkeypatch, _lapack, ["solve_nan", "eigvalsh_nan"])
         steps = count_calls(monkeypatch, riccati, ["riccati_step"])
         wrappers = count_calls(monkeypatch, np.linalg, LINALG_WRAPPERS)
         _, _, diag = controller_step(ctrl, [1.0, -0.5])
         assert not diag.fallback
-        assert kernels == {"solve": 3, "eigvalsh": 4} and steps == {"riccati_step": 1}
+        assert kernels == {"solve_nan": 3, "eigvalsh_nan": 4} and steps == {"riccati_step": 1}
         assert wrappers == dict.fromkeys(LINALG_WRAPPERS, 0)
 
     def test_excitation_added(self):
@@ -353,51 +350,22 @@ class TestClosedLoopProperties:
             assert np.max(err) <= 1e-6
 
 
-def criterion5_scenarios(seed, cases):
-    """Acceptance criterion 5's four variants per sampled membership plant."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for case in range(cases):
-        beta = [2.0, 5.0][case % 2]
-        rho = 0.7 * admissible_rho(beta)
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        plant, _, _ = sample_membership_plant(rng, beta, n, m)
-        base = dict(amplitude=50.0, decay_rate=0.9)
-        da = rng.standard_normal((n, n))
-        db = rng.standard_normal((n, m))
-        scale = 0.01 * rho / np.linalg.norm(np.hstack([da, db]), 2)
-        variants = [
-            (DisturbanceModel.zero(), base, np.ones(n)),
-            (DisturbanceModel.zero(), dict(amplitude=200.0, decay_rate=0.85), 3.0 * np.ones(n)),
-            (DisturbanceModel.external(0.1 * rho * rng.uniform(-1.0, 1.0, (250, n))), base,
-             np.ones(n)),
-            (DisturbanceModel.filtered(scale * da, scale * db, pole=0.4), base, np.ones(n)),
-        ]
-        for dist, exc_kw, x0 in variants:
-            exc = ExcitationSchedule.decaying(m, seed=int(rng.integers(0, 2**32)), **exc_kw)
-            out.append(Scenario(plant=plant, disturbance=dist, x0=x0, horizon=250,
-                                excitation=exc))
-    return out
-
-
 class TestSolveAccuracy:
     def test_every_controller_solve_meets_tol_against_scipy(self, monkeypatch):
         # Confirmed and cold solves alike are within the controller tol of
         # scipy's solver on the step's estimate, in relative spectral norm.
-        import adaptive_lqr.estimation as estimation
         solves = []
-        solve = estimation._solve_held
+        solve = controller._solve_data_riccati
 
-        def recording(plant, tol, p0):
-            P = solve(plant, tol, p0)
-            solves.append((plant, tol, P.P))
-            return P
+        def recording(A, B, ab, tol, held):
+            out = solve(A, B, ab, tol, held)
+            solves.append((PlantModel(A, B), tol, out[2]))
+            return out
 
-        monkeypatch.setattr(estimation, "_solve_held", recording)
+        monkeypatch.setattr(controller, "_solve_data_riccati", recording)
         scenarios = criterion5_scenarios(5005, 2)
         assert len(scenarios) == 8
-        for sc in scenarios:
+        for sc, _ in scenarios:
             simulate(sc)
         assert len(solves) > 1000
         worst = 0.0
@@ -410,20 +378,19 @@ class TestSolveAccuracy:
     def test_error_estimate_bounds_the_error_of_every_controller_solve(self, monkeypatch):
         # On the same oracle set, the true relative error of each solve
         # against scipy is at most twice its first-order error estimate.
-        import adaptive_lqr.estimation as estimation
         solves = []
-        solve = estimation._solve_held
+        solve = controller._solve_data_riccati
 
-        def recording(plant, tol, p0):
-            P = solve(plant, tol, p0)
-            solves.append((plant, P))
-            return P
+        def recording(A, B, ab, tol, held):
+            out = solve(A, B, ab, tol, held)
+            solves.append((PlantModel(A, B), out[2]))
+            return out
 
-        monkeypatch.setattr(estimation, "_solve_held", recording)
-        for sc in criterion5_scenarios(5005, 2):
+        monkeypatch.setattr(controller, "_solve_data_riccati", recording)
+        for sc, _ in criterion5_scenarios(5005, 2):
             simulate(sc)
         assert len(solves) > 1000
         for plant, P in solves:
             P_ref, _ = scipy_dare(plant)
-            err = np.linalg.norm(P.P - P_ref, 2) / np.linalg.norm(P_ref, 2)
+            err = np.linalg.norm(P - P_ref, 2) / np.linalg.norm(P_ref, 2)
             assert err <= 2.0 * dare_error_estimate(plant, P) + 1e-14

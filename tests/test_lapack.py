@@ -93,6 +93,38 @@ def test_failures_match_numpy_without_warnings(kernel, case):
         assert same(ours, theirs)
 
 
+@pytest.mark.parametrize("kernel", ["solve", "eigvalsh", "cholesky"])
+@pytest.mark.parametrize("case", sorted(BAD))
+def test_nan_kernels_give_the_bits_or_nan_in_quiet(kernel, case):
+    # The _nan form of a kernel gives the raising form's bits, and NaN where it
+    # raises; inside quiet() it warns of nothing.
+    a = np.array(BAD[case])
+    args = (a, np.ones(2)) if kernel == "solve" else (a,)
+    raising = outcome(getattr(_lapack, kernel), *args)
+    with warnings.catch_warnings(), _lapack.quiet():
+        warnings.simplefilter("error")
+        ours = getattr(_lapack, kernel + "_nan")(*args)
+    if isinstance(raising, np.linalg.LinAlgError):
+        assert np.isnan(ours).all()
+    else:
+        assert same(ours, raising)
+
+
+def test_quietly_runs_in_quiet_and_restores_the_error_state():
+    # A quietly function called inside quiet() runs in it; outside, it enters
+    # quiet() itself, where numpy ignores every floating-point error.
+    states = []
+    inner = _lapack.quietly(lambda: states.append(np.geterr()))
+    outer = _lapack.quietly(lambda: [inner(), inner()])
+    before = np.geterr()
+    outer()
+    assert states == [dict.fromkeys(before, "ignore")] * 2 and np.geterr() == before
+    with _lapack.quiet():
+        with pytest.raises(ZeroDivisionError):
+            _lapack.quietly(lambda: 1 / 0)()
+    assert np.geterr() == before and not _lapack._QUIET.get()
+
+
 def test_singular_and_not_pd_raise_numpys_error():
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         _lapack.solve(np.array(BAD["singular"]), np.ones(2))

@@ -1,4 +1,5 @@
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -112,10 +113,10 @@ class TestSolveDare:
         # the doubling cold path covers 2^k - 1 of them in k steps, one
         # linear solve each.
         plant = PlantModel([[0.99]], [[0.1]])
-        solves = count_calls(monkeypatch, _lapack, ["solve"])
+        solves = count_calls(monkeypatch, _lapack, ["solve_nan"])
         P = solve_dare(plant)
         monkeypatch.undo()
-        assert 1 <= solves["solve"] <= 10
+        assert 1 <= solves["solve_nan"] <= 10
 
         def value_iteration(budget):
             X = np.eye(1)
@@ -229,19 +230,19 @@ class TestSolveDare:
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
         p0s = [scipy_dare(PlantModel(plant.A + move, plant.B))[0]
                for move in (0.0, 1e-6, 1e-4, 1e-2)]
-        kernels = count_calls(monkeypatch, _lapack, ["solve"])
+        kernels = count_calls(monkeypatch, _lapack, ["solve_nan"])
         steps = count_calls(monkeypatch, riccati, ["riccati_step"])
         corrections = []
         for p0 in p0s:
-            kernels.update(solve=0)
+            kernels.update(solve_nan=0)
             steps.update(riccati_step=0)
             P = solve_dare(plant, p0=p0).P
             corrections.append(steps["riccati_step"] - 1)
-            assert kernels["solve"] == 2 * corrections[-1] + 1
+            assert kernels["solve_nan"] == 2 * corrections[-1] + 1
         assert corrections == [0, 1, 2, 3] and not cold_solves
-        kernels.update(solve=0)
+        kernels.update(solve_nan=0)
         dare_error_estimate(plant, P)
-        assert kernels["solve"] == 2
+        assert kernels["solve_nan"] == 2
 
     def test_simulate_makes_at_most_three_cold_solves(self, monkeypatch, cold_solves):
         # Newton refines the held P of a 200-step adaptive run; only the
@@ -300,6 +301,41 @@ class TestSolveDare:
             assert np.linalg.norm(cold - P_ref, 2) <= 1e-10 * np.linalg.norm(P_ref, 2)
             assert np.linalg.norm(solve_dare(plant, tol=1e-11).P - P, 2) <= \
                 1e-8 * np.linalg.norm(P, 2)
+
+
+class TestFailuresInTheLoopsErrorState:
+    # simulate runs these kernels inside _lapack.quiet(), where a failed LAPACK
+    # call gives NaN instead of raising: each failure is still told apart as
+    # it is outside, without a warning.
+    BIG = PlantModel([[1e152, 0.0], [0.0, 1e152]], [[1e152], [1e152]])
+    PLANT = PlantModel([[0.5]], [[1.0]])
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["public", "quiet"])
+    def test_singular_step_raises_numpys_error(self, quiet):
+        with warnings.catch_warnings(), _lapack.quiet() if quiet else nullcontext():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                riccati_step((self.PLANT.A, self.PLANT.B), np.array([[-1.0]]))
+            with pytest.raises(NotStabilizable, match="overflows"):
+                riccati_step(PlantModel([[0.5]], [[1e160]]), np.eye(1))
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["public", "quiet"])
+    def test_cold_solve_singular_to_working_precision(self, quiet):
+        with warnings.catch_warnings(), _lapack.quiet() if quiet else nullcontext():
+            warnings.simplefilter("error")
+            with pytest.raises(NotStabilizable, match="singular to working precision"):
+                solve_dare(self.BIG)
+
+    def test_held_solve_that_fails_leaves_the_cold_solve_to_the_caller(self):
+        # p0 = -1 makes I + B'PB singular; with B = 0 the step from p0 = 1e13
+        # passes the cap.  Neither gives a P.
+        plant = self.PLANT
+        with warnings.catch_warnings(), _lapack.quiet():
+            warnings.simplefilter("error")
+            for A, B, p0 in ((plant.A, plant.B, -1.0), (plant.A, np.zeros((1, 1)), 1e13)):
+                assert riccati._solve_held((A, B), DEFAULT_TOL, np.array([[p0]])) is None
+            P = riccati._solve_held((plant.A, plant.B), DEFAULT_TOL, solve_dare(plant).P)
+        assert np.array_equal(P, solve_dare(plant, p0=solve_dare(plant).P).P)
 
 
 class TestErrorEstimate:
@@ -446,6 +482,17 @@ class TestGainFromQ:
         object.__setattr__(q, "m", 1)
         with pytest.raises(SingularQuu):
             gain_from_q(q)
+
+    def test_quu_whose_eigvalsh_fails_is_singular(self):
+        # A NaN in Quu makes eigvalsh give NaN, which the guard rejects.
+        q = object.__new__(QMatrix)
+        object.__setattr__(q, "Q", np.diag([1.0, np.nan]))
+        object.__setattr__(q, "n", 1)
+        object.__setattr__(q, "m", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularQuu, match="nan"):
+                gain_from_q(q)
 
     def test_perturbed_gains_never_beat_minimizer(self):
         rng = np.random.default_rng(8)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy._core import _ufunc_config
 
 from adaptive_lqr import (
     ControllerState,
@@ -31,8 +32,10 @@ from adaptive_lqr import (
     rho_of,
     simulate,
     solve_dare,
+    solve_data_riccati,
 )
 from adaptive_lqr import _lapack
+from adaptive_lqr.riccati import _trusted
 from adaptive_lqr.simulation import CERTIFY_BLOCK, STATE_CAP
 
 from conftest import count_calls
@@ -236,21 +239,25 @@ class TestSimulate:
         assert np.array_equal(sc.x0, [1.0])
 
     def test_one_model_estimate_per_step(self, monkeypatch):
+        # One estimate per step, in step order: the estimate kernel sees
+        # Sigma_0 and then each Sigma_t folded from the one before it.
         import adaptive_lqr.controller as controller
-        import adaptive_lqr.estimation as estimation
-        calls = []
-        estimate = estimation.estimate_model
-
-        def counting(state):
-            calls.append(state.t)
-            return estimate(state)
-
-        monkeypatch.setattr(estimation, "estimate_model", counting)
-        monkeypatch.setattr(controller, "estimate_model", counting)
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
         exc = ExcitationSchedule.constant(1, amplitude=1.0, seed=5)
-        assert len(simulate(scenario(plant, 200, exc=exc))) == 200
-        assert calls == list(range(200))
+        calls = []
+        estimate = controller._estimate
+
+        def counting(sigma, sigma_hat):
+            calls.append(sigma.copy())
+            return estimate(sigma, sigma_hat)
+
+        monkeypatch.setattr(controller, "_estimate", counting)
+        log = simulate(scenario(plant, 200, exc=exc))
+        assert len(log) == 200 and len(calls) == 200
+        z = np.hstack([log.x, log.u])
+        assert np.array_equal(calls[0], 1e-3 * np.eye(3))
+        for t in range(1, 200):
+            assert np.array_equal(calls[t], 0.99 * calls[t - 1] + np.outer(z[t - 1], z[t - 1]))
 
     def test_no_svd_and_at_most_one_value_iteration_step_per_solve(self, monkeypatch, cold_solves):
         # The adaptive step makes no SVD (no svd, cond or spectral norm); the
@@ -290,10 +297,39 @@ class TestSimulate:
         # stacked eigvalsh each per block of steps, not one each per step.
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
         exc = ExcitationSchedule.constant(1, amplitude=1.0, seed=5)
-        kernels = count_calls(monkeypatch, _lapack, ["eigvalsh"])
+        kernels = count_calls(monkeypatch, _lapack, ["eigvalsh_nan"])   # every eigvalsh
         log = simulate(scenario(plant, 200, exc=exc))
         assert len(log) == 200 and not log.fallback.any()
-        assert kernels == {"eigvalsh": 2 * 200 + 3 * -(-200 // CERTIFY_BLOCK)}
+        assert kernels == {"eigvalsh_nan": 2 * 200 + 3 * -(-200 // CERTIFY_BLOCK)}
+
+    def test_loop_builds_no_value_object_and_enters_error_states_per_block(self, monkeypatch):
+        # The loop runs on arrays: no value object is built, checked or not.
+        # Each block enters numpy's error state once for its steps (quiet())
+        # and four times in its stacked pass (rho_t's decorator and eigvalsh,
+        # the residual's two eigvalsh); no step enters one.
+        import adaptive_lqr.riccati as riccati
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        exc = ExcitationSchedule.constant(1, amplitude=1.0, seed=5)
+        sc = scenario(plant, 200, exc=exc)
+        builds, entries = [], []
+        trusted = riccati._trusted
+        for name, module in list(sys.modules.items()):
+            if name.startswith("adaptive_lqr") and getattr(module, "_trusted", None) is trusted:
+                monkeypatch.setattr(module, "_trusted",
+                                    lambda cls, **kw: builds.append(cls) or trusted(cls, **kw))
+        for cls in (PlantModel, ValueMatrix, QMatrix, Gain, CorrelationState, ControllerState,
+                    ExcitationSchedule):
+            post = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, post=post: builds.append(type(self)) or post(self))
+        # numpy builds the state of every errstate entry, `with` or decorator, here.
+        make = _ufunc_config._make_extobj
+        monkeypatch.setattr(_ufunc_config, "_make_extobj",
+                            lambda *a, **kw: entries.append(kw) or make(*a, **kw))
+        log = simulate(sc)
+        assert len(log) == 200 and not log.fallback.any()
+        assert builds == []
+        assert len(entries) == 5 * -(-200 // CERTIFY_BLOCK)
 
     def test_excitation_is_drawn_once_per_block_without_a_generator(self, monkeypatch):
         # No default_rng per step: one stacked draw per CERTIFY_BLOCK steps,
@@ -318,10 +354,11 @@ class TestSimulate:
         steps = []
         step = simulation._step
 
-        def recording(ctrl, x, eps):
-            out = step(ctrl, x, eps)
-            _, _, estimate, q = out
-            steps.append((ctrl.corr, estimate, q is None))
+        def recording(sigma, sigma_hat, K, P, x, eps):
+            out = step(sigma, sigma_hat, K, P, x, eps)
+            _, _, _, estimate, Q = out
+            corr = _trusted(CorrelationState, sigma=sigma, sigma_hat=sigma_hat, lam=0.99, t=0)
+            steps.append((corr, estimate, Q is None))
             return out
 
         monkeypatch.setattr(simulation, "_step", recording)
@@ -337,37 +374,31 @@ class TestSimulate:
                 assert estimate is None and fallback and rho == np.inf
                 kinds.add("ill_conditioned")
                 continue
-            assert np.array_equal(estimate.A, est.A)
-            assert np.array_equal(estimate.B, est.B)
+            assert np.array_equal(estimate, est.ab)
             assert rho == rho_of(est, plant)
             kinds.add("not_stabilizable" if fallback else "solved")
         assert kinds == {"solved", "not_stabilizable", "ill_conditioned"}
 
-    def test_trusted_objects_survive_their_constructors(self, monkeypatch):
-        # Every object the per-step path builds without validation must pass
-        # its public constructor unchanged.
-        import adaptive_lqr.estimation as estimation
-        import adaptive_lqr.simulation as simulation
-        import adaptive_lqr.controller as controller
+    def test_trusted_objects_survive_their_constructors(self):
+        # Every object the public per-step functions build from the kernels'
+        # arrays without validation must pass its public constructor unchanged.
         trusted = (ValueMatrix, QMatrix, Gain, CorrelationState, ControllerState)
         built = []
-
-        def recording(fn):
-            def wrapped(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                built.extend(o for o in (out if isinstance(out, tuple) else (out,))
-                             if isinstance(o, trusted))
-                return out
-            return wrapped
-
-        for module, name in ((estimation, "_solve_held"), (controller, "_solve_data_riccati"),
-                             (simulation, "_fold"), (simulation, "_step")):
-            monkeypatch.setattr(module, name, recording(getattr(module, name)))
         plant = PlantModel([[0.9, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 0.5]],
                            [[1.0, 0.0], [0.2, 0.5], [0.0, 1.0]])
         dist = DisturbanceModel.filtered(0.05 * np.eye(3), 0.02 * np.ones((3, 2)), pole=0.3)
         exc = ExcitationSchedule.decaying(2, amplitude=5.0, decay_rate=0.98, seed=6)
-        assert len(simulate(scenario(plant, 200, dist=dist, exc=exc))) == 200
+        ctrl = initial_controller(3, 2, excitation=exc)
+        x, xi = np.ones(3), None
+        for t in range(200):
+            u, ctrl, diag = controller_step(ctrl, x)
+            if diag.estimate is not None:
+                built.extend(solve_data_riccati(diag.estimate))
+            w, xi = disturbance_eval(dist, t, x, u, xi)
+            x_next = plant.A @ x + plant.B @ u + w
+            ctrl = controller_observe(ctrl, x, u, x_next)
+            built.extend([ctrl, ctrl.corr, ctrl.last_gain])
+            x = x_next
         assert {type(obj) for obj in built} == set(trusted)
         for obj in built:
             rebuilt = type(obj)(**vars(obj))
