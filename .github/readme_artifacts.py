@@ -2,8 +2,9 @@
 artifact's SHA-256.
 
 The examples are README's simulate config and that config under README's
-sweep grids, as tests/test_cli.py reads them.  One line per artifact:
-`<command>/<file> <sha256> <exit code>`.
+sweep grids, as tests/test_cli.py reads them, `solve` on the simulate config's
+plant, and `certify` with all three checks on 20 sampled instances.  One line
+per artifact: `<command>/<file> <sha256> <exit code>`.
 
     python .github/readme_artifacts.py CHECKOUT OUT_DIR
 """
@@ -31,8 +32,11 @@ def json_block(after: str) -> str:
 
 simulate = json.loads(json_block("`simulate` (and the scenario base of `sweep`):"))
 sweep = {**simulate, **json.loads("{" + json_block("`sweep`: the scenario base above") + "}")}
+certify = {"checks": ["theorem1", "lemma1", "lyapunov"], "instances": 20}
 for command, cfg, artifacts in (("simulate", simulate, ("trajectory.csv", "summary.json")),
-                                ("sweep", sweep, ("sweep.csv",))):
+                                ("sweep", sweep, ("sweep.csv",)),
+                                ("solve", {"plant": simulate["plant"]}, ("summary.json",)),
+                                ("certify", certify, ("reports.json",))):
     run_dir = out / command
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(json.dumps(cfg))

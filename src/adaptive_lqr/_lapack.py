@@ -1,34 +1,27 @@
-"""The package's dense kernels: numpy.linalg's LAPACK gufuncs without its wrappers.
+"""The package's dense kernels and its one numpy error state.
 
-solve, eigvalsh, eigvals and cholesky call the gufunc that the numpy.linalg
-function of the same name calls, in double precision and inside the same error
-state: the same bits, and the same LinAlgError for a singular, non-converged or
-not positive-definite input.  The package passes only square float matrices,
-so the wrappers' conversions and shape checks are skipped.
+solve_nan, eigvalsh_nan, cholesky_nan and eigvals_nan call the gufunc that the
+numpy.linalg function of the same name calls, in double precision and in the
+caller's error state: the same bits without the wrappers' conversions and
+shape checks (the package passes only square float matrices), and NaN for a
+singular, non-converged or not positive-definite input, where numpy raises.
 
-solve_nan, eigvalsh_nan and cholesky_nan are the same gufuncs in the caller's
-error state: a failure fills the result with NaN.  The kernels of the control
-law call them inside `quiet()` and test their results for finiteness, so a
-loop of steps enters one error state, not one per call.  The raising forms
-call the _nan forms, so counting those counts every LAPACK call.
+quiet() is the only error state the package enters: every floating-point
+error ignored.  The package's entry points run in it (quietly), and each
+caller reads a kernel's NaN as a failure, so a failed call fails closed
+without a warning.  Only riccati_step and the cold solve call
+np.linalg.solve, which raises, to name a singular matrix.
 """
 
 from contextvars import ContextVar
 from functools import cache, wraps
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 # True inside quiet(), where numpy's error state ignores every floating-point
 # error; context-local, as numpy's error state itself is.
 _QUIET = ContextVar("adaptive_lqr_quiet", default=False)
-
-
-def _raising(message):
-    """numpy.linalg's error state for a LAPACK call: a failure raises LinAlgError(message)."""
-    def fail(err, flag):
-        raise LinAlgError(message)
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 class quiet:
@@ -72,28 +65,10 @@ def cholesky_nan(a: np.ndarray) -> np.ndarray:
     return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
-@_raising("Singular matrix")
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """solve_nan(a, b), raising LinAlgError for a singular a."""
-    return solve_nan(a, b)
-
-
-@_raising("Eigenvalues did not converge")
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """eigvalsh_nan(a), raising LinAlgError when the eigenvalues do not converge."""
-    return eigvalsh_nan(a)
-
-
-@_raising("Matrix is not positive definite")
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """cholesky_nan(a), raising LinAlgError when a is not positive definite."""
-    return cholesky_nan(a)
-
-
-@_raising("Eigenvalues did not converge")
-def eigvals(a: np.ndarray) -> np.ndarray:
+def eigvals_nan(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvals(a) of a finite a, always complex: the wrapper's check for
-    infs and NaNs and its cast of all-real eigenvalues to float are skipped."""
+    infs and NaNs and its cast of all-real eigenvalues to float are skipped; NaN
+    when they do not converge."""
     return _umath_linalg.eigvals(a, signature="d->D")
 
 

@@ -108,6 +108,7 @@ def _check_p_and_gain(plant: PlantModel, P: ValueMatrix, K: Gain) -> None:
                             f"got {P.P.shape} and {K.K.shape}")
 
 
+@_lapack.quietly
 def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rho: float,
                     sigma: np.ndarray | None = None,
                     sigma_hat: np.ndarray | None = None) -> CertificateReport:
@@ -157,10 +158,9 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
         margin = UNDEFINED_MARGIN
     else:
         K = kt.K
-        with np.errstate(over="ignore", invalid="ignore"):
-            closed = plant.A + plant.B @ K
-            margin = _min_eig(P.P / (1.0 - c)
-                              - (_lapack.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
+        closed = plant.A + plant.B @ K
+        margin = _min_eig(P.P / (1.0 - c)
+                          - (_lapack.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
     return _report("theorem1", hyps, margin, details)
 
 
@@ -227,6 +227,7 @@ def corollary_bound_check(log: TrajectoryLog, plant: PlantModel, t0: int,
     return _report("corollary", hyps, rhs - lhs, details)
 
 
+@_lapack.quietly
 def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -> CertificateReport:
     """Perturbed correlation bound.
 
@@ -251,32 +252,31 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     P = _check_matrix(P, "P", (n, n))
     Q = _check_matrix(Q, "Q", (d, d))
     eye = _lapack.eye(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        consistency_rhs = S @ (Q - eye) @ S
-        dev = (Sh - St).T @ P @ (Sh - St) - consistency_rhs   # finite only if the rhs is
-        hyps = {
-            "consistency": _hyp(-_spectral_norm(dev) / max(1.0, _sym_norm(consistency_rhs))
-                                if np.isfinite(dev).all() else UNDEFINED_MARGIN),
-            "tilde_bound": _hyp(_min_eig(rho**2 * S @ S - St.T @ St)),
-            "q_lower": _hyp(_min_eig(Q - eye)),
-            "q_upper": _hyp(_min_eig(beta**2 * eye - Q)),
-        }
-        margin = _min_eig(S @ Q @ S + (beta**2 * rho * (rho + 2.0) - 1.0) * S @ S - Sh.T @ P @ Sh)
+    consistency_rhs = S @ (Q - eye) @ S
+    dev = (Sh - St).T @ P @ (Sh - St) - consistency_rhs   # finite only if the rhs is
+    hyps = {
+        "consistency": _hyp(-_spectral_norm(dev) / max(1.0, _sym_norm(consistency_rhs))
+                            if np.isfinite(dev).all() else UNDEFINED_MARGIN),
+        "tilde_bound": _hyp(_min_eig(rho**2 * S @ S - St.T @ St)),
+        "q_lower": _hyp(_min_eig(Q - eye)),
+        "q_upper": _hyp(_min_eig(beta**2 * eye - Q)),
+    }
+    margin = _min_eig(S @ Q @ S + (beta**2 * rho * (rho + 2.0) - 1.0) * S @ S - Sh.T @ P @ Sh)
     return _report("lemma1", hyps, margin, {"beta": float(beta), "rho": float(rho)})
 
 
+@_lapack.quietly
 def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> CertificateReport:
     """Per-step storage decay: min eig of P - (A+BK)'P(A+BK) - I - K'K.
 
     Zero (to 1e-9) at the optimal gain; negative for any gain that fails the
     strict decay.  A P or gain not shaped for the plant raises ShapeMismatch.
     A closed loop or decay matrix that overflows has margin UNDEFINED_MARGIN,
-    and the closed loop radius inf when the closed loop itself overflows.
+    and the closed loop radius inf when it overflows or eigvals fails.
     """
     _check_p_and_gain(plant, P, K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        closed = plant.A + plant.B @ K.K
-        margin = _min_eig(P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K)
+    closed = plant.A + plant.B @ K.K
+    margin = _min_eig(P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K)
     return _report("lyapunov_decay", {}, margin, {"closed_loop_radius": _spectral_radius(closed)})
 
 
@@ -294,23 +294,25 @@ def admissible_rho(beta: float) -> float:
 # ---------------------------------------------------------------------------
 # Randomized instance generation (seeded, reproducible)
 
+@_lapack.quietly
 def random_plant(rng: np.random.Generator, n: int, m: int,
                  spectral_radius: float, input_scale: float = 1.0) -> PlantModel:
-    """A with i.i.d. uniform [-1,1] entries rescaled to the target spectral
-    radius, B with i.i.d. uniform [-1,1] entries times input_scale."""
+    """A with i.i.d. uniform [-1,1] entries rescaled to the target spectral radius
+    (redrawn unless its own is finite and above 1e-9), B uniform [-1,1] times input_scale."""
     n, m = _check_int(n, "n"), _check_int(m, "m")
     spectral_radius = _check_real(spectral_radius, "spectral_radius", low=0.0)
     input_scale = _check_real(input_scale, "input_scale")
     while True:
         A = rng.uniform(-1.0, 1.0, (n, n))
         r = _spectral_radius(A)
-        if r > 1e-9:
+        if 1e-9 < r < np.inf:
             break
     A *= spectral_radius / r
     B = input_scale * rng.uniform(-1.0, 1.0, (n, m))
     return PlantModel(A, B)
 
 
+@_lapack.quietly
 def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
                             m: int) -> tuple[PlantModel, ValueMatrix, QMatrix]:
     """Rejection-sample a plant with Q <= beta^2 I; NotConverged after MAX_SAMPLE_TRIES tries.
@@ -336,7 +338,7 @@ def sample_membership_plant(rng: np.random.Generator, beta: float, n: int,
         except NotStabilizable:
             continue
         q = q_from_p(plant, P)
-        if _lapack.eigvalsh(q.Q).max() <= beta**2:
+        if _lapack.eigvalsh_nan(q.Q).max() <= beta**2:
             return plant, P, q
     raise NotConverged(f"no plant found in the beta = {beta} membership set "
                        f"after {MAX_SAMPLE_TRIES} tries")
@@ -373,6 +375,7 @@ class Theorem1Instance:
     kt: Gain
 
 
+@_lapack.quietly
 def theorem1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
                                 P: ValueMatrix, beta: float, rho: float) -> Theorem1Instance:
     """Correlation data at estimate distance exactly rho for a given plant.
@@ -415,6 +418,7 @@ class Lemma1Instance:
     rho: float
 
 
+@_lapack.quietly
 def lemma1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
                               P: ValueMatrix, q: QMatrix, beta: float,
                               rho: float) -> Lemma1Instance:

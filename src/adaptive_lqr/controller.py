@@ -8,9 +8,10 @@ and the step is flagged.
 
 The control law is one kernel on arrays, _step: correlations, applied gain
 and held P in, the new gain, P, estimate and Q out, run in the caller's
-quiet() error state.  simulate's loop calls it directly; controller_step
-checks x, enters quiet() and builds the new ControllerState and the
-StepDiagnostics from its arrays.
+quiet() error state, where a failed LAPACK call gives NaN, which takes the
+step to the cold solve or its fallback.  simulate's loop calls it directly;
+controller_step checks x, enters quiet() and builds the new ControllerState
+and the StepDiagnostics from its arrays.
 """
 
 from __future__ import annotations

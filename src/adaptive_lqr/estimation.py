@@ -12,12 +12,12 @@ fixed-point equation at the gain K the controller applies
 
     Sigma (Q - I) Sigma = SigmaHat' [I;K]' Q [I;K] SigmaHat.
 
-The kernels run on arrays in the caller's quiet() error state and test
-their results for finiteness: _fold on the stacked [Sigma; SigmaHat], one
-(2n+m) x (n+m) array, _estimate returning [Ahat Bhat], and
-_solve_data_riccati returning (Q, K, P).  simulate's loop calls them
-directly.  Public constructors and data arguments are checked; the public
-functions enter quiet() and build their value objects once, from the
+The kernels run on arrays in the caller's quiet() error state (_lapack) and
+test their results for finiteness, a failed LAPACK call included: _fold on
+the stacked [Sigma; SigmaHat], one (2n+m) x (n+m) array, _estimate returning
+[Ahat Bhat], and _solve_data_riccati returning (Q, K, P).  simulate's loop
+calls them directly.  Public constructors and data arguments are checked; the
+public functions enter quiet() and build their value objects once, from the
 kernels' arrays, skipping `__post_init__`: the state of initial_correlation
 and update_correlations (whose sigma and sigma_hat are views of one stack),
 the estimate plant of estimate_model (given the solved [Ahat Bhat] as `ab`)
@@ -237,6 +237,7 @@ def _solve_data_riccati(A: np.ndarray, B: np.ndarray, ab: np.ndarray, tol: float
     return Q, _gain(Q, len(A)), P
 
 
+@_lapack.quietly
 def data_riccati_residual(state: CorrelationState, q: QMatrix, gain: Gain) -> float:
     """Residual of Sigma (Q - I) Sigma = SigmaHat' [I;K]' Q [I;K] SigmaHat at the gain K.
 
@@ -264,6 +265,7 @@ def _residual(sigma: np.ndarray, sigma_hat: np.ndarray, Q: np.ndarray,
     return _sym_norm(lhs - rhs) / _sym_norm(S @ Q @ S)
 
 
+@_lapack.quietly
 def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> np.ndarray:
     """Discounted disturbance correlations over (x_k, u_k, w_k) triples.
 
@@ -277,12 +279,11 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     history = _as_history(history)
     lam = _check_factor(lam, "lam")
     # A sum that overflows stays inf or NaN: one test at the end.
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = -plant.ab @ _check_pd(sigma0, "sigma0", n + m)
-        for k, entry in enumerate(history):
-            x, u, w = _triple(entry, k)
-            z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
-            acc = lam * acc + np.outer(_check_vector(w, "w", n), z)
+    acc = -plant.ab @ _check_pd(sigma0, "sigma0", n + m)
+    for k, entry in enumerate(history):
+        x, u, w = _triple(entry, k)
+        z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
+        acc = lam * acc + np.outer(_check_vector(w, "w", n), z)
     if not np.isfinite(acc).all():
         raise NonFiniteInput("the history overflows the disturbance correlations")
     return acc
@@ -294,14 +295,15 @@ def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     |[A B] - SigmaHat Sigma^{-1}| in the spectral norm for the estimate of
     estimate_model; equals |[Swx Swu] Sigma^{-1}| for the disturbance
     correlations of the same run.  Computed without an SVD, as
-    sqrt(max eigvalsh(D D')) for D = [A B] - [Ahat Bhat]; inf when D overflows.
+    sqrt(max eigvalsh(D D')) for D = [A B] - [Ahat Bhat]; inf when D overflows,
+    NaN when eigvalsh fails.
     """
     if (estimate.n, estimate.m) != (plant.n, plant.m):
         raise ShapeMismatch(f"estimate (n, m) = {estimate.n, estimate.m}, plant {plant.n, plant.m}")
     return _rho(plant.ab, estimate.ab)
 
 
-@np.errstate(over="ignore")   # a difference that overflows has distance inf
+@_lapack.quietly   # a difference that overflows has distance inf
 def _rho(ab: np.ndarray, ab_hat: np.ndarray) -> float | np.ndarray:
     """rho_of of the pairs [A B] and [Ahat Bhat], or of each [Ahat Bhat] of a stack."""
     return _spectral_norm(ab - ab_hat)

@@ -21,10 +21,11 @@ gain of gain_from_q are built from checked data and skip `__post_init__`.
 PlantModel stacks `ab` = [A B] once, in `__post_init__`; its one trusted
 build, estimation's estimate, passes the `ab` it solved for.
 
-The adaptive step's kernels (_solve_cold, _solve_held, _q, _gain, and
-riccati_step on a pair (A, B)) run on arrays in the caller's quiet() error
-state (_lapack) and test their results for finiteness; solve_dare,
-riccati_step and gain_from_q enter quiet() themselves unless called in it.
+Every kernel runs in _lapack's quiet() error state, which the public entry
+points enter, and reads a failed LAPACK call's NaN as a failure: _min_eig
+-inf, _spectral_radius inf, a non-finite result in the adaptive step's array
+kernels.  Only riccati_step and _solve_cold call np.linalg.solve, to name a
+singular matrix.
 """
 
 from __future__ import annotations
@@ -78,22 +79,22 @@ def sym(M: np.ndarray) -> np.ndarray:
 def _sym_norm(M: np.ndarray) -> float | np.ndarray:
     """Spectral norm of the symmetric part of M, max |eigvalsh(sym(M))|; no SVD.
     A float for one matrix, an array for a stack (..., d, d)."""
-    norm = np.abs(_lapack.eigvalsh(sym(M))).max(axis=-1)
+    norm = np.abs(_lapack.eigvalsh_nan(sym(M))).max(axis=-1)
     return norm if norm.ndim else float(norm)
 
 
 def _min_eig(M: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of M; -inf, which no bound
-    meets, when that part has an entry that overflowed or is NaN."""
+    """Smallest eigenvalue of the symmetric part of M; -inf, which no bound meets,
+    when that part has an entry that overflowed or is NaN, or eigvalsh fails."""
     S = sym(M)
-    return float(_lapack.eigvalsh(S).min()) if np.isfinite(S).all() else -np.inf
+    low = _lapack.eigvalsh_nan(S).min() if np.isfinite(S).all() else -np.inf
+    return float(low) if low >= -np.inf else -np.inf   # NaN fails every comparison
 
 
 def _spectral_radius(M: np.ndarray) -> float:
-    """max |eigenvalue| of a square M; inf when M has an infinite or NaN entry."""
-    if not np.isfinite(M).all():
-        return np.inf
-    return float(np.abs(_lapack.eigvals(M)).max())
+    """max |eigenvalue| of a square M; inf when M has an infinite or NaN entry or eigvals fails."""
+    radius = np.abs(_lapack.eigvals_nan(M)).max() if np.isfinite(M).all() else np.inf
+    return float(radius) if radius <= np.inf else np.inf
 
 
 def _spectral_norm(M: np.ndarray) -> float | np.ndarray:
@@ -112,7 +113,7 @@ def _spectral_norm(M: np.ndarray) -> float | np.ndarray:
             norm[~special] = _spectral_norm(M[~special])
     else:
         M = M / scale[..., None, None]
-        norm = scale * np.sqrt(_lapack.eigvalsh(M @ M.mT)[..., -1])
+        norm = scale * np.sqrt(_lapack.eigvalsh_nan(M @ M.mT)[..., -1])
     return norm if norm.ndim else float(norm)
 
 
@@ -195,6 +196,7 @@ _check_above = partial(_check_real, high=SQUARE_MAX, ends="(]")
 _check_beta = partial(_check_above, low=1.0)
 
 
+@_lapack.quietly
 def _check_symmetric(M, name, shape=None):
     """(sym(M), the ascending eigenvalues of sym(M / 2^e), 2^-e) for M checked square and
     symmetric to 1e-12 relative.  Both tests run on M / 2^e, e the binary exponent of
@@ -206,8 +208,8 @@ def _check_symmetric(M, name, shape=None):
     e = max(np.frexp(np.abs(M).max())[1], -1021)
     Ms, unit = np.ldexp(M, -e), np.ldexp(1.0, -e)
     S = sym(Ms)
-    evals = _lapack.eigvalsh(S)
-    if _spectral_norm(Ms - Ms.T) > 1e-12 * max(unit, np.abs(evals).max()):
+    evals = _lapack.eigvalsh_nan(S)
+    if not _spectral_norm(Ms - Ms.T) <= 1e-12 * max(unit, np.abs(evals).max()):
         raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
     return (M if (M == M.T).all() else np.ldexp(S, e)), evals, unit
 
@@ -215,7 +217,7 @@ def _check_symmetric(M, name, shape=None):
 def _check_pd(M, name, d=None):
     """M checked by _check_symmetric, d x d if d is given, and positive definite."""
     M, evals, _ = _check_symmetric(M, name, None if d is None else (d, d))
-    if evals[0] <= 0:
+    if not evals[0] > 0:
         raise ShapeMismatch(f"{name} must be positive definite")
     return M
 
@@ -226,7 +228,7 @@ def _check_cost_matrix(M, name, shape=None):
     M, evals, unit = _check_symmetric(M, name, shape)
     # eigvalsh gives evals[0] only to about d eps max|evals|: on 3,000 solved Q of random
     # plants (n <= 6, |B| up to 1e6) it fell at most 0.32 of that below the threshold.
-    if evals[0] < unit * (1.0 - 1e-9) - 8 * len(M) * np.finfo(float).eps * np.abs(evals).max():
+    if not evals[0] >= unit * (1.0 - 1e-9) - 8 * len(M) * np.finfo(float).eps * np.abs(evals).max():
         raise DomainError(f"{name} must satisfy {name} >= I (unit stage cost)")
     return M
 
@@ -341,7 +343,7 @@ def riccati_step(plant, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if np.isfinite(Pn).all():
             return Pn, K
         if not np.isfinite(K).all():
-            _lapack.solve(M, W)   # tells a singular M (LinAlgError) from an overflow
+            np.linalg.solve(M, W)   # tells a singular M (LinAlgError) from an overflow
     raise NotStabilizable("the Riccati step overflows")
 
 
@@ -374,6 +376,7 @@ def _checked_step(plant: PlantModel, P):
     return P, Pn, K, norm
 
 
+@_lapack.quietly
 def dare_residual(plant: PlantModel, P) -> float:
     """Relative fixed-point residual |P - step(P)| / |P| in spectral norm; P is
     checked by _checked_step."""
@@ -467,7 +470,7 @@ def _solve_cold(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
         except NotStabilizable:         # an overflow, or the NaN of a failed solve
             if not np.isfinite(W).all():
                 try:
-                    _lapack.solve(IGH, AG)
+                    np.linalg.solve(IGH, AG)
                 except np.linalg.LinAlgError:
                     # G, H >= 0 make I + G H nonsingular; singular means lost precision.
                     raise NotStabilizable("I + G H is singular to working precision") from None
@@ -553,6 +556,7 @@ def _solve_membership(plant: PlantModel, beta: float, p0: np.ndarray | None = No
     return P, _membership(plant, P, beta)
 
 
+@_lapack.quietly
 def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCertificate:
     """check_membership's certificate for the plant's already solved P."""
     beta = _check_beta(beta, "beta")
@@ -562,7 +566,7 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
         # Then max eig Q is above every finite beta^2.
         return MembershipCertificate(member=False, Q=None, max_eig_Q=np.inf, residual=np.inf,
                                      reason="Q = I + [A B]' P [A B] overflows")
-    max_eig = float(_lapack.eigvalsh(q.Q)[-1])
+    max_eig = float(_lapack.eigvalsh_nan(q.Q)[-1])
     member = max_eig <= beta**2 + PSD_SLACK
     reason = "" if member else f"max eig {max_eig:.6g} exceeds beta^2 = {beta**2:.6g}"
     return MembershipCertificate(member=bool(member), Q=q,
@@ -571,12 +575,12 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
 
 
 def _finite_q(plant: PlantModel, P: ValueMatrix) -> QMatrix | None:
-    """q_from_p of the plant's solved P; None when Q = I + [A B]' P [A B] overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = q_from_p(plant, P)
+    """q_from_p of the plant's solved P, in quiet(); None when Q overflows."""
+    q = q_from_p(plant, P)
     return q if np.isfinite(q.Q).all() else None
 
 
+@_lapack.quietly
 def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
     """The Q-form fixed point below a certified upper bound.
 
@@ -591,9 +595,8 @@ def solve_from_upper(plant: PlantModel, qbar: QMatrix, kbar: Gain) -> QMatrix:
     n, m = plant.n, plant.m
     if (qbar.n, qbar.m) != (n, m) or kbar.K.shape != (m, n):
         raise ShapeMismatch("qbar/kbar dimensions do not match the plant")
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = np.vstack([_lapack.eye(n), kbar.K]) @ plant.ab   # (n+m) x (n+m)
-        hyp = _min_eig(qbar.Q - _lapack.eye(n + m) - M.T @ qbar.Q @ M)
+    M = np.vstack([_lapack.eye(n), kbar.K]) @ plant.ab   # (n+m) x (n+m)
+    hyp = _min_eig(qbar.Q - _lapack.eye(n + m) - M.T @ qbar.Q @ M)
     qscale = max(1.0, _sym_norm(qbar.Q))
     if hyp < -UPPER_TOL * qscale:
         raise HypothesisViolated(f"upper-bound hypothesis fails by {hyp:.3e}")

@@ -5,8 +5,8 @@ generator, advance x_{t+1} = A x_t + B u_t + w_t, then let the controller
 observe the transition.  The log records everything needed to replay the
 run and to evaluate the robustness certificates afterwards.  The loop's
 state is arrays: the stacked correlations [Sigma; SigmaHat], the applied
-gain and the held P, with t the loop's own counter.  It runs in blocks of
-CERTIFY_BLOCK steps, each in one numpy error state (_lapack.quiet()).  The
+gain and the held P, with t the loop's own counter.  The run enters one numpy
+error state (_lapack.quiet()) and runs in blocks of CERTIFY_BLOCK steps.  The
 excitation of a block depends only on the schedule and t, so it is drawn
 before the block's steps, in one stacked pass.  The log's two diagnostics,
 the data-equation residual and rho_t, feed nothing back, so they are
@@ -89,12 +89,12 @@ class DisturbanceModel:
     def filtered(cls, delta_a, delta_b, pole: float) -> "DisturbanceModel":
         return cls(kind="filtered_unmodeled", delta_a=delta_a, delta_b=delta_b, pole=pole)
 
+    @_lapack.quietly
     def scaled(self, magnitude: float) -> "DisturbanceModel":
         """Same shape of disturbance with the arrays its kind reads scaled by
         `magnitude`; DomainError when a scaled array overflows."""
         magnitude = _check_real(magnitude, "magnitude")
-        with np.errstate(over="ignore"):
-            payload = {key: magnitude * getattr(self, key) for key in DISTURBANCE_ARRAYS[self.kind]}
+        payload = {key: magnitude * getattr(self, key) for key in DISTURBANCE_ARRAYS[self.kind]}
         if not all(np.isfinite(v).all() for v in payload.values()):
             raise DomainError(f"disturbance magnitude {magnitude:g} overflows the disturbance payload")
         return replace(self, **payload)
@@ -191,10 +191,10 @@ class TrajectoryLog:
     def __len__(self) -> int:
         return len(self.t)
 
+    @_lapack.quietly
     def state_input_cost(self) -> float:
         """sum over t of |x_t|^2 + |u_t|^2; inf once it overflows."""
-        with np.errstate(over="ignore"):
-            return float(np.sum(self.x ** 2) + np.sum(self.u ** 2))
+        return float(np.sum(self.x ** 2) + np.sum(self.u ** 2))
 
     def csv_header(self) -> list[str]:
         cols = ["t"]
@@ -225,15 +225,16 @@ def logs_equal(a: TrajectoryLog, b: TrajectoryLog) -> bool:
                for f in fields(TrajectoryLog))
 
 
+@_lapack.quietly
 def simulate(scenario: Scenario) -> TrajectoryLog:
     """Run the closed loop for `horizon` steps on the array kernels that
     controller_step, disturbance_eval and controller_observe run after checks.
 
     The loop holds [Sigma; SigmaHat], the applied gain K and the held P as
     arrays and builds no value object.  It runs the control law only, in
-    blocks of CERTIFY_BLOCK steps, each block in one quiet() error state:
-    a failed LAPACK call in a step gives NaN, which the kernels' finiteness
-    tests turn into the step's fallback.  Before a block, _excitation_block
+    blocks of CERTIFY_BLOCK steps, all in one quiet() error state: a failed
+    LAPACK call in a step gives NaN, which the kernels' finiteness tests turn
+    into the step's fallback.  Before a block, _excitation_block
     draws the block's excitation in one stacked pass; after it, _certify
     computes the log's eq6 residuals and rho_t (the distance of each estimate
     from the true plant), which the controller never reads.  Both give the
@@ -251,19 +252,18 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
     for t0 in range(0, horizon, CERTIFY_BLOCK):
         block = []
         excitation = _excitation_block(scenario.excitation, t0, min(CERTIFY_BLOCK, horizon - t0))
-        with _lapack.quiet():
-            for t, eps in enumerate(excitation, t0):
-                u, K, P, ab, Q = _step(S[:d], S[d:], K, P, x, eps)
-                w, xi = _disturb(scenario.disturbance, t, x, u, xi)
-                x_next = plant.A @ x + plant.B @ u + w
-                overflowed = not np.sqrt(x_next.dot(x_next)) <= STATE_CAP
-                rows.append((x, u, eps, w, K, Q is None))
-                block.append((S, ab, Q, K))
-                if overflowed:
-                    break
-                S = _fold(S, lam, x, u, x_next)
-                x = x_next
-            certified.append(_certify(block, plant))
+        for t, eps in enumerate(excitation, t0):
+            u, K, P, ab, Q = _step(S[:d], S[d:], K, P, x, eps)
+            w, xi = _disturb(scenario.disturbance, t, x, u, xi)
+            x_next = plant.A @ x + plant.B @ u + w
+            overflowed = not np.sqrt(x_next.dot(x_next)) <= STATE_CAP
+            rows.append((x, u, eps, w, K, Q is None))
+            block.append((S, ab, Q, K))
+            if overflowed:
+                break
+            S = _fold(S, lam, x, u, x_next)
+            x = x_next
+        certified.append(_certify(block, plant))
         if overflowed:
             break
     x, u, eps, w, k, fallback = map(np.array, zip(*rows))

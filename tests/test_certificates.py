@@ -39,7 +39,7 @@ from adaptive_lqr import (
     theorem1_instance_for_plant,
     theorem1_margin,
 )
-from adaptive_lqr import certificates, riccati
+from adaptive_lqr import _lapack, certificates, riccati
 from adaptive_lqr.cli import main
 from adaptive_lqr.estimation import COND_LIMIT
 from adaptive_lqr.riccati import PSD_SLACK, ValueMatrix, _trusted, sym
@@ -490,6 +490,26 @@ def unscreened_membership_plant(rng, beta, n, m):
         if np.linalg.eigvalsh(q.Q).max() <= beta**2:
             return plant, P, q
     raise NotConverged("budget exhausted")
+
+
+def test_random_plant_redraws_a_when_eigvals_fails(monkeypatch):
+    # A failed eigvals gives NaN, which _spectral_radius reads as radius inf:
+    # the draw is rejected, as a nilpotent one is, not scaled to a zero A.
+    real, failures = _lapack.eigvals_nan, [True]
+
+    def fails_once(a):
+        out = real(a)
+        return np.full_like(out, np.inf) * 0.0 if failures and failures.pop() else out
+
+    monkeypatch.setattr(_lapack, "eigvals_nan", fails_once)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plant = random_plant(np.random.default_rng(4), 3, 2, 0.5)
+    monkeypatch.undo()
+    rng = np.random.default_rng(4)
+    rng.uniform(-1.0, 1.0, (3, 3))   # the rejected draw
+    ref = random_plant(rng, 3, 2, 0.5)
+    assert not failures and np.array_equal(plant.ab, ref.ab)
 
 
 class TestSampleMembershipPlant:

@@ -514,6 +514,25 @@ class TestSimulateCommand:
         rows = read_rows(out / "trajectory.csv")
         assert len(rows) < 300
 
+    @pytest.mark.parametrize("payload", [
+        {"plant": {"A": [[0.9, 0.2], [0.0, 0.8]], "B": [[1.0], [0.5]]}, "horizon": 70,
+         "excitation": {"amplitude": 3.0, "decay_rate": 0.95}, "seed": 5},
+        {"plant": {"A": [[1e200]], "B": [[1.0]]}, "x0": [1.0], "horizon": 5},
+        {"plant": {"A": [[1e-100, 0.0], [0.0, 1e-100]], "B": [[0.0], [0.0]]}, "horizon": 3},
+    ], ids=["settles", "overflows", "underflows"])
+    def test_final_state_norm_is_numpys_norm(self, tmp_path, monkeypatch, payload):
+        # sqrt(x.x), the formula np.linalg.norm uses for a vector: the same bits,
+        # inf once the square overflows, 0 once it underflows, and no warning.
+        logs = []
+        monkeypatch.setattr(cli, "simulate", lambda sc: logs.append(simulate(sc)) or logs[-1])
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["simulate", write_config(tmp_path, payload), "--out-dir", str(out)])
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(logs[0].x_final))
+        assert json.loads((out / "summary.json").read_text())["final_state_norm"] == norm
+
     @pytest.mark.parametrize("plant, x0", [
         ({"A": [[1e308, 1e308], [0, 0.5]], "B": [[1.0], [0.0]]}, [2.0, -2.0]),
         ({"A": [[1e200]], "B": [[1.0]]}, [1.0]),

@@ -304,9 +304,8 @@ class TestSimulate:
 
     def test_loop_builds_no_value_object_and_enters_error_states_per_block(self, monkeypatch):
         # The loop runs on arrays: no value object is built, checked or not.
-        # Each block enters numpy's error state once for its steps (quiet())
-        # and four times in its stacked pass (rho_t's decorator and eigvalsh,
-        # the residual's two eigvalsh); no step enters one.
+        # The run enters numpy's error state once (quiet()); no block, step or
+        # stacked pass enters one of its own.
         import adaptive_lqr.riccati as riccati
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
         exc = ExcitationSchedule.constant(1, amplitude=1.0, seed=5)
@@ -329,7 +328,7 @@ class TestSimulate:
         log = simulate(sc)
         assert len(log) == 200 and not log.fallback.any()
         assert builds == []
-        assert len(entries) == 5 * -(-200 // CERTIFY_BLOCK)
+        assert len(entries) == 1
 
     def test_excitation_is_drawn_once_per_block_without_a_generator(self, monkeypatch):
         # No default_rng per step: one stacked draw per CERTIFY_BLOCK steps,
@@ -527,6 +526,51 @@ class TestTrustedLoop:
         assert log.overflowed and len(log) == 1
         with np.errstate(over="ignore"):
             assert not np.linalg.norm(log.x_final) <= STATE_CAP
+
+
+class TestFailedKernelInTheLoop:
+    # A LAPACK call that fails inside a step returns NaN in quiet(), with
+    # numpy's invalid flag ignored.  The cond test's eigvalsh or the estimate's
+    # solve then fails closed: the step falls back as for an ill-conditioned
+    # Sigma, logs rho_t = inf and a NaN residual, and nothing warns.  simulate
+    # and the public per-step loop log the same run.
+    FAIL = (20, 21, 130)
+
+    @pytest.mark.parametrize("kernel", ["eigvalsh_nan", "solve_nan"])
+    def test_failed_steps_fall_back(self, monkeypatch, kernel):
+        import adaptive_lqr.controller as controller
+        import adaptive_lqr.simulation as simulation
+        sc = kind_scenario("filtered", 150)
+        clean = simulate(sc)
+        step, real = controller._step, getattr(_lapack, kernel)
+        calls, failing = [0], [False]
+
+        def stepping(*args):
+            failing[0] = calls[0] in self.FAIL
+            calls[0] += 1
+            try:
+                return step(*args)
+            finally:
+                failing[0] = False
+
+        def kernel_in_steps(*args):
+            out = real(*args)
+            return np.full_like(out, np.inf) * 0.0 if failing[0] else out   # NaN, invalid flag
+
+        monkeypatch.setattr(_lapack, kernel, kernel_in_steps)
+        monkeypatch.setattr(simulation, "_step", stepping)
+        monkeypatch.setattr(controller, "_step", stepping)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = simulate(sc)
+            calls[0] = 0
+            public = public_loop(sc)
+        failed = list(self.FAIL)
+        assert len(log) == 150 and logs_equal(log, public)
+        assert log.fallback[failed].all() and (log.rho[failed] == np.inf).all()
+        assert np.isnan(log.eq6_residual[failed]).all()
+        assert not clean.fallback.any() and not np.delete(log.fallback, failed).any()
+        assert np.array_equal(log.k[:failed[0]], clean.k[:failed[0]])
 
 
 class TestSerialization:
