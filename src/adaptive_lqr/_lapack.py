@@ -3,8 +3,9 @@
 solve_nan, eigvalsh_nan, cholesky_nan and eigvals_nan call the gufunc that the
 numpy.linalg function of the same name calls, in double precision and in the
 caller's error state: the same bits without the wrappers' conversions and
-shape checks (the package passes only square float matrices), and NaN for a
-singular, non-converged or not positive-definite input, where numpy raises.
+shape checks (the package passes only square float matrices).  A singular,
+non-converged or not positive-definite input, where numpy raises, fills the whole
+output with NaN: riccati._solve_held reads one entry, L[0, 0] of a Cholesky factor.
 
 quiet() is the only error state the package enters: every floating-point
 error ignored.  The package's entry points run in it (quietly), and each

@@ -359,7 +359,10 @@ def _perturbation(rng: np.random.Generator, n: int, d: int, rho: float) -> np.nd
     if _check_rho(rho, "rho") == 0.0:
         return np.zeros((n, d))
     D = rng.standard_normal((n, d))
-    return rho * D / _spectral_norm(D)
+    norm = _spectral_norm(D)
+    if not 0.0 < norm < np.inf:
+        raise NotConverged("the eigenvalues for the perturbation's norm could not be computed")
+    return rho * D / norm
 
 
 @dataclass(frozen=True, eq=False)

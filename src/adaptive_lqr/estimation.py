@@ -26,6 +26,7 @@ and the (Q, K, P) of solve_data_riccati.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ from .riccati import (
     _check_pd,
     _check_positive,
     _check_vector,
+    _eig_reason,
     _gain,
     _q,
     _solve_cold,
@@ -129,8 +131,8 @@ def _fold(S: np.ndarray, lam: float, x: np.ndarray, u: np.ndarray, x_next: np.nd
     """update_correlations of the stacked [Sigma; SigmaHat] on checked vectors, in quiet():
     lam S + [z; x_next] z' for z = (x, u), entry for entry the bits of the two
     recursions.  NonFiniteInput when the data point overflows the correlations."""
-    z = np.concatenate([x, u])
-    S = lam * S + np.outer(np.concatenate([z, x_next]), z)
+    y = np.concatenate((x, u, x_next))
+    S = lam * S + y[:, None] * y[: S.shape[1]]
     if not np.isfinite(S).all():
         raise NonFiniteInput("the data point overflows the correlations")
     return S
@@ -175,10 +177,10 @@ def batch_correlations(history, lam: float, sigma0, n: int | None = None) -> Cor
 
 def _cond(sigma: np.ndarray) -> float:
     """cond(Sigma) of a symmetric Sigma without an SVD: the ratio of its extreme
-    eigenvalues, infinite unless its smallest is a positive normal double
-    (a subnormal one has lost precision, and a failed eigvalsh gives NaN)."""
+    eigenvalues, infinite when its smallest is not a positive normal double (a
+    subnormal one has lost precision), NaN when eigvalsh fails."""
     evals = _lapack.eigvalsh_nan(sigma)
-    return float(evals[-1] / evals[0]) if evals[0] >= np.finfo(float).tiny else np.inf
+    return float(evals[-1] / evals[0]) if not evals[0] < sys.float_info.min else np.inf
 
 
 def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
@@ -186,7 +188,8 @@ def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
     cond(Sigma) > COND_LIMIT or the solve overflows (or fails, giving NaN)."""
     cond = _cond(sigma)
     if not cond <= COND_LIMIT:
-        raise IllConditioned(f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
+        raise IllConditioned(_eig_reason(cond, "Sigma",
+                                         f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}"))
     ab = _lapack.solve_nan(sigma, sigma_hat.T).T
     if not np.isfinite(ab).all():
         raise IllConditioned("SigmaHat Sigma^{-1} overflows")

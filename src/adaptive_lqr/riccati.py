@@ -30,6 +30,7 @@ singular matrix.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -196,6 +197,11 @@ _check_above = partial(_check_real, high=SQUARE_MAX, ends="(]")
 _check_beta = partial(_check_above, low=1.0)
 
 
+def _eig_reason(evals, name, reason: str) -> str:
+    """`reason` for a failed eigenvalue test of `name`, unless eigvalsh failed (NaN)."""
+    return f"the eigenvalues of {name} could not be computed" if np.isnan(evals).any() else reason
+
+
 @_lapack.quietly
 def _check_symmetric(M, name, shape=None):
     """(sym(M), the ascending eigenvalues of sym(M / 2^e), 2^-e) for M checked square and
@@ -210,7 +216,7 @@ def _check_symmetric(M, name, shape=None):
     S = sym(Ms)
     evals = _lapack.eigvalsh_nan(S)
     if not _spectral_norm(Ms - Ms.T) <= 1e-12 * max(unit, np.abs(evals).max()):
-        raise ShapeMismatch(f"{name} is not symmetric to 1e-12 relative")
+        raise ShapeMismatch(_eig_reason(evals, name, f"{name} is not symmetric to 1e-12 relative"))
     return (M if (M == M.T).all() else np.ldexp(S, e)), evals, unit
 
 
@@ -218,7 +224,7 @@ def _check_pd(M, name, d=None):
     """M checked by _check_symmetric, d x d if d is given, and positive definite."""
     M, evals, _ = _check_symmetric(M, name, None if d is None else (d, d))
     if not evals[0] > 0:
-        raise ShapeMismatch(f"{name} must be positive definite")
+        raise ShapeMismatch(_eig_reason(evals, name, f"{name} must be positive definite"))
     return M
 
 
@@ -229,7 +235,7 @@ def _check_cost_matrix(M, name, shape=None):
     # eigvalsh gives evals[0] only to about d eps max|evals|: on 3,000 solved Q of random
     # plants (n <= 6, |B| up to 1e6) it fell at most 0.32 of that below the threshold.
     if not evals[0] >= unit * (1.0 - 1e-9) - 8 * len(M) * np.finfo(float).eps * np.abs(evals).max():
-        raise DomainError(f"{name} must satisfy {name} >= I (unit stage cost)")
+        raise DomainError(_eig_reason(evals, name, f"{name} must satisfy {name} >= I (unit stage cost)"))
     return M
 
 
@@ -409,7 +415,7 @@ def _converged(P: np.ndarray, Pn: np.ndarray, tol: float) -> bool:
     if not scale <= NORM_CAP:
         raise NotStabilizable(f"iterate diagonal {scale:.3e} exceeds cap {NORM_CAP:.1e}")
     D = (Pn - P).ravel()
-    return np.sqrt(D.dot(D)) <= tol * scale
+    return math.sqrt(D.dot(D)) <= tol * scale
 
 
 @_lapack.quietly
@@ -460,7 +466,7 @@ def _solve_cold(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
     eye = _lapack.eye(n)
     G, H = B @ B.T, eye
     for _ in range(DOUBLING_STEPS):
-        IGH, AG = eye + G @ H, np.hstack([A, G])
+        IGH, AG = eye + G @ H, np.concatenate((A, G), axis=1)
         W = _lapack.solve_nan(IGH, AG)
         WA, WG = W[:, :n], W[:, n:]     # (I + G H)^{-1} A and (I + G H)^{-1} G
         Hn = sym(H + A.T @ H @ WA)
@@ -492,7 +498,7 @@ def _solve_held(plant: tuple[np.ndarray, np.ndarray], tol: float, P: np.ndarray)
             Pn, K = riccati_step(plant, P)
             if _converged(P, Pn, CONFIRM_FRACTION * tol):
                 L = _lapack.cholesky_nan(Pn - (1.0 - 1e-9) * _lapack.eye(len(A)))
-                return Pn if np.isfinite(L).all() else None
+                return None if math.isnan(L[0, 0]) else Pn
     except (np.linalg.LinAlgError, NotStabilizable):
         pass
     return None
@@ -568,7 +574,8 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
                                      reason="Q = I + [A B]' P [A B] overflows")
     max_eig = float(_lapack.eigvalsh_nan(q.Q)[-1])
     member = max_eig <= beta**2 + PSD_SLACK
-    reason = "" if member else f"max eig {max_eig:.6g} exceeds beta^2 = {beta**2:.6g}"
+    reason = "" if member else _eig_reason(
+        max_eig, "Q", f"max eig {max_eig:.6g} exceeds beta^2 = {beta**2:.6g}")
     return MembershipCertificate(member=bool(member), Q=q,
                                  max_eig_Q=max_eig, residual=dare_residual(plant, P),
                                  reason=reason)

@@ -15,6 +15,7 @@ computed after the block's steps, in another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -256,7 +257,7 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
             u, K, P, ab, Q = _step(S[:d], S[d:], K, P, x, eps)
             w, xi = _disturb(scenario.disturbance, t, x, u, xi)
             x_next = plant.A @ x + plant.B @ u + w
-            overflowed = not np.sqrt(x_next.dot(x_next)) <= STATE_CAP
+            overflowed = not math.sqrt(x_next.dot(x_next)) <= STATE_CAP
             rows.append((x, u, eps, w, K, Q is None))
             block.append((S, ab, Q, K))
             if overflowed:

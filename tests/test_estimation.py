@@ -25,7 +25,7 @@ from adaptive_lqr import (
     solve_data_riccati,
     update_correlations,
 )
-from adaptive_lqr.estimation import _cond
+from adaptive_lqr.estimation import _cond, _fold
 from dataclasses import replace
 from adaptive_lqr.riccati import _spectral_norm, _sym_norm, sym
 from conftest import matrices, orthogonal, random_history, random_stabilizable_plant, scalar_k, scalar_p
@@ -106,6 +106,24 @@ class TestBatchCorrelations:
         expected_sigma = np.array([[1.25, 0.5], [0.5, 1.0]]) + 1e-6 * np.eye(2)
         assert np.allclose(out.sigma, expected_sigma, atol=1e-12)
         assert np.allclose(out.sigma_hat, [[1.125, 1.25]], atol=1e-12)
+
+    def test_fold_is_the_two_textbook_recursions_bit_for_bit(self):
+        # _fold adds the broadcast product y[:, None] * y[:n+m] for y = [z; x_next],
+        # whose products are those of np.outer: the same bits as each recursion.
+        rng = np.random.default_rng(2828)
+        for _ in range(500):
+            n, m = (int(k) for k in rng.integers(1, 7, 2))
+            d = n + m
+            scale = 10.0 ** rng.integers(-3, 4, 3)
+            sigma = scale[0] * rng.standard_normal((d, d))
+            sigma_hat = scale[0] * rng.standard_normal((n, d))
+            x, x_next = scale[1] * rng.standard_normal((2, n))
+            u = scale[2] * rng.standard_normal(m)
+            lam = rng.uniform(0.5, 1.0)
+            z = np.concatenate([x, u])
+            S = _fold(np.concatenate([sigma, sigma_hat]), lam, x, u, x_next)
+            assert np.array_equal(S[:d], lam * sigma + np.outer(z, z))
+            assert np.array_equal(S[d:], lam * sigma_hat + np.outer(x_next, z))
 
     def test_fold_equivalence_200_histories(self):
         rng = np.random.default_rng(101)

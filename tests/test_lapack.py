@@ -13,9 +13,13 @@ from adaptive_lqr import (
     AdaptiveLqError,
     CertificateReport,
     CorrelationState,
+    DomainError,
+    IllConditioned,
     MembershipCertificate,
+    NotConverged,
     PlantModel,
     QMatrix,
+    ShapeMismatch,
     ValueMatrix,
     _lapack,
     check_membership,
@@ -124,6 +128,25 @@ def test_nan_kernels_give_the_bits_or_nan_in_quiet(kernel, case):
         assert same(ours, raising)
 
 
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("pivot", ["first", "last"])
+def test_cholesky_of_a_finite_matrix_not_positive_definite_is_all_nan(d, pivot):
+    # riccati._solve_held reads a failed factor from L[0, 0] alone, so a failure
+    # at any pivot must fill the whole output with NaN.  a = L L' with its
+    # pivot k lowered by L_kk^2 + 1: the leading k x k block stays positive
+    # definite and the k-th pivot is about -1.
+    rng = np.random.default_rng(700 + d)
+    L = np.tril(rng.standard_normal((d, d)), -1) + np.diag(rng.uniform(0.5, 2.0, d))
+    a = L @ L.T
+    k = 0 if pivot == "first" else d - 1
+    a[k, k] -= L[k, k] ** 2 + 1.0
+    assert np.isfinite(a).all() and np.isfinite(np.linalg.cholesky(a[:k, :k])).all()
+    assert isinstance(outcome(np.linalg.cholesky, a), np.linalg.LinAlgError)
+    with warnings.catch_warnings(), _lapack.quiet():
+        warnings.simplefilter("error")
+        assert np.isnan(_lapack.cholesky_nan(a)).all()
+
+
 def test_quietly_runs_in_quiet_and_restores_the_error_state():
     # A quietly function called inside quiet() runs in it; outside, it enters
     # quiet() itself, where numpy ignores every floating-point error.
@@ -195,6 +218,7 @@ def _probes() -> dict:
     near = PlantModel(plant.A + 0.01, plant.B)
     return {
         "ValueMatrix": lambda: ValueMatrix(P.P),
+        "ValueMatrix_not_exactly_symmetric": lambda: ValueMatrix(P.P + [[0.0, 1e-14], [0.0, 0.0]]),
         "QMatrix": lambda: QMatrix(q.Q, 2, 1),
         "CorrelationState": lambda: CorrelationState(lemma.sigma, lemma.sigma_hat, 0.99, 0),
         "check_membership": lambda: check_membership(plant, BETA),
@@ -208,7 +232,25 @@ def _probes() -> dict:
         "lyapunov_decay_check": lambda: lyapunov_decay_check(plant, P, K),
         "solve_from_upper": lambda: solve_from_upper(plant, q, K),
         "rho_of": lambda: rho_of(near, plant),
+        "lemma1_instance_for_plant": lambda: lemma1_instance_for_plant(
+            np.random.default_rng(7), plant, P, q, BETA, 0.01),
+        "theorem1_instance_for_plant": lambda: theorem1_instance_for_plant(
+            np.random.default_rng(8), plant, P, BETA, 0.01),
     }
+
+
+# The probes whose failure under a failed eigvalsh names its cause, with the
+# type of that failure: the error raised, or a certificate whose reason says it.
+NAMES_A_FAILED_EIGVALSH = {
+    "ValueMatrix": DomainError,
+    "ValueMatrix_not_exactly_symmetric": ShapeMismatch,
+    "QMatrix": DomainError,
+    "CorrelationState": ShapeMismatch,
+    "check_membership": MembershipCertificate,
+    "theorem1_margin_with_data": IllConditioned,
+    "lemma1_instance_for_plant": NotConverged,
+    "theorem1_instance_for_plant": NotConverged,
+}
 
 
 def _result(call):
@@ -245,7 +287,8 @@ FAIL_CLOSED = ([("eigvalsh_nan", probe) for probe in _probes()]
 def test_a_failed_kernel_fails_closed_without_a_warning(monkeypatch, kernel, probe):
     # Every call of the kernel fails as LAPACK fails: NaN, with numpy's invalid
     # flag raised.  The entry point runs in quiet(), so nothing warns, and reads
-    # the NaN as a failure: no LinAlgError, and no report that holds.
+    # the NaN as a failure: no LinAlgError, and no report that holds.  The
+    # probes of NAMES_A_FAILED_EIGVALSH also say that eigvalsh failed.
     call = _probes()[probe]
     assert not _failed(_result(call))
     calls = []
@@ -257,3 +300,7 @@ def test_a_failed_kernel_fails_closed_without_a_warning(monkeypatch, kernel, pro
     monkeypatch.setattr(_lapack, kernel, fail)
     result = _result(call)
     assert calls and _failed(result), result
+    if kernel == "eigvalsh_nan" and probe in NAMES_A_FAILED_EIGVALSH:
+        assert type(result) is NAMES_A_FAILED_EIGVALSH[probe]
+        text = result.reason if isinstance(result, MembershipCertificate) else str(result)
+        assert "could not be computed" in text, text
