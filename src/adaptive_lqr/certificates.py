@@ -157,10 +157,9 @@ def theorem1_margin(plant: PlantModel, P: ValueMatrix, kt: Gain, beta: float, rh
     if 1.0 - c <= 1e-12:
         margin = UNDEFINED_MARGIN
     else:
-        K = kt.K
-        closed = plant.A + plant.B @ K
+        closed = plant.A + plant.B.dot(kt.K)
         margin = _min_eig(P.P / (1.0 - c)
-                          - (_lapack.eye(plant.n) + K.T @ K + closed.T @ P.P @ closed))
+                          - (_lapack.eye(plant.n) + kt.K.T.dot(kt.K) + closed.T.dot(P.P).dot(closed)))
     return _report("theorem1", hyps, margin, details)
 
 
@@ -209,9 +208,9 @@ def corollary_bound_check(log: TrajectoryLog, plant: PlantModel, t0: int,
     xs = log.x[t0:]
     kxs = np.einsum("tij,tj->ti", log.k[t0:], xs)
     lhs = float(np.sum(xs**2) + np.sum(kxs**2))
-    drive = log.eps[t0:] @ plant.B.T + log.w[t0:]
+    drive = log.eps[t0:].dot(plant.B.T) + log.w[t0:]
     drive_energy = float(np.sum(drive**2))
-    initial_energy = float(xs[0] @ P.P @ xs[0])
+    initial_energy = float(xs[0].dot(P.P).dot(xs[0]))
     rhs = initial_energy / alpha + gamma**2 / alpha * drive_energy
     max_rho = float(np.max(log.rho[t0:]))
     hyps = {
@@ -252,16 +251,17 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     P = _check_matrix(P, "P", (n, n))
     Q = _check_matrix(Q, "Q", (d, d))
     eye = _lapack.eye(d)
-    consistency_rhs = S @ (Q - eye) @ S
-    dev = (Sh - St).T @ P @ (Sh - St) - consistency_rhs   # finite only if the rhs is
+    consistency_rhs = S.dot(Q - eye).dot(S)
+    dev = (Sh - St).T.dot(P).dot(Sh - St) - consistency_rhs   # finite only if the rhs is
     hyps = {
         "consistency": _hyp(-_spectral_norm(dev) / max(1.0, _sym_norm(consistency_rhs))
                             if np.isfinite(dev).all() else UNDEFINED_MARGIN),
-        "tilde_bound": _hyp(_min_eig(rho**2 * S @ S - St.T @ St)),
+        "tilde_bound": _hyp(_min_eig((rho**2 * S).dot(S) - St.T.dot(St))),
         "q_lower": _hyp(_min_eig(Q - eye)),
         "q_upper": _hyp(_min_eig(beta**2 * eye - Q)),
     }
-    margin = _min_eig(S @ Q @ S + (beta**2 * rho * (rho + 2.0) - 1.0) * S @ S - Sh.T @ P @ Sh)
+    margin = _min_eig(S.dot(Q).dot(S) + ((beta**2 * rho * (rho + 2.0) - 1.0) * S).dot(S)
+                      - Sh.T.dot(P).dot(Sh))
     return _report("lemma1", hyps, margin, {"beta": float(beta), "rho": float(rho)})
 
 
@@ -275,8 +275,8 @@ def lyapunov_decay_check(plant: PlantModel, P: ValueMatrix, K: Gain) -> Certific
     and the closed loop radius inf when it overflows or eigvals fails.
     """
     _check_p_and_gain(plant, P, K)
-    closed = plant.A + plant.B @ K.K
-    margin = _min_eig(P.P - closed.T @ P.P @ closed - _lapack.eye(plant.n) - K.K.T @ K.K)
+    closed = plant.A + plant.B.dot(K.K)
+    margin = _min_eig(P.P - closed.T.dot(P.P).dot(closed) - _lapack.eye(plant.n) - K.K.T.dot(K.K))
     return _report("lyapunov_decay", {}, margin, {"closed_loop_radius": _spectral_radius(closed)})
 
 
@@ -352,7 +352,7 @@ def contraction_rho_root(beta: float) -> float:
 
 def random_pd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     G = rng.standard_normal((d, d))
-    return sym(G @ G.T + rng.uniform(0.05, 1.0) * _lapack.eye(d))
+    return sym(G.dot(G.T) + rng.uniform(0.05, 1.0) * _lapack.eye(d))
 
 
 def _perturbation(rng: np.random.Generator, n: int, d: int, rho: float) -> np.ndarray:
@@ -389,7 +389,7 @@ def theorem1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
     n, m = plant.n, plant.m
     sigma = random_pd_matrix(rng, n + m)
     delta = _perturbation(rng, n, n + m, rho)
-    sigma_hat = (plant.ab + delta) @ sigma
+    sigma_hat = (plant.ab + delta).dot(sigma)
     est = PlantModel(plant.A + delta[:, :n], plant.B + delta[:, n:])
     kt = gain_from_q(q_from_p(est, solve_dare(est, tol=1e-12)))
     return Theorem1Instance(plant=plant, P=P, sigma=sigma, sigma_hat=sigma_hat,
@@ -428,8 +428,8 @@ def lemma1_instance_for_plant(rng: np.random.Generator, plant: PlantModel,
     """Hypothesis-satisfying matrices for lemma1_check built around a plant."""
     n, m = plant.n, plant.m
     sigma = random_pd_matrix(rng, n + m)
-    sigma_tilde = _perturbation(rng, n, n + m, rho) @ sigma
-    sigma_hat = plant.ab @ sigma + sigma_tilde
+    sigma_tilde = _perturbation(rng, n, n + m, rho).dot(sigma)
+    sigma_hat = plant.ab.dot(sigma) + sigma_tilde
     return Lemma1Instance(sigma=sigma, sigma_hat=sigma_hat, sigma_tilde=sigma_tilde,
                           P=P.P, Q=q.Q, beta=_check_beta(beta, "beta"), rho=rho)
 

@@ -32,7 +32,7 @@ from .estimation import (
     _solve_data_riccati,
 )
 from .riccati import (Gain, PlantModel, _check_amplitude, _check_factor, _check_int,
-                      _check_seed, _check_vector, _trusted)
+                      _check_matrix, _check_seed, _check_vector, _trusted, sym)
 
 # Tolerance of each step's data-driven Riccati solve.
 SOLVE_TOL = 1e-11
@@ -174,6 +174,8 @@ class ControllerState:
             raise ShapeMismatch(f"last_gain must be {m} x {n}, got {self.last_gain.K.shape}")
         if self.excitation.m != m:
             raise ShapeMismatch("excitation dimension does not match the input dimension")
+        if self.warm_p is not None:   # the held P is symmetric, as solve_dare(p0=) makes it
+            object.__setattr__(self, "warm_p", sym(_check_matrix(self.warm_p, "warm_p", (n, n))))
 
 
 def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | None = None,
@@ -232,7 +234,7 @@ def _step(sigma: np.ndarray, sigma_hat: np.ndarray, K: np.ndarray, P: np.ndarray
         Q, K, P = _solve_data_riccati(ab[:, :n], ab[:, n:], ab, SOLVE_TOL, P)
     except (EstimateNotStabilizable, IllConditioned, SingularQuu):
         pass
-    return K @ x + eps, K, P, ab, Q
+    return K.dot(x) + eps, K, P, ab, Q
 
 
 def controller_observe(state: ControllerState, x, u, x_next) -> ControllerState:

@@ -282,7 +282,7 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     history = _as_history(history)
     lam = _check_factor(lam, "lam")
     # A sum that overflows stays inf or NaN: one test at the end.
-    acc = -plant.ab @ _check_pd(sigma0, "sigma0", n + m)
+    acc = (-plant.ab).dot(_check_pd(sigma0, "sigma0", n + m))
     for k, entry in enumerate(history):
         x, u, w = _triple(entry, k)
         z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])

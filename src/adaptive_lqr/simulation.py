@@ -127,7 +127,7 @@ def _disturb(model: DisturbanceModel, t: int, x: np.ndarray, u: np.ndarray, xi):
         return np.zeros(n), xi
     if model.kind == "external_sequence":
         return (model.sequence[t].copy() if t < len(model.sequence) else np.zeros(n)), xi
-    drive = model.delta_a @ x + model.delta_b @ u
+    drive = model.delta_a.dot(x) + model.delta_b.dot(u)
     if model.kind == "linear_unmodeled":
         return drive, xi
     xi = np.zeros(n) if xi is None else xi
@@ -256,7 +256,7 @@ def simulate(scenario: Scenario) -> TrajectoryLog:
         for t, eps in enumerate(excitation, t0):
             u, K, P, ab, Q = _step(S[:d], S[d:], K, P, x, eps)
             w, xi = _disturb(scenario.disturbance, t, x, u, xi)
-            x_next = plant.A @ x + plant.B @ u + w
+            x_next = plant.A.dot(x) + plant.B.dot(u) + w
             overflowed = not math.sqrt(x_next.dot(x_next)) <= STATE_CAP
             rows.append((x, u, eps, w, K, Q is None))
             block.append((S, ab, Q, K))

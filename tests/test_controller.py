@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptive_lqr import (
+    ControllerState,
     CorrelationState,
     DomainError,
     ExcitationSchedule,
@@ -257,6 +258,31 @@ class TestControllerStep:
         ctrl = initial_controller(2, 1)
         with pytest.raises(ShapeMismatch):
             replace(ctrl, **{field: Gain(np.zeros((2, 1)))})
+
+    @pytest.mark.parametrize("warm_p, error", [
+        (np.ones((3, 3)), ShapeMismatch), ("abc", ShapeMismatch), ([[1.0, 0.0], [0.0]], ShapeMismatch),
+        (np.ones(4), ShapeMismatch), (np.full((2, 2), np.nan), NonFiniteInput),
+        ([[1.0, 0.0], [0.0, np.inf]], NonFiniteInput),
+    ], ids=["wrong_shape", "text", "ragged", "vector", "nan", "inf"])
+    def test_bad_warm_p_rejected(self, warm_p, error):
+        _, st, _ = controller_step(initial_controller(2, 1), [1.0, -0.5])
+        with pytest.raises(error, match="warm_p"):
+            ControllerState(st.corr, st.last_gain, st.excitation, warm_p=warm_p)
+
+    def test_warm_p_is_held_symmetric(self):
+        # A given P is symmetrized, as solve_dare(p0=) does, and copied; the held P
+        # of a solve is exactly symmetric, so a state rebuilt from it steps alike.
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], [[1.0], [0.3]])
+        ctrl = replace(initial_controller(2, 1), corr=consistent_state(plant))
+        _, st, _ = controller_step(ctrl, [1.0, -0.5])
+        given = np.array([[3.0, 1.0], [0.0, 3.0]])
+        held = replace(st, warm_p=given)
+        given[0, 0] = 0.0
+        assert np.array_equal(held.warm_p, [[3.0, 0.5], [0.5, 3.0]])
+        rebuilt = replace(st, warm_p=st.warm_p)
+        assert np.array_equal(rebuilt.warm_p, st.warm_p)
+        assert np.array_equal(controller_step(rebuilt, [0.3, 0.1])[0],
+                              controller_step(st, [0.3, 0.1])[0])
 
 
 class TestControllerObserve:
