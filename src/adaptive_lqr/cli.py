@@ -43,7 +43,7 @@ from .errors import AdaptiveLqError, ConfigError, DomainError, NotStabilizable
 from .riccati import (DEFAULT_TOL, PSD_SLACK, PlantModel, _check_above,
                       _check_amplitude, _check_beta, _check_factor, _check_int, _check_matrix,
                       _check_positive, _check_real, _check_rho, _check_seed, _check_vector,
-                      _finite_q, _membership, _spectral_norm, dare_error_estimate, gain_from_q,
+                      _membership, _spectral_norm, dare_error_estimate, gain_from_q,
                       solve_dare)
 from .simulation import DisturbanceModel, Scenario, simulate
 
@@ -207,11 +207,11 @@ def run_simulate(cfg: dict, seed: int, out_dir: Path) -> int:
     scenario = _parse_scenario(cfg, seed)
     log = simulate(scenario)
     log.to_csv(out_dir / "trajectory.csv")
-    try:
-        q = _finite_q(scenario.plant, solve_dare(scenario.plant))
+    try:   # null when the true plant is not stabilizable or its Q overflows
+        q = q_from_p(scenario.plant, solve_dare(scenario.plant))
+        gain_error = _spectral_norm(log.k[-1] - gain_from_q(q).K) if np.isfinite(q.Q).all() else None
     except NotStabilizable:
-        q = None
-    gain_error = None if q is None else _spectral_norm(log.k[-1] - gain_from_q(q).K)
+        gain_error = None
     _write_json(out_dir / "summary.json", {
         "final_state_norm": float(np.sqrt(log.x_final.dot(log.x_final))),
         "max_rho": float(np.max(log.rho)),
@@ -344,9 +344,10 @@ def _parse_sweep_grids(cfg, base_amplitude):
     return betas, rho_entries, gammas, amps, mags
 
 
-def _sweep_row(scenario_base: Scenario, t0_cfg,
+def _sweep_row(plant: PlantModel, t0_cfg, log,
                beta: float, rho_entry, gamma: float, amp: float, mag: float) -> list[str]:
-    """One sweep.csv row; an error of this grid point goes to its error column."""
+    """One sweep.csv row from the log of its (amplitude, magnitude), or the error
+    that run raised; an error of this grid point goes to its error column."""
     rho_star = admissible_rho(beta)
     rho = rho_entry[1] if rho_entry[0] == "abs" else rho_entry[1] * rho_star
     error = ""
@@ -357,16 +358,14 @@ def _sweep_row(scenario_base: Scenario, t0_cfg,
     except DomainError as exc:
         error = f"alpha: {exc}"
     try:
-        scenario = replace(scenario_base,
-                           disturbance=scenario_base.disturbance.scaled(mag),
-                           excitation=replace(scenario_base.excitation, amplitude=amp))
-        log = simulate(scenario)
+        if isinstance(log, AdaptiveLqError):
+            raise log
         cost, overflowed = log.state_input_cost(), log.overflowed
         t0 = consistent_start(log, rho) if t0_cfg == "auto" else t0_cfg
         t0_used, t0_found = min(0 if t0 is None else t0, len(log) - 1), str(int(t0 is not None))
         max_rho_t = float(np.max(log.rho[t0_used:]))
         if not error:
-            report = corollary_bound_check(log, scenario.plant, t0_used, gamma, beta, rho)
+            report = corollary_bound_check(log, plant, t0_used, gamma, beta, rho)
             margin = report.conclusion_margin
             hypotheses_hold = report.hypotheses_hold and not log.overflowed
     except AdaptiveLqError as exc:
@@ -377,10 +376,10 @@ def _sweep_row(scenario_base: Scenario, t0_cfg,
 
 
 def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
-    """Grid sweep: one simulate + certify per point, one CSV row per point.
+    """Grid sweep: one simulate per distinct (amplitude, magnitude), bit for bit
+    (-0.0 and 0.0 apart), and one certify and one CSV row per point, in grid order.
 
-    Rows are written in grid order; per-row failures are recorded in the
-    row's error column and never abort the sweep.
+    Per-row failures are recorded in the row's error column and never abort the sweep.
     """
     _reject_unknown(cfg, _COMMON_KEYS + _SCENARIO_KEYS + ("sweep", "t0"), "config")
     scenario_base = _parse_scenario(cfg, seed)
@@ -389,8 +388,20 @@ def run_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
         t0_cfg = _field(_check_int, t0_cfg, "t0", 0)
     betas, rho_entries, gammas, amps, mags = _parse_sweep_grids(
         cfg, scenario_base.excitation.amplitude)
-    rows = [_sweep_row(scenario_base, t0_cfg, *point)
-            for point in itertools.product(betas, rho_entries, gammas, amps, mags)]
+    points = list(itertools.product(betas, rho_entries, gammas, amps, mags))
+    shared = {}   # point indices by (amplitude, magnitude); one run is held at a time
+    for i, (*_, amp, mag) in enumerate(points):
+        shared.setdefault((amp.hex(), mag.hex()), []).append(i)
+    rows = [None] * len(points)
+    for indices in shared.values():
+        amp, mag = points[indices[0]][3:]
+        try:
+            log = simulate(replace(scenario_base, disturbance=scenario_base.disturbance.scaled(mag),
+                                   excitation=replace(scenario_base.excitation, amplitude=amp)))
+        except AdaptiveLqError as exc:
+            log = exc
+        for i in indices:
+            rows[i] = _sweep_row(scenario_base.plant, t0_cfg, log, *points[i])
 
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

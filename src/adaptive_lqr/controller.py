@@ -1,10 +1,10 @@
 """Certainty-equivalence adaptive controller.
 
 Each step solves the data-driven Riccati equation on the current correlation
-state, applies u_t = K_t x_t + eps_t with a deterministic excitation sample,
-and folds the observed transition into the correlations afterwards.  When
-the current estimate is not stabilizable the last successful gain is reused
-and the step is flagged.
+state, at estimation.SOLVE_TOL, applies u_t = K_t x_t + eps_t with a
+deterministic excitation sample, and folds the observed transition into the
+correlations afterwards.  When the current estimate is not stabilizable the
+last successful gain is reused and the step is flagged.
 
 The control law is one kernel on arrays, _step: correlations, applied gain
 and held P in, the new gain, P, estimate and Q out, run in the caller's
@@ -33,9 +33,6 @@ from .estimation import (
 )
 from .riccati import (Gain, PlantModel, _check_amplitude, _check_factor, _check_int,
                       _check_matrix, _check_seed, _check_vector, _trusted, sym)
-
-# Tolerance of each step's data-driven Riccati solve.
-SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -187,10 +184,7 @@ def initial_controller(n: int, m: int, lam: float = 0.99, sigma0: np.ndarray | N
         excitation = ExcitationSchedule(m)
     if fallback_gain is None:
         fallback_gain = np.zeros((corr.m, corr.n))
-    state = _trusted(ControllerState, corr=corr, last_gain=Gain(fallback_gain),
-                     excitation=excitation, warm_p=None)
-    state.__post_init__()   # the shape checks of the gain and the excitation
-    return state
+    return ControllerState(corr=corr, last_gain=Gain(fallback_gain), excitation=excitation)
 
 
 @_lapack.quietly
@@ -231,7 +225,7 @@ def _step(sigma: np.ndarray, sigma_hat: np.ndarray, K: np.ndarray, P: np.ndarray
     try:
         ab = _estimate(sigma, sigma_hat)
         n = len(ab)
-        Q, K, P = _solve_data_riccati(ab[:, :n], ab[:, n:], ab, SOLVE_TOL, P)
+        Q, K, P = _solve_data_riccati(ab[:, :n], ab[:, n:], ab, P)
     except (EstimateNotStabilizable, IllConditioned, SingularQuu):
         pass
     return K.dot(x) + eps, K, P, ab, Q

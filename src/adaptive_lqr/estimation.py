@@ -15,13 +15,14 @@ fixed-point equation at the gain K the controller applies
 The kernels run on arrays in the caller's quiet() error state (_lapack) and
 test their results for finiteness, a failed LAPACK call included: _fold on
 the stacked [Sigma; SigmaHat], one (2n+m) x (n+m) array, _estimate returning
-[Ahat Bhat], and _solve_data_riccati returning (Q, K, P).  simulate's loop
-calls them directly.  Public constructors and data arguments are checked; the
-public functions enter quiet() and build their value objects once, from the
-kernels' arrays, skipping `__post_init__`: the state of initial_correlation
-and update_correlations (whose sigma and sigma_hat are views of one stack),
-the estimate plant of estimate_model (given the solved [Ahat Bhat] as `ab`)
-and the (Q, K, P) of solve_data_riccati.
+[Ahat Bhat], and _solve_data_riccati returning (Q, K, P) at SOLVE_TOL, the one
+tolerance of the data-driven solve.  simulate's loop calls them directly.
+Public constructors and data arguments are checked; the public functions
+enter quiet() and build their value objects once, from the kernels' arrays,
+skipping `__post_init__`: the state of initial_correlation and
+update_correlations (whose sigma and sigma_hat are views of one stack), the
+estimate plant of estimate_model (given the solved [Ahat Bhat] as `ab`) and
+the (Q, K, P) of solve_data_riccati.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .riccati import (
-    DEFAULT_TOL,
     Gain,
     PlantModel,
     QMatrix,
@@ -51,7 +51,6 @@ from .riccati import (
     _check_int,
     _check_matrix,
     _check_pd,
-    _check_positive,
     _check_vector,
     _eig_reason,
     _gain,
@@ -64,6 +63,8 @@ from .riccati import (
 )
 
 COND_LIMIT = 1e14
+# Tolerance of every solve of the data-driven Riccati equation.
+SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -209,31 +210,29 @@ def estimate_model(state: CorrelationState) -> PlantModel:
 
 
 @_lapack.quietly
-def solve_data_riccati(estimate: PlantModel,
-                       tol: float = DEFAULT_TOL) -> tuple[QMatrix, Gain, ValueMatrix]:
+def solve_data_riccati(estimate: PlantModel) -> tuple[QMatrix, Gain, ValueMatrix]:
     """Solve the correlation-weighted fixed-point equation via the model estimate.
 
-    Runs the certified Riccati solver on the estimate of estimate_model and
-    returns (Q_t, K_t, P_t), with P_t the solve's own cost matrix.  The two
-    routes are algebraically equivalent for positive-definite Sigma;
-    data_riccati_residual certifies the result on the correlation-weighted
-    equation directly.
+    Runs the controller's cold solve, at SOLVE_TOL, on the estimate of
+    estimate_model and returns (Q_t, K_t, P_t), with P_t the solve's own cost
+    matrix.  The two routes are algebraically equivalent for positive-definite
+    Sigma; data_riccati_residual certifies the result on the
+    correlation-weighted equation directly.
     """
-    Q, K, P = _solve_data_riccati(estimate.A, estimate.B, estimate.ab,
-                                  _check_positive(tol, "tol"), None)
+    Q, K, P = _solve_data_riccati(estimate.A, estimate.B, estimate.ab, None)
     return (_trusted(QMatrix, Q=Q, n=estimate.n, m=estimate.m), _trusted(Gain, K=K),
             _trusted(ValueMatrix, P=P))
 
 
-def _solve_data_riccati(A: np.ndarray, B: np.ndarray, ab: np.ndarray, tol: float,
+def _solve_data_riccati(A: np.ndarray, B: np.ndarray, ab: np.ndarray,
                         held: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """solve_data_riccati of the pair (A, B), stacked as ab, on a checked tol, in
-    quiet(): (Q, K, P) as arrays.  The held P of the previous solve is confirmed
-    or refined when one passes (riccati._solve_held); otherwise the solve is cold."""
-    P = None if held is None else _solve_held((A, B), tol, held)
+    """solve_data_riccati of the pair (A, B), stacked as ab, in quiet(): (Q, K, P)
+    as arrays.  The held P of the previous solve is confirmed or refined when one
+    passes (riccati._solve_held); otherwise the solve is cold."""
+    P = None if held is None else _solve_held((A, B), SOLVE_TOL, held)
     if P is None:
         try:
-            P = _solve_cold(A, B, tol)
+            P = _solve_cold(A, B, SOLVE_TOL)
         except NotStabilizable as exc:
             raise EstimateNotStabilizable(str(exc)) from exc
     Q = sym(_q(ab, P))
@@ -292,6 +291,7 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
     return acc
 
 
+@_lapack.quietly   # a difference that overflows has distance inf
 def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     """Spectral-norm distance between the true pair and the estimate.
 
@@ -303,10 +303,4 @@ def rho_of(estimate: PlantModel, plant: PlantModel) -> float:
     """
     if (estimate.n, estimate.m) != (plant.n, plant.m):
         raise ShapeMismatch(f"estimate (n, m) = {estimate.n, estimate.m}, plant {plant.n, plant.m}")
-    return _rho(plant.ab, estimate.ab)
-
-
-@_lapack.quietly   # a difference that overflows has distance inf
-def _rho(ab: np.ndarray, ab_hat: np.ndarray) -> float | np.ndarray:
-    """rho_of of the pairs [A B] and [Ahat Bhat], or of each [Ahat Bhat] of a stack."""
-    return _spectral_norm(ab - ab_hat)
+    return _spectral_norm(plant.ab - estimate.ab)

@@ -138,6 +138,8 @@ def _trusted(cls, **fields):
 def _as_float_array(M, name, copy):
     """M as a float array; ShapeMismatch naming `name` if numpy cannot convert it."""
     try:
+        if np.asarray(M).dtype.kind == "c":   # numpy would keep only its real part
+            raise TypeError(f"{name} is complex")
         return np.array(M, dtype=float) if copy else np.asarray(M, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"{name} must be a rectangular array of numbers") from exc
@@ -342,13 +344,15 @@ def riccati_step(plant, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One application of the fixed-point map min_K [I + K'K + (A+BK)'P(A+BK)]:
     its value Pn and its minimizing gain K = -(I + B'PB)^{-1} B'PA, from one solve.
 
-    `plant` is a PlantModel or, from the package's kernels, its pair (A, B).
-    Unchecked: it runs on every confirm and after every Newton correction of
-    solve_dare, and each caller passes a checked n x n P.  A singular I + B'PB
-    raises numpy's LinAlgError; a step whose I + B'PB or Pn is otherwise not
-    finite overflowed: NotStabilizable, as for a diverging iterate.
+    `plant` is a PlantModel, whose P is checked finite n x n, or, from the
+    package's kernels, its pair (A, B), which trusts the checked P they pass on
+    every confirm and Newton correction of solve_dare.  A singular I + B'PB raises
+    numpy's LinAlgError; a step whose I + B'PB or Pn is otherwise not finite
+    overflowed: NotStabilizable, as for a diverging iterate.
     """
-    A, B = (plant.A, plant.B) if isinstance(plant, PlantModel) else plant
+    if isinstance(plant, PlantModel):
+        plant, P = (plant.A, plant.B), _check_matrix(P, "P", (plant.n, plant.n))
+    A, B = plant
     n, m = B.shape
     BtP = B.T.dot(P)
     W = BtP.dot(A)
@@ -381,7 +385,7 @@ def _checked_step(plant: PlantModel, P):
     or sym(P) is zero."""
     P = _check_matrix(P.P if isinstance(P, ValueMatrix) else P, "P", (plant.n, plant.n))
     try:
-        Pn, K = riccati_step(plant, P)
+        Pn, K = riccati_step((plant.A, plant.B), P)
     except np.linalg.LinAlgError:
         raise DomainError("P makes I + B'PB singular") from None
     except NotStabilizable:
@@ -514,6 +518,7 @@ def _solve_held(plant: tuple[np.ndarray, np.ndarray], tol: float, P: np.ndarray)
     return None
 
 
+@_lapack.quietly
 def q_from_p(plant: PlantModel, P) -> QMatrix:
     """Q = I + [A B]' P [A B]; a raw array P is checked, a ValueMatrix is trusted."""
     trusted = isinstance(P, ValueMatrix)
@@ -577,8 +582,8 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
     """check_membership's certificate for the plant's already solved P."""
     beta = _check_beta(beta, "beta")
     # P >= I gives Q >= I, so only the upper bound needs a test.
-    q = _finite_q(plant, P)
-    if q is None:
+    q = q_from_p(plant, P)
+    if not np.isfinite(q.Q).all():
         # Then max eig Q is above every finite beta^2.
         return MembershipCertificate(member=False, Q=None, max_eig_Q=np.inf, residual=np.inf,
                                      reason="Q = I + [A B]' P [A B] overflows")
@@ -589,12 +594,6 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
     return MembershipCertificate(member=bool(member), Q=q,
                                  max_eig_Q=max_eig, residual=dare_residual(plant, P),
                                  reason=reason)
-
-
-def _finite_q(plant: PlantModel, P: ValueMatrix) -> QMatrix | None:
-    """q_from_p of the plant's solved P, in quiet(); None when Q overflows."""
-    q = q_from_p(plant, P)
-    return q if np.isfinite(q.Q).all() else None
 
 
 @_lapack.quietly

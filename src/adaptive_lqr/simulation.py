@@ -23,9 +23,9 @@ import numpy as np
 from . import _lapack
 from .controller import ExcitationSchedule, _excitation_block, _step
 from .errors import DomainError, ShapeMismatch
-from .estimation import _fold, _initial_stack, _residual, _rho
+from .estimation import _fold, _initial_stack, _residual
 from .riccati import (PlantModel, _check_factor, _check_int, _check_matrix, _check_pd,
-                      _check_real, _check_vector)
+                      _check_real, _check_vector, _spectral_norm)
 
 # A state beyond this Euclidean norm truncates the run with a flag.
 STATE_CAP = 1e12
@@ -109,6 +109,7 @@ def _check_fits(d: DisturbanceModel, n: int, m: int) -> None:
         raise ShapeMismatch(f"disturbance.delta_a, disturbance.delta_b must be {n} x {n}, {n} x {m}")
 
 
+@_lapack.quietly
 def disturbance_eval(model: DisturbanceModel, t: int, x, u, internal_state):
     """Evaluate the disturbance at time t; returns (w, internal_state'), with the
     filtered kind's internal_state (None at the start) checked as a length-n vector."""
@@ -283,7 +284,7 @@ def _certify(block: list, plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
     estimated = [i for i, (_, ab, _, _) in enumerate(block) if ab is not None]
     solved = [i for i, (_, _, Q, _) in enumerate(block) if Q is not None]
     if estimated:
-        rho[estimated] = _rho(plant.ab, np.stack([block[i][1] for i in estimated]))
+        rho[estimated] = _spectral_norm(plant.ab - np.stack([block[i][1] for i in estimated]))
     if solved:
         stacks, _, Qs, gains = zip(*(block[i] for i in solved))
         S = np.stack(stacks)

@@ -1,13 +1,16 @@
 """Every public entry point turns a malformed argument into a typed error.
 
-Ragged nesting, non-numeric entries and non-array objects must end in
-ShapeMismatch naming the argument, never in a raw numpy ValueError/TypeError.
+Ragged nesting, non-numeric entries, non-array objects and complex input must
+end in ShapeMismatch naming the argument, never in a raw numpy
+ValueError/TypeError or a real part kept with a ComplexWarning.
 Integer arguments reject bools, floats and out-of-range values with the
 argument's own error type, and history entries that are not triples are
 ShapeMismatch naming the entry.  Real arguments reject strings, None, bools,
 NaN, infinities, ints beyond the float range and out-of-range values with
 DomainError naming the argument.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +50,7 @@ from adaptive_lqr import (
     q_from_p,
     random_plant,
     rho_of,
+    riccati_step,
     sample_lemma1_instance,
     sample_membership_plant,
     sample_theorem1_instance,
@@ -71,6 +75,9 @@ MALFORMED = {
     "ragged": [[1.0, 2.0], [3.0]],
     "non_numeric": [["a", 1.0], [1.0, 1.0]],
     "object": {"a": 1.0},
+    "complex_array": np.array([[0.5 + 3j]]),
+    "complex_scalar": np.complex128(0.5 + 3j),
+    "complex_in_list": [[np.complex128(0.5 + 3j)]],
 }
 
 # Each entry passes the malformed value as one array argument of n = m = 1 data.
@@ -83,6 +90,7 @@ PROBES = {
     "q_from_p": lambda bad: q_from_p(PLANT, bad),
     "solve_dare.p0": lambda bad: solve_dare(PLANT, p0=bad),
     "dare_residual": lambda bad: dare_residual(PLANT, bad),
+    "riccati_step.P": lambda bad: riccati_step(PLANT, bad),
     "initial_correlation": lambda bad: initial_correlation(1, 1, sigma0=bad),
     "CorrelationState": lambda bad: CorrelationState(sigma=bad, sigma_hat=[[0.0, 0.0]],
                                                      lam=0.99, t=0),
@@ -154,6 +162,46 @@ def test_mismatched_shape_is_a_shape_mismatch(call):
 def test_non_finite_array_is_rejected(call):
     with pytest.raises(NonFiniteInput):
         call()
+
+
+PLANT_2X1 = PlantModel([[0.5, 0.1], [0.0, 0.3]], [[1.0], [0.5]])
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("x", ShapeMismatch),
+    ([[1.0, 2.0], [3.0]], ShapeMismatch),
+    (np.eye(3), ShapeMismatch),
+    (np.ones((2, 2, 2)), ShapeMismatch),
+    ([1.0, 2.0], ShapeMismatch),
+    (np.zeros((0, 0)), ShapeMismatch),
+    ([[np.nan, 0.0], [0.0, 1.0]], NonFiniteInput),
+], ids=["string", "ragged", "3x3", "2x2x2", "vector", "empty", "nan"])
+def test_riccati_step_checks_the_p_of_a_plant(bad, error):
+    # A PlantModel call checks P; the (A, B) pair of the package's kernels does not.
+    with pytest.raises(error, match="^P "):
+        riccati_step(PLANT_2X1, bad)
+    Pn, K = riccati_step(PLANT_2X1, np.eye(2))
+    assert np.array_equal(Pn, riccati_step((PLANT_2X1.A, PLANT_2X1.B), np.eye(2))[0])
+
+
+def test_complex_plant_is_not_cut_to_its_real_part():
+    # Before, numpy kept 0.5 of 0.5 + 3j with only a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.array([[0.5 + 3j]]), [[0.5 + 3j]], np.array([[0.5 + 0j]])):
+            with pytest.raises(ShapeMismatch, match="^A "):
+                PlantModel(bad, [[1.0]])
+
+
+def test_overflow_raises_no_warning():
+    # Both ran outside the package's quiet() error state and warned of the overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = DisturbanceModel.linear(1e300 * np.eye(2), np.ones((2, 1)))
+        w, _ = disturbance_eval(big, 0, [1e10, 1e10], [0.0], None)
+        assert np.isinf(w).all()
+        with pytest.raises(NonFiniteInput, match="^Q "):
+            q_from_p(PLANT_2X1, np.full((2, 2), 1e308))
 
 
 # P = -1 makes I + B'PB = 0 for the plant (0.5, 1); P = 0 has no relative scale.
@@ -260,7 +308,6 @@ LEMMA1 = dict(sigma=np.eye(2), sigma_hat=[[0.5, 1.0]], sigma_tilde=[[0.0, 0.0]],
 # error message must start with that name.
 REAL_PROBES = {
     "solve_dare.tol": ("tol", lambda bad: solve_dare(PLANT, tol=bad)),
-    "solve_data_riccati.tol": ("tol", lambda bad: solve_data_riccati(PLANT, tol=bad)),
     "check_membership.beta": ("beta", lambda bad: check_membership(PLANT, bad)),
     "CorrelationState.lam": ("lam", lambda bad: CorrelationState(
         sigma=np.eye(2), sigma_hat=[[0.0, 0.0]], lam=bad, t=0)),
@@ -323,8 +370,6 @@ def test_malformed_real_is_a_domain_error_naming_the_argument(probe, kind):
 @pytest.mark.parametrize("call, name", [
     (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=2.0), "lam"),
     (lambda: Scenario(PLANT, ZERO, x0=[1.0], horizon=5, lam=0.0), "lam"),
-    (lambda: solve_data_riccati(PLANT, tol="x"), "tol"),
-    (lambda: solve_data_riccati(PLANT, tol=0.0), "tol"),
     (lambda: solve_dare(PLANT, tol=-1e-10), "tol"),
     (lambda: ExcitationSchedule.constant(1, -1.0), "amplitude"),
     (lambda: ExcitationSchedule.constant(1, 1e308), "amplitude"),
@@ -333,8 +378,8 @@ def test_malformed_real_is_a_domain_error_naming_the_argument(probe, kind):
     (lambda: alpha_of(2.0, 0.0, 2.0), "gamma"),
     (lambda: alpha_of(2.0, -0.1, 10.0), "rho"),
     (lambda: random_plant(np.random.default_rng(0), 2, 1, -0.5), "spectral_radius"),
-], ids=["scenario_lam_above_1", "scenario_lam_zero", "solve_data_riccati_string_tol",
-        "solve_data_riccati_zero_tol", "solve_dare_negative_tol", "amplitude_negative",
+], ids=["scenario_lam_above_1", "scenario_lam_zero", "solve_dare_negative_tol",
+        "amplitude_negative",
         "amplitude_range_overflows", "pole_on_unit_circle", "beta_one", "gamma_not_above_beta",
         "rho_negative", "spectral_radius_negative"])
 def test_real_out_of_range_is_a_domain_error_naming_the_argument(call, name):

@@ -1,8 +1,10 @@
 import copy
 import csv
+import itertools
 import json
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adaptive_lqr import (
+    AdaptiveLqError,
     DisturbanceModel,
+    DomainError,
     ExcitationSchedule,
     Gain,
     PlantModel,
@@ -808,3 +812,68 @@ class TestSweepCommand:
         report = corollary_bound_check(log, plant, t0, 40.0, 2.0, rho)
         assert float(row["corollary_margin"]) == report.conclusion_margin
         assert int(row["t0"]) == t0
+
+    @staticmethod
+    def reference_rows(cfg, plant, scenario_base):
+        """sweep.csv's rows computed one grid point at a time: a simulate per row."""
+        fmt = cli._fmt
+        rows = []
+        for beta, rho_scale, gamma, amp, mag in itertools.product(
+                *(cfg["sweep"][key] for key in ("beta", "rho_scale", "gamma",
+                                                "excitation_amplitude",
+                                                "disturbance_magnitude"))):
+            rho_star = admissible_rho(beta)
+            rho = rho_scale * rho_star
+            error, alpha = "", np.nan
+            margin = max_rho_t = cost = np.nan
+            t0, found, holds, overflowed = "", "", False, False
+            try:
+                alpha = alpha_of(beta, rho, gamma)
+            except DomainError as exc:
+                error = f"alpha: {exc}"
+            try:
+                log = simulate(replace(
+                    scenario_base, disturbance=scenario_base.disturbance.scaled(mag),
+                    excitation=replace(scenario_base.excitation, amplitude=amp)))
+                cost, overflowed = log.state_input_cost(), log.overflowed
+                start = consistent_start(log, rho)
+                t0, found = min(start or 0, len(log) - 1), str(int(start is not None))
+                max_rho_t = float(np.max(log.rho[t0:]))
+                if not error:
+                    report = corollary_bound_check(log, plant, t0, gamma, beta, rho)
+                    margin, holds = report.conclusion_margin, report.hypotheses_hold
+                    holds = holds and not log.overflowed
+            except AdaptiveLqError as exc:
+                error = str(exc)
+            rows.append([fmt(beta), fmt(rho), fmt(gamma), fmt(amp), fmt(mag), fmt(alpha),
+                         fmt(rho_star), str(t0), found, fmt(max_rho_t), str(int(holds)),
+                         fmt(margin), fmt(cost), str(int(overflowed)), error])
+        return rows
+
+    @pytest.mark.parametrize("amps, runs", [([0.0, 50.0], 2), ([0.0, -0.0], 2)],
+                             ids=["amplitudes", "signed_zero_amplitudes"])
+    def test_one_simulation_per_distinct_amplitude_and_magnitude(self, tmp_path, monkeypatch,
+                                                                 amps, runs):
+        # 2 betas x 2 gammas (one below a beta, so alpha fails) x 2 amplitudes x 2
+        # magnitudes, one of which overflows the payload: the rows are those of a
+        # simulate per row, byte for byte, from one simulate per (amplitude, magnitude)
+        # that runs; -0.0 and 0.0 are two runs.
+        disturbance = {"kind": "linear_unmodeled", "delta_a": [[0.1]], "delta_b": [[2.0]]}
+        sweep = {"beta": [1.5, 2.0], "rho_scale": [0.5], "gamma": [1.8, 40.0],
+                 "excitation_amplitude": amps, "disturbance_magnitude": [0.5, 1e308]}
+        payload = {"plant": {"A": [[0.5]], "B": [[1.0]]}, "horizon": 200, "x0": [1.0],
+                   "excitation": {"amplitude": 100.0, "decay_rate": 0.9},
+                   "disturbance": disturbance, "sweep": sweep, "seed": 3}
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda sc: calls.append(sc) or simulate(sc))
+        out = tmp_path / "out"
+        assert main(["sweep", write_config(tmp_path, payload), "--out-dir", str(out)]) == 0
+        assert len(calls) == runs
+        assert [str(sc.excitation.amplitude) for sc in calls] == [str(a) for a in amps]
+        scenario = cli._parse_scenario(payload, 3)
+        expected = self.reference_rows(payload, scenario.plant, scenario)
+        with open(out / "sweep.csv", newline="") as fh:
+            written = list(csv.reader(fh))[1:]
+        assert written == expected
+        errors = {row[-1].split(" ")[0] for row in written}
+        assert {"alpha:", "alpha", "disturbance", ""} <= errors

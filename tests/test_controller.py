@@ -24,7 +24,8 @@ from adaptive_lqr import (
     update_correlations,
 )
 from adaptive_lqr import _lapack, controller, riccati
-from adaptive_lqr.controller import SOLVE_TOL, _excitation_block
+from adaptive_lqr.controller import _excitation_block
+from adaptive_lqr.estimation import SOLVE_TOL
 from dataclasses import replace
 from conftest import (LINALG_WRAPPERS, count_calls, criterion5_scenarios, random_history,
                       scalar_k, scalar_p, scipy_dare)
@@ -383,9 +384,9 @@ class TestSolveAccuracy:
         solves = []
         solve = controller._solve_data_riccati
 
-        def recording(A, B, ab, tol, held):
-            out = solve(A, B, ab, tol, held)
-            solves.append((PlantModel(A, B), tol, out[2]))
+        def recording(A, B, ab, held):
+            out = solve(A, B, ab, held)
+            solves.append((PlantModel(A, B), out[2]))
             return out
 
         monkeypatch.setattr(controller, "_solve_data_riccati", recording)
@@ -395,10 +396,10 @@ class TestSolveAccuracy:
             simulate(sc)
         assert len(solves) > 1000
         worst = 0.0
-        for plant, tol, P in solves:
+        for plant, P in solves:
             P_ref, _ = scipy_dare(plant)
             err = np.linalg.norm(P - P_ref, 2) / np.linalg.norm(P_ref, 2)
-            worst = max(worst, err / tol)
+            worst = max(worst, err / SOLVE_TOL)
         assert worst <= 1.0, worst
 
     def test_error_estimate_bounds_the_error_of_every_controller_solve(self, monkeypatch):
@@ -407,8 +408,8 @@ class TestSolveAccuracy:
         solves = []
         solve = controller._solve_data_riccati
 
-        def recording(A, B, ab, tol, held):
-            out = solve(A, B, ab, tol, held)
+        def recording(A, B, ab, held):
+            out = solve(A, B, ab, held)
             solves.append((PlantModel(A, B), out[2]))
             return out
 

@@ -7,11 +7,13 @@ from adaptive_lqr import (
     CorrelationState,
     DomainError,
     EstimateNotStabilizable,
+    ExcitationSchedule,
     IllConditioned,
     NonFiniteInput,
     PlantModel,
     ShapeMismatch,
     batch_correlations,
+    controller_observe,
     controller_step,
     data_riccati_residual,
     disturbance_correlation,
@@ -25,6 +27,7 @@ from adaptive_lqr import (
     solve_data_riccati,
     update_correlations,
 )
+from adaptive_lqr import _lapack
 from adaptive_lqr.estimation import _cond, _fold
 from dataclasses import replace
 from adaptive_lqr.riccati import _spectral_norm, _sym_norm, sym
@@ -222,7 +225,7 @@ class TestSolveDataRiccati:
     def test_two_step_scalar_values(self):
         history = [([1.0], [0.0], [0.5]), ([0.5], [1.0], [1.25])]
         state = batch_correlations(history, 1.0, 1e-6 * np.eye(2))
-        q, k, _ = solve_data_riccati(estimate_model(state), tol=1e-12)
+        q, k, _ = solve_data_riccati(estimate_model(state))
         p = scalar_p(0.5, 1.0)
         expected_q = np.eye(2) + p * np.outer([0.5, 1.0], [0.5, 1.0])
         assert np.allclose(q.Q, expected_q, atol=1e-4)
@@ -235,7 +238,7 @@ class TestSolveDataRiccati:
         G = rng.standard_normal((2, 2))
         sigma = G @ G.T + 0.3 * np.eye(2)
         state = make_state(sigma, plant.ab @ sigma)
-        q, k, P = solve_data_riccati(estimate_model(state), tol=1e-12)
+        q, k, P = solve_data_riccati(estimate_model(state))
         assert np.array_equal(q.Q, q_from_p(estimate_model(state), P).Q)
         q_true = q_from_p(plant, solve_dare(plant, tol=1e-12))
         assert np.allclose(q.Q, q_true.Q, atol=1e-9)
@@ -246,6 +249,25 @@ class TestSolveDataRiccati:
         state = make_state(sigma, np.array([[2.0, 0.0]]) @ sigma)
         with pytest.raises(EstimateNotStabilizable):
             solve_data_riccati(estimate_model(state))
+
+    def test_re_solve_is_the_controllers_cold_solve(self):
+        # One tolerance: solve_data_riccati of a step's estimate returns that
+        # step's gain and held P bit for bit whenever the step solved cold.
+        plant = PlantModel([[0.9, 0.2], [0.0, 1.1]], [[1.0], [0.5]])
+        ctrl = initial_controller(2, 1, excitation=ExcitationSchedule.constant(1, 2.0, seed=4))
+        x, cold = np.ones(2), 0
+        for _ in range(60):
+            ctrl = replace(ctrl, warm_p=None)   # no held P: every step solves cold
+            u, ctrl, diag = controller_step(ctrl, x)
+            if not diag.fallback:
+                _, gain, P = solve_data_riccati(diag.estimate)
+                assert np.array_equal(gain.K, diag.gain) and np.array_equal(P.P, ctrl.warm_p)
+                cold += 1
+            x_next = plant.A @ x + plant.B @ u
+            ctrl, x = controller_observe(ctrl, x, u, x_next), x_next
+        assert cold >= 50
+        with pytest.raises(TypeError):
+            solve_data_riccati(diag.estimate, tol=1e-10)
 
     def test_residual_small_on_random_states(self):
         rng = np.random.default_rng(2)
@@ -529,6 +551,21 @@ class TestEigvalshForms:
         D = scale * np.array([[3.0, 0.0, 4.0], [0.0, 1.0, 0.0]])
         assert abs(_spectral_norm(D) - 5.0 * scale) <= 1e-15 * 5.0 * scale
         assert _spectral_norm(np.zeros((2, 3))) == 0.0
+
+    def test_stack_mixing_special_and_ordinary_slices(self):
+        # A zero and an infinite slice take their scale; the ordinary slices,
+        # a NaN one among them, recurse as a stack of their own.  Each entry
+        # is the one-matrix call on its slice.
+        scales = 10.0 ** np.arange(-2, 4)[:, None, None]
+        M = np.random.default_rng(31).standard_normal((6, 3, 5)) * scales
+        M[1], M[3, 2, 4], M[4, 0, 1] = 0.0, np.inf, np.nan
+        with _lapack.quiet():
+            stacked = _spectral_norm(M)
+            single = np.array([_spectral_norm(S) for S in M])
+        assert stacked.shape == (6,) and stacked[1] == 0.0 and stacked[3] == np.inf
+        assert np.isnan(stacked[4]) and np.isfinite(stacked[[0, 2, 5]]).all()
+        assert np.array_equal(stacked, single, equal_nan=True)
+        assert stacked[[0, 2, 5]].tobytes() == single[[0, 2, 5]].tobytes()
 
     def test_cond_infinite_unless_positive_definite(self):
         assert _cond(np.zeros((2, 2))) == np.inf

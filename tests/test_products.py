@@ -28,7 +28,7 @@ from adaptive_lqr import certificates, controller, estimation, riccati, simulati
 
 DIMS = [(n, m) for n in range(1, 10) for m in range(1, 6)]
 LAYOUTS = ("estimate", "contiguous")
-SOLVE_TOL = controller.SOLVE_TOL
+SOLVE_TOL = estimation.SOLVE_TOL
 BETA, RHO, GAMMA = 2.0, 0.01, 40.0
 
 
