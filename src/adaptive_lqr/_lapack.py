@@ -12,12 +12,16 @@ error ignored.  The package's entry points run in it (quietly), and each
 caller reads a kernel's NaN as a failure, so a failed call fails closed
 without a warning.  Only riccati_step and the cold solve call
 np.linalg.solve, which raises, to name a singular matrix.
+
+finite(a), the one finiteness test, counts np.isfinite's verdicts in C, without
+the Python-level wrappers of ndarray.all and np.count_nonzero; it never warns.
 """
 
 from contextvars import ContextVar
 from functools import cache, wraps
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero
 from numpy.linalg import _umath_linalg
 
 # True inside quiet(), where numpy's error state ignores every floating-point
@@ -48,6 +52,11 @@ def quietly(fn):
         with quiet():
             return fn(*args, **kwargs)
     return run
+
+
+def finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(): no NaN, +inf or -inf entry (True for an empty a)."""
+    return count_nonzero(np.isfinite(a)) == a.size
 
 
 def solve_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ negative conclusion margin means the inequality is violated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,7 @@ UNDEFINED_MARGIN = -1e300
 
 def _finite(x: float) -> float:
     x = float(x)
-    if np.isnan(x):
+    if math.isnan(x):
         return UNDEFINED_MARGIN
     return min(max(x, UNDEFINED_MARGIN), -UNDEFINED_MARGIN)
 
@@ -255,7 +256,7 @@ def lemma1_check(sigma, sigma_hat, sigma_tilde, P, Q, beta: float, rho: float) -
     dev = (Sh - St).T.dot(P).dot(Sh - St) - consistency_rhs   # finite only if the rhs is
     hyps = {
         "consistency": _hyp(-_spectral_norm(dev) / max(1.0, _sym_norm(consistency_rhs))
-                            if np.isfinite(dev).all() else UNDEFINED_MARGIN),
+                            if _lapack.finite(dev) else UNDEFINED_MARGIN),
         "tilde_bound": _hyp(_min_eig((rho**2 * S).dot(S) - St.T.dot(St))),
         "q_lower": _hyp(_min_eig(Q - eye)),
         "q_upper": _hyp(_min_eig(beta**2 * eye - Q)),

@@ -209,7 +209,7 @@ def run_simulate(cfg: dict, seed: int, out_dir: Path) -> int:
     log.to_csv(out_dir / "trajectory.csv")
     try:   # null when the true plant is not stabilizable or its Q overflows
         q = q_from_p(scenario.plant, solve_dare(scenario.plant))
-        gain_error = _spectral_norm(log.k[-1] - gain_from_q(q).K) if np.isfinite(q.Q).all() else None
+        gain_error = _spectral_norm(log.k[-1] - gain_from_q(q).K) if _lapack.finite(q.Q) else None
     except NotStabilizable:
         gain_error = None
     _write_json(out_dir / "summary.json", {
@@ -354,7 +354,7 @@ def _sweep_row(plant: PlantModel, t0_cfg, log,
     alpha = margin = max_rho_t = cost = np.nan
     t0_used, t0_found, hypotheses_hold, overflowed = "", "", False, False
     try:
-        alpha = alpha_of(beta, rho, gamma)
+        alpha = _check_positive(alpha_of(beta, rho, gamma), "alpha")
     except DomainError as exc:
         error = f"alpha: {exc}"
     try:

@@ -134,7 +134,7 @@ def _fold(S: np.ndarray, lam: float, x: np.ndarray, u: np.ndarray, x_next: np.nd
     recursions.  NonFiniteInput when the data point overflows the correlations."""
     y = np.concatenate((x, u, x_next))
     S = lam * S + y[:, None] * y[: S.shape[1]]
-    if not np.isfinite(S).all():
+    if not _lapack.finite(S):
         raise NonFiniteInput("the data point overflows the correlations")
     return S
 
@@ -192,7 +192,7 @@ def _estimate(sigma: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
         raise IllConditioned(_eig_reason(cond, "Sigma",
                                          f"cond(Sigma) = {cond:.3e} exceeds {COND_LIMIT:.1e}"))
     ab = _lapack.solve_nan(sigma, sigma_hat.T).T
-    if not np.isfinite(ab).all():
+    if not _lapack.finite(ab):
         raise IllConditioned("SigmaHat Sigma^{-1} overflows")
     return ab
 
@@ -286,7 +286,7 @@ def disturbance_correlation(history, plant: PlantModel, lam: float, sigma0) -> n
         x, u, w = _triple(entry, k)
         z = np.concatenate([_check_vector(x, "x", n), _check_vector(u, "u", m)])
         acc = lam * acc + np.outer(_check_vector(w, "w", n), z)
-    if not np.isfinite(acc).all():
+    if not _lapack.finite(acc):
         raise NonFiniteInput("the history overflows the disturbance correlations")
     return acc
 

@@ -98,13 +98,13 @@ def _min_eig(M: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric part of M; -inf, which no bound meets,
     when that part has an entry that overflowed or is NaN, or eigvalsh fails."""
     S = sym(M)
-    low = _lapack.eigvalsh_nan(S).min() if np.isfinite(S).all() else -np.inf
+    low = _lapack.eigvalsh_nan(S).min() if _lapack.finite(S) else -np.inf
     return float(low) if low >= -np.inf else -np.inf   # NaN fails every comparison
 
 
 def _spectral_radius(M: np.ndarray) -> float:
     """max |eigenvalue| of a square M; inf when M has an infinite or NaN entry or eigvals fails."""
-    radius = np.abs(_lapack.eigvals_nan(M)).max() if np.isfinite(M).all() else np.inf
+    radius = np.abs(_lapack.eigvals_nan(M)).max() if _lapack.finite(M) else np.inf
     return float(radius) if radius <= np.inf else np.inf
 
 
@@ -156,7 +156,7 @@ def _check_matrix(M, name, shape=None, square=False):
         shape = (len(M), len(M))
     if shape is not None and M.shape != shape:
         raise ShapeMismatch(f"{name} must have shape {shape}, got {M.shape}")
-    if not np.isfinite(M).all():
+    if not _lapack.finite(M):
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return M
 
@@ -166,7 +166,7 @@ def _check_vector(v, name, size=None):
     v = _as_float_array(v, name, copy=False).reshape(-1)
     if size is not None and v.shape != (size,):
         raise ShapeMismatch(f"{name} must have length {size}, got {v.shape}")
-    if not np.isfinite(v).all():
+    if not _lapack.finite(v):
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return v
 
@@ -265,7 +265,7 @@ class PlantModel:
             raise ShapeMismatch(f"B must be n x m = {len(A)} x m with n, m >= 1, got {B.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "ab", np.hstack([A, B]))
+        object.__setattr__(self, "ab", np.concatenate((A, B), axis=1))
 
     @property
     def n(self) -> int:
@@ -357,12 +357,12 @@ def riccati_step(plant, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     BtP = B.T.dot(P)
     W = BtP.dot(A)
     M = _lapack.eye(m) + BtP.dot(B)
-    if np.isfinite(M).all():
+    if _lapack.finite(M):
         K = -_lapack.solve_nan(M, W)
         Pn = sym(_lapack.eye(n) + A.T.dot(P).dot(A) + W.T.dot(K))
-        if np.isfinite(Pn).all():
+        if _lapack.finite(Pn):
             return Pn, K
-        if not np.isfinite(K).all():
+        if not _lapack.finite(K):
             np.linalg.solve(M, W)   # tells a singular M (LinAlgError) from an overflow
     raise NotStabilizable("the Riccati step overflows")
 
@@ -488,7 +488,7 @@ def _solve_cold(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
             if _converged(H, Hn, tol):
                 return Hn
         except NotStabilizable:         # an overflow, or the NaN of a failed solve
-            if not np.isfinite(W).all():
+            if not _lapack.finite(W):
                 try:
                     np.linalg.solve(IGH, AG)
                 except np.linalg.LinAlgError:
@@ -583,7 +583,7 @@ def _membership(plant: PlantModel, P: ValueMatrix, beta: float) -> MembershipCer
     beta = _check_beta(beta, "beta")
     # P >= I gives Q >= I, so only the upper bound needs a test.
     q = q_from_p(plant, P)
-    if not np.isfinite(q.Q).all():
+    if not _lapack.finite(q.Q):
         # Then max eig Q is above every finite beta^2.
         return MembershipCertificate(member=False, Q=None, max_eig_Q=np.inf, residual=np.inf,
                                      reason="Q = I + [A B]' P [A B] overflows")

@@ -96,7 +96,7 @@ class DisturbanceModel:
         `magnitude`; DomainError when a scaled array overflows."""
         magnitude = _check_real(magnitude, "magnitude")
         payload = {key: magnitude * getattr(self, key) for key in DISTURBANCE_ARRAYS[self.kind]}
-        if not all(np.isfinite(v).all() for v in payload.values()):
+        if not all(_lapack.finite(v) for v in payload.values()):
             raise DomainError(f"disturbance magnitude {magnitude:g} overflows the disturbance payload")
         return replace(self, **payload)
 
@@ -284,10 +284,10 @@ def _certify(block: list, plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
     estimated = [i for i, (_, ab, _, _) in enumerate(block) if ab is not None]
     solved = [i for i, (_, _, Q, _) in enumerate(block) if Q is not None]
     if estimated:
-        rho[estimated] = _spectral_norm(plant.ab - np.stack([block[i][1] for i in estimated]))
+        rho[estimated] = _spectral_norm(plant.ab - np.array([block[i][1] for i in estimated]))
     if solved:
         stacks, _, Qs, gains = zip(*(block[i] for i in solved))
-        S = np.stack(stacks)
+        S = np.array(stacks)
         d = S.shape[-1]
-        residual[solved] = _residual(S[:, :d], S[:, d:], np.stack(Qs), np.stack(gains))
+        residual[solved] = _residual(S[:, :d], S[:, d:], np.array(Qs), np.array(gains))
     return rho, residual

@@ -829,6 +829,9 @@ class TestSweepCommand:
             t0, found, holds, overflowed = "", "", False, False
             try:
                 alpha = alpha_of(beta, rho, gamma)
+                if not alpha > 0.0:
+                    error = f"alpha: alpha = {alpha!r} must be a finite number in (0, inf)"
+                    alpha = np.nan
             except DomainError as exc:
                 error = f"alpha: {exc}"
             try:
@@ -876,4 +879,6 @@ class TestSweepCommand:
             written = list(csv.reader(fh))[1:]
         assert written == expected
         errors = {row[-1].split(" ")[0] for row in written}
-        assert {"alpha:", "alpha", "disturbance", ""} <= errors
+        assert {"alpha:", "disturbance", ""} <= errors and "alpha" not in errors
+        # (1.5, 1.8) passes alpha_of with a negative alpha, which is an alpha error.
+        assert any(row[-1].startswith("alpha: alpha = -") and row[5] == "nan" for row in written)

@@ -188,11 +188,61 @@ def test_eye_is_a_shared_read_only_identity(n):
         eye[0, 0] = 2.0
 
 
+def _strided_view():
+    # Every entry the view skips is NaN, which its verdict must not see.
+    base = np.full((2, 5, 4), np.nan)
+    base[:, ::2, 1:] = np.arange(18.0).reshape(2, 3, 3)
+    return base[:, ::2, 1:]
+
+
+FINITE_CASES = {
+    "empty_vector": lambda: np.zeros(0),
+    "empty_matrix": lambda: np.zeros((0, 3)),
+    "empty_stack": lambda: np.zeros((2, 0, 3)),
+    "vector": lambda: np.linspace(-1.0, 1.0, 5),
+    "matrix": lambda: np.arange(12.0).reshape(3, 4),
+    "stack": lambda: np.arange(24.0).reshape(2, 3, 4),
+    "transposed": lambda: np.arange(12.0).reshape(3, 4).T,
+    "strided": _strided_view,
+    "huge": lambda: np.array([[1e308, -1e308], [np.finfo(float).max, 1.0]]),
+    "subnormal": lambda: np.array([[5e-324, -5e-324], [1e-310, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_CASES))
+def test_finite_is_isfinite_all_without_a_warning(case):
+    # finite(a) is np.isfinite(a).all(), for views too, and warns of nothing
+    # outside quiet(), where _check_matrix and _check_vector call it; one NaN,
+    # +inf or -inf at any position makes it False.
+    make = FINITE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = make()
+        verdict = _lapack.finite(a)
+        assert verdict == bool(np.isfinite(a).all()) and verdict
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in np.ndindex(a.shape):
+                a = make()
+                a[index] = bad
+                verdict = _lapack.finite(a)
+                assert verdict == bool(np.isfinite(a).all()) and not verdict
+
+
+def test_only_lapack_finite_calls_isfinite():
+    # One finiteness test: np.isfinite is called in _lapack.finite and nowhere
+    # else in the package.
+    src = Path(_lapack.__file__).parent
+    calls = {f.name: f.read_text().count("isfinite(") for f in src.rglob("*.py")}
+    inside = inspect.getsource(_lapack.finite).count("isfinite(")
+    assert inside and {name: n for name, n in calls.items() if n} == {"_lapack.py": inside}
+
+
 def test_only_lapack_touches_numpys_error_state_or_its_gufuncs():
     # One policy: quiet() is the only error state the package enters, and
-    # _lapack the only module that calls numpy.linalg's gufuncs.
+    # _lapack the only module that calls numpy.linalg's gufuncs or binds
+    # another private numpy name.
     src = Path(_lapack.__file__).parent
-    pattern = re.compile(r"errstate|_umath_linalg")
+    pattern = re.compile(r"errstate|_umath_linalg|numpy\._core")
     users = sorted(f.name for f in src.rglob("*.py") if pattern.search(f.read_text()))
     assert users == ["_lapack.py"]
     assert (src / "_lapack.py").read_text().count("np.errstate(") == 1

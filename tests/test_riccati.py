@@ -48,6 +48,16 @@ class TestPlantModel:
         moved = replace(plant, A=[[0.2, 0.0], [0.4, 0.9]])
         assert np.array_equal(plant.ab, [[0.5, 0.1, 1.0], [0.0, 0.7, 0.3]])
         assert np.array_equal(moved.ab, [[0.2, 0.0, 1.0], [0.4, 0.9, 0.3]])
+        # ab is a new array with the layout and bytes of np.hstack: C-contiguous
+        # from lists, and from Fortran-ordered or transposed input as hstack lays it out.
+        fortran = PlantModel(np.asfortranarray([[0.5, 0.1], [0.0, 0.7]]),
+                             np.asfortranarray([[1.0, 2.0], [0.3, 0.4]]))
+        transposed = PlantModel(np.arange(9.0).reshape(3, 3).T, [[1.0], [2.0], [3.0]])
+        for p in (plant, moved, fortran, transposed):
+            stacked = np.hstack([p.A, p.B])
+            assert p.ab.strides == stacked.strides and p.ab.tobytes() == stacked.tobytes()
+            assert not np.shares_memory(p.ab, p.A) and not np.shares_memory(p.ab, p.B)
+        assert plant.ab.flags.c_contiguous and moved.ab.flags.c_contiguous
 
     def test_estimate_holds_its_stack(self):
         rng = np.random.default_rng(3)
